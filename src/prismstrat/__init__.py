@@ -18,10 +18,10 @@ from .closedform import (
 )
 from .cohomology import H0Solution, h0_dim_bound, h0_solve
 from .cosimplicial import CDTable, CosimpCtx, cd_table, face_map, hensel_u0
-from .field import FieldDesc, KElem, PadicApprox, field_init, k_arith, k_valuation
+from .field import FieldDesc, KElem, PadicApprox, field_init
 from .matrix import KMat, charpoly, kernel_basis
 from .sen import Lambda1, SenReport, lambda1_series, nearly_dR_report, sen_operator_matrix
-from .series import SimplexRingElem, Trunc, sre_arith, sre_exp_pow, sre_invert, sre_log
+from .series import SimplexRingElem, Trunc, binomial_power
 from .stratification import (
     Seeds,
     StratTable,
@@ -38,17 +38,12 @@ __all__ = [
     "KElem",
     "PadicApprox",
     "field_init",
-    "k_arith",
-    "k_valuation",
     "KMat",
     "charpoly",
     "kernel_basis",
     "Trunc",
     "SimplexRingElem",
-    "sre_arith",
-    "sre_invert",
-    "sre_log",
-    "sre_exp_pow",
+    "binomial_power",
     "CosimpCtx",
     "CDTable",
     "hensel_u0",

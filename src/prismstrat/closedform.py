@@ -37,7 +37,7 @@ from .errors import NonCommutingSeeds, ShapeMismatch
 from .field import FieldDesc, KElem
 from .matrix import KMat
 from .series import SimplexRingElem as SRE
-from .series import Trunc
+from .series import Trunc, binomial_power
 from .stratification import Seeds, StratTable, generate_Amn
 
 
@@ -288,16 +288,17 @@ def closedform_series(htable: HTable, m: int, ctx: CosimpCtx, pd_degree: int | N
     growth = exponential_sum_series(field, htable.seeds.a01, tr)
     if m == 0:
         return growth
-    one = SRE.one(field, 1, tr)
-    x = SRE.monomial(field, 1, tr, 0, (1,), KMat.identity(field, 1))
-    base = one + x * (-field.beta)
-    base_inv = base.invert()
+    # (1 - beta X)^r = (1 + N)^r with N^i = (-beta X)^i = (-beta)^i i! X^[i]
+    n_pow = [
+        SRE.ordinary_monomial(field, 1, tr, 0, (i,), KMat.scalar(field, 1, (-field.beta) ** i))
+        for i in range(deg + 1)
+    ]
     out = SRE.zero(field, 1, tr, l)
     for j in range(1, 2 * m + 1):
         hj = htable.h_tilde(m, j)
         if hj.is_zero():
             continue
-        power = base ** (m - j) if m >= j else base_inv ** (j - m)
+        power = binomial_power(n_pow, m - j)
         xj = SRE.monomial(field, 1, tr, 0, (j,), KMat.identity(field, 1) * factorial(j))
         scal = (power * xj).map_size(l)
         out = out + (hj * scal) * growth
@@ -473,9 +474,9 @@ def conjecture_residual(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> dict:
         sum_{i+s=k} (sum_n d_{i+a,s,n} X^[n]) a_i
             = sum_{m+l=k} (sum_n A_{m,n} X^[n]) a_l,
 
-    with d_{i+a,s,n} read off from alpha^(i+a) = alpha^i alpha^a and
-    alpha^a = exp((-A_{0,1}/beta) log alpha).  k = 0, 1, 2 admit a short hand
-    verification; higher k is reported as a finding.
+    with d_{i+a,s,n} read off from alpha^(i+a), a = -A_{0,1}/beta, as the
+    binomial series sum_j C(i+a, j) (alpha-1)^j.  k = 0, 1, 2 admit a short
+    hand verification; higher k is reported as a finding.
     """
     if not seeds.commutative():
         raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
@@ -488,19 +489,18 @@ def conjecture_residual(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> dict:
     a_list = ak_series(seeds, ctx, k_max)
     table = generate_Amn(seeds, ctx, deg)
     exponent = seeds.a01 * field.beta.inverse() * -1
-    alpha_a = ctx.alpha.exp_pow(exponent)
+    alpha_ia = [
+        ctx.alpha_pow(exponent + KMat.scalar(field, l, field.from_rational(i)))
+        for i in range(k_max + 1)
+    ]
     residuals = {}
     low_k_zero = True
     for k in range(k_max + 1):
         lhs = SRE.zero(field, 1, tr1, l)
-        power = ctx.alpha_pow(0)
         for i in range(k + 1):
             s = k - i
-            if i > 0:
-                power = ctx.alpha_pow(i)
-            alpha_ia = alpha_a * power.map_size(l)
             d_slice: dict = {}
-            for idx, mat in alpha_ia.t_slice(s).items():
+            for idx, mat in alpha_ia[i].t_slice(s).items():
                 d_slice[(0, idx)] = mat
             d_sre = SRE(field, 1, tr1, l, d_slice)
             lhs = lhs + d_sre * a_list[i]

@@ -3,7 +3,7 @@
 Carries the series u0(t) with E(u0) = t (Hensel lift of pi), the
 coefficients theta_{n,i} of E^{(n)}(u0), the unit alpha = E(u1)/E(u0)
 expanded in (X_1, t), the divided-power coefficient tables c_{p,s} and
-d_{p,s,k} of its integer powers, and the face maps delta_i into the
+d_{p,s,k} of its powers, and the face maps delta_i into the
 1- and 2-simplex rings.
 """
 
@@ -15,7 +15,7 @@ from .errors import IndexOutOfRange, ShapeMismatch
 from .field import FieldDesc, KElem
 from .matrix import KMat
 from .series import SimplexRingElem as SRE
-from .series import Trunc
+from .series import Trunc, binomial_power
 
 
 def eval_poly_at_series(field: FieldDesc, coeffs, s: SRE) -> SRE:
@@ -58,12 +58,10 @@ class CosimpCtx:
         self.u0 = SRE(field, 0, trunc, 1, lifted.coeffs)
         self.theta = theta_table(field, self.u0, trunc.t_order)
         self.alpha = alpha_series(field, self.theta, trunc)
-        self._alpha_pows: dict[int, SRE] = {0: SRE.one(field, 1, trunc), 1: self.alpha}
+        one = SRE.one(field, 1, trunc)
+        self._n_pow = [one, self.alpha - one]
+        self._alpha_pows: dict = {}
         self._alpha_pows_2v: dict[int, SRE] = {}
-
-    def trunc_0v(self) -> Trunc:
-        """Truncation window for 0-variable (pure t-series) companions."""
-        return self.trunc
 
     def theta_at(self, n: int, i: int) -> KElem:
         if i < 0:
@@ -74,17 +72,15 @@ class CosimpCtx:
     def beta(self) -> KElem:
         return self.field.beta
 
-    def alpha_pow(self, k: int) -> SRE:
-        """alpha^k in the 1-variable ring, cached; integer k of either sign."""
+    def alpha_pow(self, k) -> SRE:
+        """alpha^k in the 1-variable ring, cached; k an integer of either sign
+        or a square KMat exponent (then the result is matrix valued).
+
+        alpha = 1 + N with N nilpotent, so alpha^k = sum_j C(k, j) N^j; the
+        powers N^j are shared by every exponent and built on demand.
+        """
         if k not in self._alpha_pows:
-            if k < 0:
-                inv = self._alpha_pows.get(-1)
-                if inv is None:
-                    inv = self.alpha.invert()
-                    self._alpha_pows[-1] = inv
-                self._alpha_pows[k] = inv ** (-k)
-            else:
-                self._alpha_pows[k] = self.alpha**k
+            self._alpha_pows[k] = binomial_power(self._n_pow, k)
         return self._alpha_pows[k]
 
     def alpha_pow_2v(self, k: int) -> SRE:

@@ -391,24 +391,6 @@ class KElem:
         return " + ".join(parts) if parts else "0"
 
 
-def k_valuation(a: KElem):
-    """v(a) with v(pi) = 1; v(0) = +inf."""
-    return a.valuation()
-
-
-def k_arith(a: KElem, b: KElem, op: str) -> KElem:
-    """Dispatch form of field arithmetic (add/sub/mul/div)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class PadicApprox:
     """A KElem known modulo p^prec (absolute p-adic precision).

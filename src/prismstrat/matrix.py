@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import ShapeMismatch
+from .errors import NonUnit, ShapeMismatch
 from .field import INF, FieldDesc, KElem
 
 
@@ -132,12 +133,6 @@ class KMat:
                     best = v
         return best
 
-    def entry_denominator_bound(self) -> int:
-        return max(
-            (c.denominator for r in self.rows for a in r for c in a.coords),
-            default=1,
-        )
-
     def _check_same_shape(self, other: KMat):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ShapeMismatch("matrix shapes differ")
@@ -205,6 +200,18 @@ def kernel_basis(m: KMat) -> list[tuple[KElem, ...]]:
     return basis
 
 
+def mat_inverse(m: KMat) -> KMat:
+    """Inverse over K by reducing [m | I]; NonUnit when m is singular."""
+    n = m.nrows
+    if n != m.ncols:
+        raise NonUnit("matrix is singular over K")
+    ident = KMat.identity(m.field, n).rows
+    aug = [list(r) + list(ident[i]) for i, r in enumerate(m.rows)]
+    if row_reduce(aug, m.field) != list(range(n)):
+        raise NonUnit("matrix is singular over K")
+    return KMat.from_rows(m.field, [row[n:] for row in aug])
+
+
 def rank(m: KMat) -> int:
     rows = [list(r) for r in m.rows]
     if not rows:
@@ -236,9 +243,7 @@ def rational_roots(poly: list[KElem]) -> list[Fraction] | None:
         return None
     rat = [c.coords[0] for c in poly]
     # clear denominators to get integer coefficients
-    den = 1
-    for c in rat:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in rat))
     ints = [int(c * den) for c in rat]
     while ints and ints[-1] == 0:
         ints.pop()
@@ -271,12 +276,6 @@ def rational_roots(poly: list[KElem]) -> list[Fraction] | None:
     return roots
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     out = []
@@ -304,7 +303,5 @@ def _poly_deflate(coeffs: list[int], root: Fraction) -> list[int]:
     for i in range(len(coeffs) - 1, 0, -1):
         carry = Fraction(coeffs[i]) + carry * root
         out[i - 1] = carry
-    den = 1
-    for c in out:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in out))
     return [int(c * den) for c in out]

@@ -56,7 +56,6 @@ class Lambda1:
 
 
 def _series_coeffs(s: SRE) -> list[KElem]:
-    field = s.field
     return [s.coeff(m, ()).rows[0][0] for m in range(s.trunc.t_order)]
 
 

@@ -17,7 +17,7 @@ from math import comb, factorial
 
 from .errors import BadConstantTerm, NonUnit, ShapeMismatch
 from .field import FieldDesc, KElem
-from .matrix import KMat, kernel_basis
+from .matrix import KMat, kernel_basis, mat_inverse
 
 MultiIndex = tuple[int, ...]
 Key = tuple[int, MultiIndex]
@@ -117,14 +117,6 @@ class SimplexRingElem:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_scalar_valued(self) -> bool:
-        """All coefficients are scalar multiples of the identity."""
-        for mat in self.coeffs.values():
-            c = mat.rows[0][0]
-            if mat != KMat.scalar(self.field, self.size, c):
-                return False
-        return True
 
     def _check_compatible(self, other: SimplexRingElem):
         if (
@@ -235,10 +227,10 @@ class SimplexRingElem:
 
     def invert(self) -> SimplexRingElem:
         """Inverse of a unit: constant term must be an invertible matrix."""
-        c = self.constant_term()
-        cinv = _mat_inverse(c)
-        if cinv is None:
-            raise NonUnit("constant term is not invertible")
+        try:
+            cinv = mat_inverse(self.constant_term())
+        except NonUnit:
+            raise NonUnit("constant term is not invertible") from None
         one = SimplexRingElem.one(self.field, self.n_vars, self.trunc, self.size)
         # a = c (1 - n) with n topologically nilpotent; a^-1 = (sum n^k) c^-1
         n = one - self * cinv
@@ -381,67 +373,44 @@ class SimplexRingElem:
         return "SRE{" + "; ".join(parts) + more + "}"
 
 
-def _mat_inverse(m: KMat) -> KMat | None:
-    """Inverse over K, or None when singular."""
-    n = m.nrows
-    if n != m.ncols:
-        return None
-    field = m.field
-    aug = [list(r) + list(KMat.identity(field, n).rows[i]) for i, r in enumerate(m.rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if not aug[i][c].is_zero()), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [a * inv for a in aug[r]]
-        for i in range(n):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    return KMat.from_rows(field, [row[n:] for row in aug])
+def binomial_power(n_pow: list[SimplexRingElem], exponent) -> SimplexRingElem:
+    """(1 + N)^M = sum_j C(M, j) N^j for a nilpotent scalar series N.
+
+    n_pow = [1, N, N^2, ...] is extended in place as needed.  M is an l x l
+    KMat or an int k (the 1 x 1 matrix k), and C(M, j) = M(M-1)...(M-j+1)/j!.
+    The sum stops at the first zero N^j or zero C(M, j) (j = k+1 for k >= 0).
+    """
+    one, n = n_pow[0], n_pow[1]
+    if n.size != 1:
+        raise ShapeMismatch("binomial_power needs a scalar-valued N")
+    if not n.constant_term().is_zero():
+        raise BadConstantTerm("binomial_power needs N with zero constant term")
+    field = one.field
+    if isinstance(exponent, int):
+        exponent = KMat.scalar(field, 1, field.from_rational(exponent))
+    ident = KMat.identity(field, exponent.nrows)
+    binom = ident
+    out: dict[Key, KMat] = {}
+    j = 0
+    while not binom.is_zero():
+        if j == len(n_pow):
+            n_pow.append(n_pow[-1] * n)
+        if n_pow[j].is_zero():
+            break
+        for key, c in n_pow[j].coeffs.items():
+            term = binom * c.rows[0][0]
+            cur = out.get(key)
+            out[key] = term if cur is None else cur + term
+        binom = binom * (exponent - ident * j) * Fraction(1, j + 1)
+        j += 1
+    return SimplexRingElem(field, one.n_vars, one.trunc, exponent.nrows, out)
 
 
-def mat_inverse(m: KMat) -> KMat:
-    out = _mat_inverse(m)
-    if out is None:
-        raise NonUnit("matrix is singular over K")
-    return out
-
-
-def sre_arith(a: SimplexRingElem, b: SimplexRingElem, op: str) -> SimplexRingElem:
-    """Dispatch form of ring arithmetic (add/mul)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def sre_invert(a: SimplexRingElem) -> SimplexRingElem:
-    return a.invert()
-
-
-def sre_log(a: SimplexRingElem) -> SimplexRingElem:
-    return a.log()
-
-
-def sre_exp_pow(a: SimplexRingElem, exponent: KMat) -> SimplexRingElem:
-    return a.exp_pow(exponent)
-
-
-# kernel_basis is re-exported for callers that already import series
+# kernel_basis and mat_inverse are re-exported for callers that already import series
 __all__ = [
     "Trunc",
     "SimplexRingElem",
-    "sre_arith",
-    "sre_invert",
-    "sre_log",
-    "sre_exp_pow",
+    "binomial_power",
     "mat_inverse",
     "kernel_basis",
 ]

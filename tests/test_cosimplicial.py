@@ -20,6 +20,7 @@ from prismstrat.series import Trunc
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
+F3 = field_init(3, [-3, 0, 0, 1])
 
 
 def test_u0_linear_field_is_exact():
@@ -89,6 +90,28 @@ def test_alpha_unit_and_power_laws():
         assert ctx.alpha_pow(p) * ctx.alpha_pow(q) == ctx.alpha_pow(p + q)
 
 
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+def test_alpha_pow_matches_invert_and_binary_powering(field):
+    tr = Trunc(4, 5)
+    ctx = CosimpCtx(field, tr)
+    for k in range(-tr.pd_degree - 1, tr.t_order + 2):
+        assert ctx.alpha_pow(k) == ctx.alpha**k, k
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+def test_alpha_pow_matrix_exponent_matches_exp_log(field):
+    ctx = CosimpCtx(field, Trunc(3, 4))
+    half = field.from_rational(Fraction(1, 2))
+    m = KMat.from_rows(field, [[half, field.one], [field.zero, field.pi]])
+    assert ctx.alpha_pow(m) == ctx.alpha.exp_pow(m)
+    a = m * field.beta.inverse() * -1  # -A_{0,1}/beta
+    for i in range(3):
+        mi = a + KMat.scalar(field, 2, field.from_rational(i))
+        got = ctx.alpha_pow(mi)
+        assert got.size == 2
+        assert got == ctx.alpha.exp_pow(mi)
+
+
 def test_cd_basic_structure():
     ctx = CosimpCtx(F2, Trunc(4, 4))
     table = cd_table(ctx, range(-3, 4))
@@ -129,7 +152,7 @@ def test_face_identity_embedding():
 
 def test_face_delta0_on_t():
     ctx = CosimpCtx(F2, Trunc(3, 3))
-    t0 = SRE.monomial(F2, 0, ctx.trunc_0v(), 1, (), KMat.identity(F2, 1))
+    t0 = SRE.monomial(F2, 0, ctx.trunc, 1, (), KMat.identity(F2, 1))
     got = face_map(ctx, 0, t0)
     t1 = SRE.monomial(F2, 1, ctx.trunc, 1, (0,), KMat.identity(F2, 1))
     assert got == ctx.alpha * t1
@@ -149,7 +172,7 @@ def test_face_delta0_on_divided_square():
 
 def test_face_index_out_of_range():
     ctx = CosimpCtx(F2, Trunc(2, 2))
-    x0 = SRE.one(F2, 0, ctx.trunc_0v())
+    x0 = SRE.one(F2, 0, ctx.trunc)
     with pytest.raises(IndexOutOfRange):
         face_map(ctx, 2, x0)
     x1 = SRE.one(F2, 1, ctx.trunc)
@@ -161,7 +184,7 @@ def test_face_index_out_of_range():
 def test_cosimplicial_identities_on_basis(field):
     """delta^2_j delta^1_i = delta^2_i delta^1_{j-1} for i < j, on t^m."""
     ctx = CosimpCtx(field, Trunc(3, 4))
-    tr0 = ctx.trunc_0v()
+    tr0 = ctx.trunc
     for m in range(3):
         tm = SRE.monomial(field, 0, tr0, m, (), KMat.identity(field, 1))
         lhs01 = face_map(ctx, 1, face_map(ctx, 0, tm))
@@ -177,7 +200,7 @@ def test_cosimplicial_identities_on_basis(field):
 
 def test_cosimplicial_identity_on_mixed_series():
     ctx = CosimpCtx(F2, Trunc(3, 4))
-    tr0 = ctx.trunc_0v()
+    tr0 = ctx.trunc
     x = SRE.from_scalar(F2, 0, tr0, F2.pi) + SRE.monomial(
         F2, 0, tr0, 1, (), KMat.scalar(F2, 1, F2.from_rational(Fraction(1, 2)))
     ) + SRE.monomial(F2, 0, tr0, 2, (), KMat.identity(F2, 1))

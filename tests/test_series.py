@@ -9,7 +9,7 @@ from prismstrat.errors import BadConstantTerm, NonUnit, ShapeMismatch
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
-from prismstrat.series import Trunc, sre_exp_pow
+from prismstrat.series import Trunc, binomial_power
 
 F = field_init(3, [-3, 1])
 FQ = field_init(3, [-3, 0, 1])
@@ -85,6 +85,8 @@ def test_log_requires_unit_constant():
         x.log()
     with pytest.raises(BadConstantTerm):
         (x + SRE.one(F, 1, tr) * 2).log()
+    with pytest.raises(BadConstantTerm):
+        binomial_power([SRE.one(F, 1, tr), x + SRE.one(F, 1, tr)], -1)
 
 
 @pytest.mark.parametrize("deg", [1, 2, 3, 4, 5, 6])
@@ -103,7 +105,7 @@ def test_exp_pow_zero_exponent():
     tr = Trunc(2, 4)
     one = SRE.one(F, 1, tr)
     x = SRE.monomial(F, 1, tr, 0, (1,), KMat.identity(F, 1))
-    assert sre_exp_pow(one - x, KMat.zero(F, 1)) == one
+    assert (one - x).exp_pow(KMat.zero(F, 1)) == one
 
 
 def test_exp_pow_square():
@@ -111,7 +113,7 @@ def test_exp_pow_square():
     one = SRE.one(F, 1, tr)
     x = SRE.monomial(F, 1, tr, 0, (1,), KMat.identity(F, 1))
     # (1-X)^2 = 1 - 2X + 2X^[2]
-    got = sre_exp_pow(one - x, KMat.identity(F, 1) * 2)
+    got = (one - x).exp_pow(KMat.identity(F, 1) * 2)
     assert got == (one - x) * (one - x)
     expect = SRE(
         F,
@@ -127,15 +129,20 @@ def test_exp_pow_square():
     assert got == expect
 
 
-@pytest.mark.parametrize("r", [-3, -1, 1, 2, 5])
+@pytest.mark.parametrize("r", [-3, -1, 0, 1, 2, 5])
 def test_exp_pow_integer_exponents_match_products(r):
     tr = Trunc(2, 5)
     one = SRE.one(FQ, 1, tr)
     x = SRE.monomial(FQ, 1, tr, 0, (1,), KMat.identity(FQ, 1))
     t = SRE.monomial(FQ, 1, tr, 1, (0,), KMat.identity(FQ, 1))
     a = one - x * FQ.beta + t * FQ.pi
-    got = sre_exp_pow(a, KMat.identity(FQ, 1) * r)
+    got = a.exp_pow(KMat.identity(FQ, 1) * r)
     assert got == a**r
+    assert binomial_power([one, a - one], r) == a**r
+    # N = -beta X: the (1 - beta X)^r of the closed-form rows
+    base = one - x * FQ.beta
+    assert binomial_power([one, base - one], r) == base**r
+    assert binomial_power([one, base - one], KMat.identity(FQ, 1) * r) == base**r
 
 
 def test_exp_pow_matrix_exponent_is_rising_factorial_series():
@@ -154,7 +161,7 @@ def test_exp_pow_matrix_exponent_is_rising_factorial_series():
         ],
     )
     exponent = a01 * beta.inverse() * -1  # -A/beta
-    got = sre_exp_pow(one - x * beta, exponent)
+    got = (one - x * beta).exp_pow(exponent)
     acc = KMat.identity(field, 2)
     for s in range(tr.pd_degree + 1):
         coeff = got.coeff(0, (s,))
