@@ -14,7 +14,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .closedform import conjecture_residual, h_table, verify_commutative
 from .cohomology import h0_solve
@@ -68,6 +70,16 @@ def _parse_matrix(field: FieldDesc, data, rank: int) -> KMat:
     return mat
 
 
+@contextmanager
+def _parsing(name: str):
+    """Report a missing or malformed value of the spec field `name` as a
+    ValidationError (exit 2) instead of a raw Python exception."""
+    try:
+        yield
+    except (LookupError, ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad {name}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     """Validate a raw spec dict against the module preconditions."""
     data = dict(raw)
@@ -83,17 +95,23 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     for key in ("p", "E_coeffs", "rank", "seeds", "trunc"):
         if key not in data:
             raise ValidationError(f"spec is missing the {key!r} field")
-    field = field_init(data["p"], [str(c) for c in data["E_coeffs"]])
-    rank = int(data["rank"])
+    with _parsing("E_coeffs"):
+        e_coeffs = [Fraction(str(c)) for c in data["E_coeffs"]]
+    with _parsing("p"):
+        field = field_init(data["p"], e_coeffs)
+    with _parsing("rank"):
+        rank = int(data["rank"])
     if rank < 1:
         raise ValidationError("rank must be >= 1")
-    trunc_raw = data["trunc"]
-    try:
-        trunc = Trunc(int(trunc_raw["t"]), int(trunc_raw["x"]))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad trunc block: {exc}") from exc
-    seeds = Seeds.of([_parse_matrix(field, m, rank) for m in data["seeds"]])
-    prec = int(data.get("padic_prec", 10))
+    with _parsing("trunc.t"):
+        t_order = int(data["trunc"]["t"])
+    with _parsing("trunc.x"):
+        pd_degree = int(data["trunc"]["x"])
+    trunc = Trunc(t_order, pd_degree)
+    with _parsing("seeds"):
+        seeds = Seeds.of([_parse_matrix(field, m, rank) for m in data["seeds"]])
+    with _parsing("padic_prec"):
+        prec = int(data.get("padic_prec", 10))
     if prec < 1:
         raise ValidationError("padic_prec must be >= 1")
     options = dict(data.get("options", {}))
@@ -164,8 +182,8 @@ def _dispatch(command: str, spec: ProblemSpec) -> dict:
         return {"command": "cocycle", "report": residual_report(residual)}
     if command == "closed-form":
         m_max = int(opts.get("m_max", spec.trunc.t_order - 1))
-        report = verify_commutative(spec.seeds, ctx, m_max, spec.trunc.pd_degree)
         ht = h_table(spec.seeds, ctx, m_max)
+        report = verify_commutative(ht, ctx, spec.trunc.pd_degree)
         return {"command": "closed-form", "verify": report, "h_tilde": ht.to_json()}
     if command == "h0":
         table = generate_Amn(spec.seeds, ctx, spec.trunc.pd_degree)

@@ -16,9 +16,12 @@ summation-reordering proof: every sum over the inner index c of
 
 is converted into the target basis by the scalar tables g^j_{m,f,i}
 (f_{m,j} = g^j_{m,0,0}), and the extra factor c from the theta terms is
-absorbed with c*FF(c,i) = FF(c,i+1) + i*FF(c,i).  All products of linear
-factors (-t beta + A_{0,1}) are tracked as explicit integer multisets, so
-the construction never divides by a possibly-singular matrix.
+absorbed with c*FF(c,i) = FF(c,i+1) + i*FF(c,i).  After the conversion,
+the linear factors (-t beta + A_{0,1}) left in a term from h_{f,i} with
+kernel index i' and target j run over one explicit integer range,
+t = f-i'+1 .. u with u = max(f-i, 0) for j <= m and u = m-j for j > m;
+so the construction only multiplies and never divides by a
+possibly-singular matrix.
 
 The scalar tables themselves are computed twice, by closed form and by
 induction, and must agree; this pins down the beta exponent in g, which
@@ -27,7 +30,6 @@ is easy to mis-transcribe.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -168,7 +170,7 @@ class HTable:
         base = self.at(m, j)
         if j <= m or base.is_zero():
             return base
-        return base * _rising_factorial(self.field, self.seeds.a01, j - m)
+        return base * _linear_product(self.field, self.seeds.a01, range(m - j + 1, 1))
 
     def to_json(self) -> dict:
         out = {}
@@ -178,44 +180,16 @@ class HTable:
         return out
 
 
-def _rising_factorial(field: FieldDesc, a01: KMat, k: int) -> KMat:
-    """A_{0,k} = prod_{u=0}^{k-1} (u beta + A_{0,1})."""
+def _linear_product(field: FieldDesc, a01: KMat, ts) -> KMat:
+    """prod_{t in ts} (-t beta + A_{0,1}); A_{0,k} is ts = range(1-k, 1)."""
     l = a01.nrows
     acc = KMat.identity(field, l)
-    for u in range(k):
-        acc = (KMat.scalar(field, l, field.beta * u) + a01) * acc
+    for t in ts:
+        acc = (KMat.scalar(field, l, field.beta * (-t)) + a01) * acc
     return acc
 
 
-def _interval_counter(*intervals) -> Counter:
-    out: Counter = Counter()
-    for iv in intervals:
-        if iv is None:
-            continue
-        lo, hi = iv
-        for t in range(lo, hi + 1):
-            out[t] += 1
-    return out
-
-
-def _leftover_product(field: FieldDesc, a01: KMat, multiset: Counter, remove_hi: int) -> KMat:
-    """prod over (multiset minus [1, remove_hi]) of (-t beta + A_{0,1})."""
-    l = a01.nrows
-    for t in range(1, remove_hi + 1):
-        multiset[t] -= 1
-        if multiset[t] < 0:
-            raise AssertionError("factor bookkeeping underflow")
-    acc = KMat.identity(field, l)
-    for t, mult in sorted(multiset.items()):
-        if mult <= 0:
-            continue
-        factor = KMat.scalar(field, l, field.beta * (-t)) + a01
-        for _ in range(mult):
-            acc = factor * acc
-    return acc
-
-
-def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int, tables: FGTables | None = None) -> HTable:
+def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int) -> HTable:
     """Fill h[m][j] for m <= m_max by the summation-reordering induction."""
     if not seeds.commutative():
         raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
@@ -224,38 +198,33 @@ def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int, tables: FGTables | None = 
     field = ctx.field
     l = seeds.l
     a01 = seeds.a01
-    tables = tables or FGTables(field)
+    tables = FGTables(field)
     h: dict[int, dict[int, KMat]] = {0: {0: KMat.identity(field, l)}}
     for m in range(1, m_max + 1):
-        # contributions (f, kernel index i', coefficient matrix, pending interval)
-        contribs: list[tuple[int, int, KMat, tuple | None]] = []
-        contribs.append((0, 0, seeds.A1[m], None))
+        # contributions (f, kernel index i', coefficient matrix, max(f - i, 0))
+        contribs: list[tuple[int, int, KMat, int]] = [(0, 0, seeds.A1[m], 0)]
         for f in range(1, m):
-            r = m - f
             for i, hfi in h[f].items():
-                lam = (1, f - i) if i <= f else None
-                contribs.append((f, i, seeds.A1[r] * hfi, lam))
+                contribs.append((f, i, seeds.A1[m - f] * hfi, max(f - i, 0)))
         for f in range(0, m):
-            r = m - f
-            th = ctx.theta_at(1, r)
+            th = ctx.theta_at(1, m - f)
             if th.is_zero():
                 continue
             for i, hfi in h[f].items():
-                lam = (1, f - i) if i <= f else None
-                contribs.append((f, i + 1, hfi * th, lam))
+                top = max(f - i, 0)
+                contribs.append((f, i + 1, hfi * th, top))
                 if i != f:
-                    contribs.append((f, i, hfi * (th * (i - f)), lam))
+                    contribs.append((f, i, hfi * (th * (i - f)), top))
         row: dict[int, KMat] = {}
-        for f, ip, kappa, lam in contribs:
+        for f, ip, kappa, top in contribs:
             if kappa.is_zero():
                 continue
             for j in range(max(ip + 1, 1), m - f + ip + 1):
                 gj = tables.g(m, f, ip, j)
                 if gj.is_zero():
                     continue
-                multiset = _interval_counter(lam, (f - ip + 1, m - j))
-                leftover = _leftover_product(field, a01, multiset, max(m - j, 0))
-                term = kappa * leftover * gj
+                u = top if j <= m else m - j
+                term = kappa * _linear_product(field, a01, range(f - ip + 1, u + 1)) * gj
                 cur = row.get(j)
                 row[j] = term if cur is None else cur + term
         h[m] = {j: mat for j, mat in row.items() if not mat.is_zero()}
@@ -293,16 +262,16 @@ def closedform_series(htable: HTable, m: int, ctx: CosimpCtx, pd_degree: int | N
         SRE.ordinary_monomial(field, 1, tr, 0, (i,), KMat.scalar(field, 1, (-field.beta) ** i))
         for i in range(deg + 1)
     ]
-    out = SRE.zero(field, 1, tr, l)
+    # sum_j h~_{m,j} (1 - beta X)^(m-j) X^j, then one product with the growth series
+    prefactor = SRE.zero(field, 1, tr, l)
     for j in range(1, 2 * m + 1):
         hj = htable.h_tilde(m, j)
         if hj.is_zero():
             continue
         power = binomial_power(n_pow, m - j)
         xj = SRE.monomial(field, 1, tr, 0, (j,), KMat.identity(field, 1) * factorial(j))
-        scal = (power * xj).map_size(l)
-        out = out + (hj * scal) * growth
-    return out
+        prefactor = prefactor + hj * (power * xj).map_size(l)
+    return prefactor * growth
 
 
 def row_series(table: StratTable, m: int, field: FieldDesc, pd_degree: int) -> SRE:
@@ -316,14 +285,12 @@ def row_series(table: StratTable, m: int, field: FieldDesc, pd_degree: int) -> S
     return SRE(field, 1, tr, table.l, out)
 
 
-def verify_commutative(seeds: Seeds, ctx: CosimpCtx, m_max: int, pd_degree: int) -> dict:
-    """Coefficient-wise residual between the recursion rows and the closed form."""
-    if not seeds.commutative():
-        raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
+def verify_commutative(ht: HTable, ctx: CosimpCtx, pd_degree: int) -> dict:
+    """Coefficient-wise residual between the recursion rows and the closed
+    form of every row of the h table `ht`."""
     field = ctx.field
-    tables = FGTables(field)
-    ht = h_table(seeds, ctx, m_max, tables)
-    table = generate_Amn(seeds, ctx, pd_degree)
+    m_max = max(ht.h)
+    table = generate_Amn(ht.seeds, ctx, pd_degree)
     rows = {}
     ok = True
     for m in range(m_max + 1):
@@ -349,10 +316,6 @@ def _falling_factorial(s: int, i: int) -> int:
     return out
 
 
-def _linear_factor(field: FieldDesc, a01: KMat, scalar: KElem) -> KMat:
-    return KMat.scalar(field, a01.nrows, scalar) + a01
-
-
 def lemma_identity_check(
     field: FieldDesc,
     kind: str,
@@ -367,7 +330,6 @@ def lemma_identity_check(
     degree+1 samples certifies the identity for the given A_{0,1}.
     """
     tables = tables or FGTables(field)
-    beta = field.beta
     l = a01.nrows
 
     if kind == "change_m":
@@ -386,19 +348,16 @@ def lemma_identity_check(
     for s in samples:
         lhs = KMat.zero(field, l)
         for c in range(s):
-            term = KMat.identity(field, l) * _falling_factorial(c, i)
-            for t in range(f + 1, m):
-                term = _linear_factor(field, a01, beta * (c - t)) * term
-            lhs = lhs + term
+            # prod_{t=f+1}^{m-1} ((c - t) beta + A_{0,1})
+            factors = _linear_product(field, a01, range(f + 1 - c, m - c))
+            lhs = lhs + factors * _falling_factorial(c, i)
         rhs = KMat.zero(field, l)
         for j in range(i + 1, m - f + i + 1):
             gj = tables.g(m, f, i, j)
             if gj.is_zero():
                 continue
-            term = KMat.identity(field, l) * (_falling_factorial(s, j) * gj)
-            for t in range(f - i + 1, m - j + 1):
-                term = _linear_factor(field, a01, beta * (-t)) * term
-            rhs = rhs + term
+            factors = _linear_product(field, a01, range(f - i + 1, m - j + 1))
+            rhs = rhs + factors * (_falling_factorial(s, j) * gj)
         if lhs != rhs:
             mismatches.append(s)
     return {
@@ -419,12 +378,12 @@ def _exp_sum_check(field: FieldDesc, a: KMat, params: dict) -> dict:
     l = a.nrows
     beta = field.beta
     lhs: dict = {}
-    acc = _rising_factorial(field, a, k)
+    acc = _linear_product(field, a, range(1 - k, 1))
     ak = acc
     for s in range(deg + 1):
         if not acc.is_zero():
             lhs[(0, (s,))] = acc
-        acc = _linear_factor(field, a, beta * (k + s)) * acc
+        acc = (KMat.scalar(field, l, beta * (k + s)) + a) * acc
     lhs_sre = SRE(field, 1, tr, l, lhs)
     one = SRE.one(field, 1, tr)
     x = SRE.monomial(field, 1, tr, 0, (1,), KMat.identity(field, 1))

@@ -92,7 +92,8 @@ def stage1_rows(table: StratTable, ctx: CosimpCtx, t_order: int) -> list[list]:
 def full_condition_rows(
     table: StratTable, ctx: CosimpCtx, cd: CDTable, t_order: int, k_range
 ) -> list[list]:
-    """X^[k] conditions of the global-section equation for k in k_range."""
+    """X^[k] conditions of the global-section equation for k in k_range:
+    one block row per (m, k), m-major, even when it is zero."""
     field = ctx.field
     l = table.l
     zero = KMat.zero(field, l)
@@ -100,7 +101,6 @@ def full_condition_rows(
     for m in range(t_order):
         for k in k_range:
             row = [zero] * t_order
-            any_nonzero = False
             for p in range(m + 1):
                 acc = zero
                 for j in range(p, m + 1):
@@ -116,11 +116,8 @@ def full_condition_rows(
                         if d.is_zero():
                             continue
                         acc = acc + a_is * (d * comb(k, s))
-                if not acc.is_zero():
-                    any_nonzero = True
                 row[p] = acc
-            if any_nonzero:
-                blocks.append(row)
+            blocks.append(row)
     return blocks
 
 
@@ -131,41 +128,32 @@ def _flatten(blocks: list[list[KMat]], field: FieldDesc, l: int, t_order: int) -
             rows.append(
                 [block_row[p].rows[r][c] for p in range(t_order) for c in range(l)]
             )
-    if not rows:
-        rows = [[field.zero] * (l * t_order)]
     return KMat.from_rows(field, rows)
 
 
-def _solve_at_order(table: StratTable, ctx: CosimpCtx, cd: CDTable, t_order: int):
-    field = ctx.field
-    l = table.l
-    deg = ctx.trunc.pd_degree
-    s1 = stage1_rows(table, ctx, t_order)
-    stage1_kernel = kernel_basis(_flatten(s1, field, l, t_order))
-    s2 = full_condition_rows(table, ctx, cd, t_order, range(2, deg + 1))
-    full = kernel_basis(_flatten(s1 + s2, field, l, t_order))
-    return stage1_kernel, full
+def h0_solve(table: StratTable, ctx: CosimpCtx) -> H0Solution:
+    """Solve for truncated global sections; returns a K-basis plus diagnostics.
 
-
-def h0_solve(table: StratTable, ctx: CosimpCtx, t_order: int | None = None) -> H0Solution:
-    """Solve for truncated global sections; returns a K-basis plus diagnostics."""
+    Block row m of either system involves only B_p with p <= m, so the
+    order-t system is the first t stage-1 block rows and the first
+    t*(D-1) stage-2 block rows, restricted to the first t block columns.
+    Both systems are built once, at T = t_order.
+    """
     field = ctx.field
-    T = ctx.trunc.t_order if t_order is None else t_order
-    if T > ctx.trunc.t_order:
-        raise ShapeMismatch("t_order exceeds the context truncation")
+    T = ctx.trunc.t_order
     if table.n_max < ctx.trunc.pd_degree:
         raise ShapeMismatch("table must be generated up to n = pd_degree")
     l = table.l
+    k_range = range(2, ctx.trunc.pd_degree + 1)
     cd = cd_table(ctx, range(0, T))
+    s1 = stage1_rows(table, ctx, T)
+    s2 = full_condition_rows(table, ctx, cd, T, k_range)
+    stage1_dim = len(kernel_basis(_flatten(s1, field, l, T)))
     dims = []
-    stage1_dim = 0
-    final_kernel: list = []
-    for torder in range(1, T + 1):
-        stage1_kernel, full = _solve_at_order(table, ctx, cd, torder)
-        dims.append(len(full))
-        if torder == T:
-            stage1_dim = len(stage1_kernel)
-            final_kernel = full
+    for t in range(1, T + 1):
+        blocks = s1[:t] + s2[: t * len(k_range)]
+        final_kernel = kernel_basis(_flatten(blocks, field, l, t))
+        dims.append(len(final_kernel))
     basis = []
     for vec in final_kernel:
         cols = []

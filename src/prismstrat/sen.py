@@ -188,15 +188,8 @@ def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int 
         mat = acc * -1
         # the lambda tail error is scaled by the exact cofactor entries
         lam_prec = min(lam1.coeffs[j].prec for j in range(m + 1))
-        co_vp = min(
-            (
-                v
-                for j in range(m + 1)
-                for v in [_min_entry_vp(cofactor[j])]
-                if v is not INF
-            ),
-            default=Fraction(0),
-        )
+        co_v = min(cofactor[j].min_valuation() for j in range(m + 1))
+        co_vp = Fraction(0) if co_v is INF else Fraction(co_v, field.e)
         n_rows.append((mat, lam_prec + min(0, co_vp)))
 
     # Leibniz/definition identity: lambda = lambda1 * E(u0) exactly
@@ -237,16 +230,6 @@ def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int 
         fiber_normalization_ok=fiber_ok,
         near_HT=check_near_HT(seeds.a01, "probe"),
     )
-
-
-def _min_entry_vp(mat: KMat):
-    best = INF
-    for row in mat.rows:
-        for a in row:
-            v = a.vp()
-            if v < best:
-                best = v
-    return best
 
 
 def _convolve_scalar(field, a: list[KElem], b: list[KElem], t_order: int) -> list[KElem]:

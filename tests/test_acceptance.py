@@ -152,7 +152,7 @@ def test_criterion_3_commutative_closed_form():
             vals = [
                 Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(5)
             ]
-            report = verify_commutative(scalar_seeds(field, vals), ctx, 4, 12)
+            report = verify_commutative(h_table(scalar_seeds(field, vals), ctx, 4), ctx, 12)
             assert report["ok"], (field.e, vals, report)
             checked += 1
         for _ in range(2):  # 2x2 diagonal sets
@@ -163,7 +163,7 @@ def test_criterion_3_commutative_closed_form():
                 )
                 for _ in range(5)
             ]
-            report = verify_commutative(diag_seeds(field, pairs), ctx, 4, 12)
+            report = verify_commutative(h_table(diag_seeds(field, pairs), ctx, 4), ctx, 12)
             assert report["ok"], (field.e, pairs, report)
             checked += 1
     assert checked >= 10

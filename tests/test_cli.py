@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from prismstrat.cli import main, run
 
 BASE_SPEC = {
@@ -86,6 +88,51 @@ def test_bad_seed_shape_exits_2(tmp_path):
     assert run("gen", spec, out) == 2
     report = json.loads(open(out).read())
     assert report["error"]["type"] == "SeedShapeMismatch"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rank", "a"),
+        ("trunc", {"t": "z", "x": 4}),
+        ("padic_prec", "q"),
+        ("seeds", [[["1/0"]], [["0"]], [["0"]]]),
+        ("p", "3"),
+        ("E_coeffs", ["-3", "x", "1"]),
+    ],
+    ids=["rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff"],
+)
+def test_malformed_number_exits_2(tmp_path, field, value):
+    data = dict(BASE_SPEC)
+    data[field] = value
+    spec = write_spec(tmp_path, data)
+    out = str(tmp_path / "out.json")
+    assert run("gen", spec, out) == 2
+    error = json.loads(open(out).read())["error"]
+    assert error["type"] == "ValidationError"
+    assert field in error["message"]
+    assert run("validate", spec, out) == 0
+    parse = json.loads(open(out).read())["diagnostics"][0]
+    assert parse == {"check": "parse", "ok": False, "error": "ValidationError", "message": error["message"]}
+
+
+def test_sweep_survives_bad_instance(tmp_path):
+    sweep = {
+        "command": "cocycle",
+        "base": dict(BASE_SPEC),
+        "instances": [
+            {"id": "bad", "seeds": [[["1/0"]], [["0"]], [["0"]]]},
+            {"id": "good"},
+        ],
+    }
+    spec = write_spec(tmp_path, sweep)
+    out = str(tmp_path / "out.json")
+    assert run("sweep", spec, out, jobs=1) == 0
+    report = json.loads(open(out).read())
+    assert report["flagged"] == [{"id": "bad", "reason": "error"}]
+    bad, good = report["results"]
+    assert bad["error"]["type"] == "ValidationError"
+    assert good["ok"] and good["report"]["report"]["verdict"] == "ZERO_RESIDUAL"
 
 
 def test_product_not_settled_exits_3(tmp_path):

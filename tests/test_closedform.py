@@ -27,6 +27,7 @@ from prismstrat.stratification import Seeds, generate_Amn
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
+F3 = field_init(3, [-3, 0, 0, 1])
 
 
 def scalar_seeds(field, values):
@@ -214,8 +215,16 @@ def test_verify_commutative_small(field):
         vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
         seeds = scalar_seeds(field, vals)
         ctx = CosimpCtx(field, Trunc(4, 8))
-        report = verify_commutative(seeds, ctx, 3, 8)
+        report = verify_commutative(h_table(seeds, ctx, 3), ctx, 8)
         assert report["ok"], report
+
+
+def commuting_seeds(field):
+    """A_{m,1} = c_m I + d_m M with M = [[1, 2], [2, 4]]: commuting, not
+    diagonal, and A_{0,1} = M/2 is singular."""
+    m = KMat.from_rows(field, [[field.from_rational(v) for v in row] for row in ((1, 2), (2, 4))])
+    cd = [(0, Fraction(1, 2)), (-1, Fraction(1, 3)), (3, Fraction(-2, 5)), (Fraction(2, 7), 1)]
+    return Seeds.of([KMat.scalar(field, 2, field.from_rational(c)) + m * d for c, d in cd])
 
 
 def test_verify_commutative_diagonal_matrices():
@@ -223,12 +232,13 @@ def test_verify_commutative_diagonal_matrices():
     diag = lambda a, b: KMat.from_rows(
         field, [[field.from_rational(a), field.zero], [field.zero, field.from_rational(b)]]
     )
-    seeds = Seeds.of(
+    diagonal = Seeds.of(
         [diag(Fraction(1, 2), -1), diag(2, Fraction(1, 3)), diag(0, 1), diag(1, 1)]
     )
-    ctx = CosimpCtx(field, Trunc(4, 8))
-    report = verify_commutative(seeds, ctx, 3, 8)
-    assert report["ok"], report
+    for seeds in (diagonal, commuting_seeds(F3)):
+        ctx = CosimpCtx(seeds.a01.field, Trunc(4, 8))
+        report = verify_commutative(h_table(seeds, ctx, 3), ctx, 8)
+        assert report["ok"], report
 
 
 # -- summation lemma spot checks ---------------------------------------------

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from prismstrat.cohomology import full_condition_rows, h0_dim_bound, h0_solve, stage1_rows
 from prismstrat.cosimplicial import CosimpCtx, cd_table
 from prismstrat.field import field_init
@@ -113,6 +115,48 @@ def test_solver_dim_bounded_by_q_random():
         sol = h0_solve(table, ctx)
         assert sol.dim <= sol.q
         assert sol.dim <= sol.stage1_dim  # filtering never adds solutions
+
+
+def commuting_seeds(field, d0=Fraction(1, 2)):
+    """A_{m,1} = c_m I + d_m M with M = [[1, 2], [2, 4]]: commuting, not
+    diagonal, and A_{0,1} = d0 M is singular."""
+    m = KMat.from_rows(field, [[field.from_rational(v) for v in row] for row in ((1, 2), (2, 4))])
+    cd = [(0, d0), (-1, Fraction(1, 3)), (3, Fraction(-2, 5)), (Fraction(2, 7), 1)]
+    return Seeds.of([KMat.scalar(field, 2, field.from_rational(c)) + m * d for c, d in cd])
+
+
+@pytest.mark.parametrize(
+    "field, d0, dims",
+    [
+        (F2, Fraction(1, 2), [1, 1, 1, 1]),
+        # e = 1 has beta = 1, so A_{0,1} = 2M/5 has the eigenvalue 2 beta and
+        # a second section appears from t-order 3 on
+        (F1, Fraction(2, 5), [1, 1, 2, 2]),
+    ],
+    ids=["e2", "e1_weight2"],
+)
+def test_dim_per_order_matches_solves_from_scratch(field, d0, dims):
+    # the order-t system is a slice of the order-T system, so the order-t
+    # dimension is read off it; a solve truncated at t from the start must agree
+    seeds = commuting_seeds(field, d0)
+    T, D = 4, 5
+    ctx = CosimpCtx(field, Trunc(T, D))
+    table = generate_Amn(seeds, ctx, D)
+    sol = h0_solve(table, ctx)
+    assert list(sol.dim_per_order) == dims
+    ks = range(2, D + 1)
+    cd = cd_table(ctx, range(0, T))
+    s1, s2 = stage1_rows(table, ctx, T), full_condition_rows(table, ctx, cd, T, ks)
+    for t in range(1, T + 1):
+        for rows, whole in (
+            (stage1_rows(table, ctx, t), s1[:t]),
+            (full_condition_rows(table, ctx, cd, t, ks), s2[: t * len(ks)]),
+        ):
+            assert [row[:t] for row in whole] == rows
+            assert all(b.is_zero() for row in whole for b in row[t:])
+        ctx_t = CosimpCtx(field, Trunc(t, D))
+        alone = h0_solve(generate_Amn(seeds, ctx_t, D), ctx_t)
+        assert alone.dim == sol.dim_per_order[t - 1], t
 
 
 def test_report_shape():
