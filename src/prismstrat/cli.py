@@ -43,6 +43,7 @@ from .stratification import (
 )
 
 COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep", "validate")
+INT_OPTIONS = ("n_max", "m_max", "k_max", "n_probe", "threshold", "n_phi_max")
 
 
 @dataclass
@@ -84,7 +85,8 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     """Validate a raw spec dict against the module preconditions."""
     data = dict(raw)
     if overrides:
-        trunc = dict(data.get("trunc", {}))
+        with _parsing("trunc"):
+            trunc = dict(data.get("trunc", {}))
         if overrides.get("trunc_t") is not None:
             trunc["t"] = overrides["trunc_t"]
         if overrides.get("trunc_x") is not None:
@@ -114,7 +116,14 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
         prec = int(data.get("padic_prec", 10))
     if prec < 1:
         raise ValidationError("padic_prec must be >= 1")
-    options = dict(data.get("options", {}))
+    options = data.get("options", {})
+    if not isinstance(options, dict):
+        raise ValidationError("options must be a JSON object")
+    options = dict(options)
+    for name in INT_OPTIONS:
+        if name in options:
+            with _parsing(f"options.{name}"):
+                options[name] = int(options[name])
     return ProblemSpec(field, seeds, trunc, prec, options, data)
 
 
@@ -162,7 +171,7 @@ def _dispatch(command: str, spec: ProblemSpec) -> dict:
     ctx = CosimpCtx(spec.field, spec.trunc)
     opts = spec.options
     if command == "gen":
-        n_max = int(opts.get("n_max", spec.trunc.pd_degree))
+        n_max = opts.get("n_max", spec.trunc.pd_degree)
         table = generate_Amn(spec.seeds, ctx, n_max)
         return {
             "command": "gen",
@@ -172,8 +181,8 @@ def _dispatch(command: str, spec: ProblemSpec) -> dict:
             "near_HT": check_near_HT(
                 spec.seeds.a01,
                 "probe",
-                n_probe=int(opts.get("n_probe", 64)),
-                threshold=int(opts.get("threshold", 40)),
+                n_probe=opts.get("n_probe", 64),
+                threshold=opts.get("threshold", 40),
             ),
         }
     if command == "cocycle":
@@ -181,7 +190,7 @@ def _dispatch(command: str, spec: ProblemSpec) -> dict:
         residual = cocycle_residual(assemble_epsilon(table, ctx), ctx)
         return {"command": "cocycle", "report": residual_report(residual)}
     if command == "closed-form":
-        m_max = int(opts.get("m_max", spec.trunc.t_order - 1))
+        m_max = opts.get("m_max", spec.trunc.t_order - 1)
         ht = h_table(spec.seeds, ctx, m_max)
         report = verify_commutative(ht, ctx, spec.trunc.pd_degree)
         return {"command": "closed-form", "verify": report, "h_tilde": ht.to_json()}
@@ -191,13 +200,13 @@ def _dispatch(command: str, spec: ProblemSpec) -> dict:
         return {"command": "h0", "solution": sol.to_json()}
     if command == "sen":
         rep = sen_operator_matrix(
-            spec.seeds, ctx, spec.prec, int(opts.get("n_phi_max", 24))
+            spec.seeds, ctx, spec.prec, opts.get("n_phi_max", 24)
         )
         out = rep.to_json()
         out["nearly_dR"] = nearly_dR_report(spec.seeds, ctx)
         return {"command": "sen", "report": out}
     if command == "conjecture":
-        k_max = int(opts.get("k_max", 2))
+        k_max = opts.get("k_max", 2)
         rep = conjecture_residual(spec.seeds, ctx, k_max)
         flagged = [k for k, r in rep["residuals"].items() if not r["zero"]]
         return {
@@ -233,13 +242,13 @@ def run_sweep(raw: dict, jobs: int) -> dict:
     instances = raw.get("instances")
     if not isinstance(instances, list) or not instances:
         raise ValidationError("sweep needs a nonempty 'instances' list")
-    payloads = []
-    for idx, inst in enumerate(instances):
-        merged = dict(base)
-        merged.update(inst)
-        payloads.append((idx, command, merged))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if not isinstance(base, dict) or not all(isinstance(inst, dict) for inst in instances):
+        raise ValidationError("sweep 'base' and every instance must be JSON objects")
+    payloads = [(idx, command, {**base, **inst}) for idx, inst in enumerate(instances)]
+    # ProcessPoolExecutor forks all max_workers processes at once
+    workers = min(jobs, os.cpu_count() or 1, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_worker, payloads))
     else:
         results = [_run_worker(p) for p in payloads]
@@ -265,8 +274,6 @@ def run_sweep(raw: dict, jobs: int) -> dict:
 def run(command: str, spec_path: str, out_path: str | None = None, **overrides) -> int:
     """File-level entry point; returns the process exit code."""
     jobs = overrides.pop("jobs", None)
-    if jobs is None:
-        jobs = int(os.environ.get("PRISMSTRAT_JOBS", "1"))
     try:
         with open(spec_path) as fh:
             raw = json.load(fh)
@@ -274,9 +281,14 @@ def run(command: str, spec_path: str, out_path: str | None = None, **overrides) 
         _emit({"error": {"type": "BadSpecFile", "message": str(exc)}}, out_path)
         return 2
     try:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"spec must be a JSON object, got {type(raw).__name__}")
         if command == "validate":
             report = validate_spec(raw)
         elif command == "sweep":
+            if jobs is None:
+                with _parsing("PRISMSTRAT_JOBS"):
+                    jobs = int(os.environ.get("PRISMSTRAT_JOBS", "1"))
             report = run_sweep(raw, jobs)
         else:
             spec = load_problem(raw, overrides)

@@ -4,7 +4,8 @@ Carries the series u0(t) with E(u0) = t (Hensel lift of pi), the
 coefficients theta_{n,i} of E^{(n)}(u0), the unit alpha = E(u1)/E(u0)
 expanded in (X_1, t), the divided-power coefficient tables c_{p,s} and
 d_{p,s,k} of its powers, and the face maps delta_i into the
-1- and 2-simplex rings.
+1- and 2-simplex rings.  delta_0 groups the terms of its argument by the
+shift s = p - q of alpha's exponent and takes one ring product per shift.
 """
 
 from __future__ import annotations
@@ -172,7 +173,10 @@ def cd_table(ctx: CosimpCtx, p_range) -> CDTable:
 
 
 def pd_binomial(field: FieldDesc, trunc: Trunc, q: int) -> SRE:
-    """(X_2 - X_1)^[q] = sum_k (-1)^(q-k) X_1^[q-k] X_2^[k], in two variables."""
+    """(X_2 - X_1)^[q] = sum_k (-1)^(q-k) X_1^[q-k] X_2^[k], in two variables.
+
+    face_map places these terms directly; this is the reference for them.
+    """
     out = SRE.zero(field, 2, trunc)
     for k in range(q + 1):
         sign = -1 if (q - k) % 2 else 1
@@ -189,47 +193,46 @@ def face_map(ctx: CosimpCtx, i: int, x: SRE) -> SRE:
     other faces relabel variables and fix t.  On the basis this reads
 
         X_1^[q] t^p  |->  (X_2 - X_1)^[q] alpha^(p-q) t^p   (n = 1, i = 0).
+
+    delta_0 takes one ring product per shift s = p - q:
+    sum_s alpha^s * V_s with V_s = sum_{p-q=s} A_{p,q} (X_2 - X_1)^[q] t^p,
+    whose terms (-1)^(q-k) A_{p,q} X_1^[q-k] X_2^[k] t^p are placed directly.
     """
     if x.trunc.t_order != ctx.trunc.t_order:
         raise ShapeMismatch("element t-order differs from the context truncation")
     if x.n_vars == 0:
         if i not in (0, 1):
             raise IndexOutOfRange(f"face index {i} out of range for the 0-simplex")
+        if i == 0:
+            groups = {m: {(m, (0,)): mat} for (m, _), mat in x.coeffs.items()}
+            return _shift_sum(ctx, 1, x.size, groups, ctx.alpha_pow)
         out = SRE.zero(ctx.field, 1, ctx.trunc, x.size)
         for (m, _), mat in x.coeffs.items():
-            if i == 0:
-                scal = ctx.alpha_pow(m)
-                term = _scale_scalar_series(scal, mat, shift_t=m)
-            else:
-                term = SRE.monomial(ctx.field, 1, ctx.trunc, m, (0,), mat)
-            out = out + term
+            out = out + SRE.monomial(ctx.field, 1, ctx.trunc, m, (0,), mat)
         return out
     if x.n_vars == 1:
         if i not in (0, 1, 2):
             raise IndexOutOfRange(f"face index {i} out of range for the 1-simplex")
         if x.trunc != ctx.trunc:
             raise ShapeMismatch("element truncation differs from the context")
-        field = ctx.field
         if i == 1:
             return x.embed(2, {0: 1})
         if i == 2:
             return x.embed(2, {0: 0})
-        out = SRE.zero(field, 2, ctx.trunc, x.size)
-        for (p, idx), mat in x.coeffs.items():
-            q = idx[0]
-            scal = pd_binomial(field, ctx.trunc, q) * ctx.alpha_pow_2v(p - q)
-            out = out + _scale_scalar_series(scal, mat, shift_t=p)
-        return out
+        groups: dict = {}
+        for (p, (q,)), mat in x.coeffs.items():
+            v_s = groups.setdefault(p - q, {})
+            neg = -mat
+            for k in range(q + 1):
+                v_s[(p, (q - k, k))] = neg if (q - k) % 2 else mat
+        return _shift_sum(ctx, 2, x.size, groups, ctx.alpha_pow_2v)
     raise ShapeMismatch("face maps are implemented into the 1- and 2-simplex rings")
 
 
-def _scale_scalar_series(scal: SRE, mat: KMat, shift_t: int = 0) -> SRE:
-    """mat * scal * t^shift_t, lifting a scalar series to matrix coefficients."""
-    out: dict = {}
-    trunc = scal.trunc
-    for (m, idx), unit in scal.coeffs.items():
-        mm = m + shift_t
-        if mm >= trunc.t_order:
-            continue
-        out[(mm, idx)] = mat * unit.rows[0][0]
-    return SRE(scal.field, scal.n_vars, trunc, mat.nrows, out)
+def _shift_sum(ctx: CosimpCtx, n_vars: int, size: int, groups: dict, alpha_pow) -> SRE:
+    """sum_s alpha_pow(s) * V_s, where groups[s] holds the coefficients of V_s."""
+    out = SRE.zero(ctx.field, n_vars, ctx.trunc, size)
+    for s, coeffs in groups.items():
+        v_s = SRE(ctx.field, n_vars, ctx.trunc, size, coeffs)
+        out = out + alpha_pow(s).map_size(size) * v_s
+    return out

@@ -88,11 +88,16 @@ def is_prime(n: int) -> bool:
 class FieldDesc:
     """The base field K = Q[pi]/(E(pi)), E Eisenstein at p.
 
-    Precomputes the reduction table pi^k mod E for k < 2e-1 and the
-    element beta = E'(pi).  Immutable after construction.
+    Precomputes the reduction table pi^k mod E for k < 2e-1, its integer
+    copy _int_pow_table = _pow_den * _pow_table (cleared of denominators,
+    for the ring-product kernel) and the element beta = E'(pi).  Immutable
+    after construction.
     """
 
-    __slots__ = ("p", "e", "E_coeffs", "_pow_table", "pi", "beta", "one", "zero")
+    __slots__ = (
+        "p", "e", "E_coeffs", "_pow_table", "_pow_den", "_int_pow_table",
+        "pi", "beta", "one", "zero",
+    )
 
     def __init__(self, p: int, E_coeffs: Sequence[Rat]):
         if not is_prime(p):
@@ -132,6 +137,10 @@ class FieldDesc:
             cur = shifted
             table.append(tuple(cur))
         self._pow_table = tuple(table)
+        self._pow_den = math.lcm(*(c.denominator for row in table for c in row))
+        self._int_pow_table = tuple(
+            tuple(int(c * self._pow_den) for c in row) for row in table
+        )
 
         self.zero = KElem(self, (Fraction(0),) * e)
         self.one = KElem(self, tuple([Fraction(1)] + [Fraction(0)] * (e - 1)))

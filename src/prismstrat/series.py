@@ -7,13 +7,19 @@ keeps m < t_order and total pd degree <= pd_degree; both cuts are ideals,
 so products never resurrect dropped terms.
 
 Ordinary powers are never stored: X^n enters as n! X^[n].
+
+The ring x ring product runs on integers (after FLINT's fmpq_poly): each
+operand is scaled by the lcm of its coordinate denominators, every output
+entry accumulates an unreduced pi-polynomial, and that is reduced mod E and
+divided by the three denominators once.  Scaling, binomial_power,
+invert/log/exp and the linear algebra stay on KElem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import BadConstantTerm, NonUnit, ShapeMismatch
 from .field import FieldDesc, KElem
@@ -167,27 +173,7 @@ class SimplexRingElem:
                 {key: mat * other for key, mat in self.coeffs.items()},
             )
         self._check_compatible(other)
-        trunc = self.trunc
-        out: dict[Key, KMat] = {}
-        for (m1, i1), a in self.coeffs.items():
-            for (m2, i2), b in other.coeffs.items():
-                m = m1 + m2
-                if m >= trunc.t_order:
-                    continue
-                idx = tuple(x + y for x, y in zip(i1, i2))
-                if sum(idx) > trunc.pd_degree:
-                    continue
-                scale = 1
-                for x, y in zip(i1, i2):
-                    if x and y:
-                        scale *= comb(x + y, x)
-                term = a * b
-                if scale != 1:
-                    term = term * Fraction(scale)
-                key = (m, idx)
-                cur = out.get(key)
-                out[key] = term if cur is None else cur + term
-        return SimplexRingElem(self.field, self.n_vars, self.trunc, self.size, out)
+        return _ring_product(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, KElem)):
@@ -371,6 +357,77 @@ class SimplexRingElem:
             parts.append(f"t^{m} X{list(idx)}: {self.coeffs[(m, idx)]!r}")
         more = "" if len(self.coeffs) <= 8 else f" ... ({len(self.coeffs)} terms)"
         return "SRE{" + "; ".join(parts) + more + "}"
+
+
+def _integer_form(x: SimplexRingElem):
+    """(d, terms): d is the lcm of every coordinate denominator of x, and
+    terms lists (key, rows) with rows[r] = [(c, ((i, d * coord_i), ...)), ...]
+    over the nonzero entries (r, c) and their nonzero coordinates i."""
+    coords = [q for mat in x.coeffs.values() for row in mat.rows for a in row for q in a.coords]
+    den = lcm(*(q.denominator for q in coords))
+    terms = []
+    for key, mat in x.coeffs.items():
+        rows = []
+        for row in mat.rows:
+            entries = []
+            for c, a in enumerate(row):
+                vec = tuple(
+                    (i, q.numerator * (den // q.denominator)) for i, q in enumerate(a.coords) if q
+                )
+                if vec:
+                    entries.append((c, vec))
+            rows.append(entries)
+        terms.append((key, rows))
+    return den, terms
+
+
+def _ring_product(x: SimplexRingElem, y: SimplexRingElem) -> SimplexRingElem:
+    """x * y on common-denominator integer forms, after FLINT's fmpq_poly.
+
+    Zero entries and coordinates are skipped, so a map_size operand costs
+    l^2 per term pair.  Each output entry accumulates an unreduced
+    pi-polynomial of degree 2e-2 over the integers; it is reduced mod E with
+    the integer pi-power table and divided by d_x * d_y * d_E once, at the end.
+    """
+    field, trunc, l = x.field, x.trunc, x.size
+    dx, x_terms = _integer_form(x)
+    dy, y_terms = _integer_form(y)
+    acc: dict[Key, list[list[int]]] = {}
+    for (m1, i1), a in x_terms:
+        for (m2, i2), b in y_terms:
+            m = m1 + m2
+            if m >= trunc.t_order:
+                continue
+            idx = tuple(u + v for u, v in zip(i1, i2))
+            if sum(idx) > trunc.pd_degree:
+                continue
+            scale = 1
+            for u, v in zip(i1, i2):
+                if u and v:
+                    scale *= comb(u + v, u)
+            polys = acc.get((m, idx))
+            if polys is None:
+                polys = acc[(m, idx)] = [[0] * (2 * field.e - 1) for _ in range(l * l)]
+            for r, row in enumerate(a):
+                for k, av in row:
+                    for i, ai in av:
+                        ai *= scale
+                        for c, bv in b[k]:
+                            poly = polys[r * l + c]
+                            for j, bj in bv:
+                                poly[i + j] += ai * bj
+    den = dx * dy * field._pow_den
+    columns = tuple(zip(*field._int_pow_table))
+    out: dict[Key, KMat] = {}
+    for key, polys in acc.items():
+        entries = [
+            KElem(field, tuple(Fraction(sum(map(int.__mul__, poly, col)), den) for col in columns))
+            if any(poly)
+            else field.zero
+            for poly in polys
+        ]
+        out[key] = KMat(field, tuple(tuple(entries[r * l : (r + 1) * l]) for r in range(l)))
+    return SimplexRingElem(field, x.n_vars, trunc, l, out)
 
 
 def binomial_power(n_pow: list[SimplexRingElem], exponent) -> SimplexRingElem:

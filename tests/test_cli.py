@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from prismstrat import cli
 from prismstrat.cli import main, run
 
 BASE_SPEC = {
@@ -99,8 +100,13 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("seeds", [[["1/0"]], [["0"]], [["0"]]]),
         ("p", "3"),
         ("E_coeffs", ["-3", "x", "1"]),
+        ("options", {"n_max": "z"}),
+        ("options", [1]),
     ],
-    ids=["rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff"],
+    ids=[
+        "rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff",
+        "options_n_max", "options_list",
+    ],
 )
 def test_malformed_number_exits_2(tmp_path, field, value):
     data = dict(BASE_SPEC)
@@ -190,3 +196,66 @@ def test_sweep_parallel_matches_serial(tmp_path):
 def test_sweep_without_instances_exits_2(tmp_path):
     spec = write_spec(tmp_path, {"command": "cocycle", "base": BASE_SPEC})
     assert run("sweep", spec, str(tmp_path / "o.json")) == 2
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("gen", [1, 2]),
+        ("validate", [1, 2]),
+        ("sweep", [1, 2]),
+        ("sweep", {"command": "cocycle", "base": BASE_SPEC, "instances": [1]}),
+        ("sweep", {"command": "cocycle", "base": [1], "instances": [{"id": "a"}]}),
+        ("gen", {**BASE_SPEC, "trunc": "x"}),
+    ],
+    ids=["gen_list", "validate_list", "sweep_list", "sweep_instance", "sweep_base", "trunc"],
+)
+def test_non_object_spec_exits_2(tmp_path, command, data):
+    spec = write_spec(tmp_path, data)
+    out = str(tmp_path / "out.json")
+    assert main([command, "--spec", spec, "--out", out, "--jobs", "1"]) == 2
+    assert json.loads(open(out).read())["error"]["type"] == "ValidationError"
+
+
+def test_bad_jobs_env_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("PRISMSTRAT_JOBS", "x")
+    spec = write_spec(tmp_path, {"command": "cocycle", "base": BASE_SPEC, "instances": [{}]})
+    out = str(tmp_path / "out.json")
+    assert run("sweep", spec, out) == 2
+    error = json.loads(open(out).read())["error"]
+    assert error["type"] == "ValidationError"
+    assert "PRISMSTRAT_JOBS" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, n_instances, expected",
+    [(64, 8, 3, 3), (64, 2, 5, 2), (3, 8, 5, 3), (4, None, 5, None), (2, 8, 1, None)],
+)
+def test_sweep_caps_workers(tmp_path, monkeypatch, jobs, cpus, n_instances, expected):
+    """The pool gets min(jobs, cpu_count, instances) workers, and none when
+    that is 1; the fake pool runs the instances in this process."""
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    sweep = {
+        "command": "cocycle",
+        "base": dict(BASE_SPEC),
+        "instances": [{"id": str(i)} for i in range(n_instances)],
+    }
+    spec = write_spec(tmp_path, sweep)
+    assert run("sweep", spec, str(tmp_path / "out.json"), jobs=jobs) == 0
+    assert started == ([] if expected is None else [expected])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,6 +14,10 @@ from prismstrat.series import Trunc, binomial_power
 
 F = field_init(3, [-3, 1])
 FQ = field_init(3, [-3, 0, 1])
+# Eisenstein at 3 with non-integral coefficients: pi^k mod E has denominators
+FQ_FRAC = field_init(3, [Fraction(3, 5), Fraction(3, 2), 1])
+FC = field_init(3, [-3, 0, 0, 1])
+FC_FRAC = field_init(3, [Fraction(-6, 5), Fraction(3, 4), 0, 1])
 
 
 def X(field=F, trunc=Trunc(1, 8), n=1):
@@ -200,7 +205,9 @@ def _random_sre(rng, field, n_vars, trunc, size):
             field,
             [
                 [
-                    field.from_rational(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                    field.from_coords(
+                        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(field.e)]
+                    )
                     for _ in range(size)
                 ]
                 for _ in range(size)
@@ -208,6 +215,57 @@ def _random_sre(rng, field, n_vars, trunc, size):
         )
         out = out + SRE.monomial(field, n_vars, trunc, key[0], key[1], mat)
     return out
+
+
+def _reference_product(a, b):
+    """The KMat-level double loop over term pairs, as the product was before
+    the integer kernel: one KMat product and one rescale per kept pair."""
+    trunc = a.trunc
+    out = {}
+    for (m1, i1), x in a.coeffs.items():
+        for (m2, i2), y in b.coeffs.items():
+            m = m1 + m2
+            idx = tuple(u + v for u, v in zip(i1, i2))
+            if m >= trunc.t_order or sum(idx) > trunc.pd_degree:
+                continue
+            scale = 1
+            for u, v in zip(i1, i2):
+                scale *= comb(u + v, u)
+            term = x * y * Fraction(scale)
+            key = (m, idx)
+            out[key] = out[key] + term if key in out else term
+    return SRE(a.field, a.n_vars, trunc, a.size, out)
+
+
+@pytest.mark.parametrize(
+    "field", [F, FQ, FQ_FRAC, FC, FC_FRAC], ids=["e1", "e2", "e2_frac", "e3", "e3_frac"]
+)
+@pytest.mark.parametrize("n_vars", [0, 1, 2])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_product_matches_reference_loop(field, n_vars, size):
+    rng = random.Random(f"{field.E_coeffs}:{n_vars}:{size}")
+    tr = Trunc(3, 4)
+    for _ in range(6):
+        a = _random_sre(rng, field, n_vars, tr, size)
+        b = _random_sre(rng, field, n_vars, tr, size)
+        assert a * b == _reference_product(a, b)
+        # a map_size scalar operand on either side of a full matrix operand
+        s = _random_sre(rng, field, n_vars, tr, 1).map_size(size)
+        assert s * a == _reference_product(s, a)
+        assert a * s == _reference_product(a, s)
+    # entries that cancel leave no zero matrix behind
+    if size > 1:
+        x = SRE.monomial(field, n_vars, tr, 1, (0,) * n_vars, _unit(field, size, 0))
+        y = SRE.monomial(field, n_vars, tr, 0, (0,) * n_vars, _unit(field, size, 1))
+        assert (x * y).coeffs == {}
+
+
+def _unit(field, size, k):
+    """The matrix unit E_kk."""
+    return KMat.from_rows(
+        field,
+        [[field.one if i == j == k else field.zero for j in range(size)] for i in range(size)],
+    )
 
 
 def _indices(n_vars, max_deg):

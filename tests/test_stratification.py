@@ -16,6 +16,7 @@ from prismstrat.stratification import (
     check_near_HT,
     cocycle_coefficient_residual,
     cocycle_residual,
+    StratTable,
     generate_Amn,
     residual_report,
 )
@@ -111,17 +112,48 @@ def test_zero_column_forced():
             assert R.coeff(m, (0, k)).is_zero()
 
 
-def test_coefficient_formula_matches_ring_residual():
-    ctx = CosimpCtx(F2, Trunc(3, 4))
-    seeds = scalar_seeds(F2, [Fraction(1, 2), 1, Fraction(-2, 3)])
-    table = generate_Amn(seeds, ctx, 4)
+def _formula_matches_ring_residual(table, ctx) -> int:
+    """Compare the ring residual with the re-indexed coefficient formula
+    coefficient for coefficient; returns the number of nonzero coefficients."""
     R = cocycle_residual(assemble_epsilon(table, ctx), ctx)
     cd = cd_table(ctx, range(-(ctx.trunc.pd_degree + 3), ctx.trunc.t_order))
-    for m in range(3):
+    nonzero = 0
+    for m in range(ctx.trunc.t_order):
         for k in range(ctx.trunc.pd_degree + 1):
             formula = cocycle_coefficient_residual(table, ctx, cd, m, k)
             for v in range(ctx.trunc.pd_degree - k + 1):
                 assert R.coeff(m, (v, k)) == formula.coeff(0, (v,)), (m, k, v)
+                nonzero += not R.coeff(m, (v, k)).is_zero()
+    return nonzero
+
+
+def test_coefficient_formula_matches_ring_residual():
+    ctx = CosimpCtx(F2, Trunc(3, 4))
+    seeds = scalar_seeds(F2, [Fraction(1, 2), 1, Fraction(-2, 3)])
+    assert _formula_matches_ring_residual(generate_Amn(seeds, ctx, 4), ctx) == 0
+
+    # a nonzero residual: E = u^2 + (3/2)u + 3/5 (reducing pi^2 mod E brings
+    # in denominators), non-commuting rank-2 seeds with pi-valued entries,
+    # and A_{1,2} perturbed so the table is no longer a cocycle
+    field = field_init(3, [Fraction(3, 5), Fraction(3, 2), 1])
+    ctx = CosimpCtx(field, Trunc(3, 4))
+
+    def mat(rows):
+        return KMat.from_rows(field, [[field.from_coords(c) for c in row] for row in rows])
+
+    seeds = Seeds.of(
+        [
+            mat([[[1, 2], [0, -1]], [[Fraction(1, 3)], [2]]]),
+            mat([[[0], [1, 1]], [[-1], [Fraction(1, 2), -1]]]),
+            mat([[[2, Fraction(-1, 4)], [3]], [[0, 1], [1]]]),
+        ]
+    )
+    assert not seeds.commutative()
+    table = generate_Amn(seeds, ctx, 4)
+    perturbed = dict(table.A)
+    perturbed[(1, 2)] = perturbed[(1, 2)] + mat([[[1], [0, 1]], [[0], [Fraction(2, 3)]]])
+    table = StratTable(table.l, table.t_order, table.n_max, perturbed)
+    assert _formula_matches_ring_residual(table, ctx) == 14
 
 
 def test_near_HT_probe_exact_zero():
