@@ -43,7 +43,12 @@ from .stratification import (
 )
 
 COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep", "validate")
-INT_OPTIONS = ("n_max", "m_max", "k_max", "n_probe", "threshold", "n_phi_max")
+# Largest accepted sizes, so that every spec runs in bounded work: the
+# t-order T, the pd degree D, the rank l, T * D * l and each integer option.
+MAX_T, MAX_D, MAX_RANK, MAX_TDL = 16, 64, 8, 512
+INT_OPTIONS = {
+    "n_max": MAX_D, "m_max": MAX_T, "k_max": MAX_T, "n_probe": 256, "threshold": 1024, "n_phi_max": 1024
+}
 
 
 @dataclass
@@ -81,6 +86,12 @@ def _parsing(name: str):
         raise ValidationError(f"bad {name}: {type(exc).__name__}: {exc}") from exc
 
 
+def _at_most(name: str, value: int, limit: int) -> int:
+    if value > limit:
+        raise ValidationError(f"{name} = {value} is above the limit {limit}")
+    return value
+
+
 def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     """Validate a raw spec dict against the module preconditions."""
     data = dict(raw)
@@ -105,11 +116,13 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
         rank = int(data["rank"])
     if rank < 1:
         raise ValidationError("rank must be >= 1")
+    _at_most("rank", rank, MAX_RANK)
     with _parsing("trunc.t"):
-        t_order = int(data["trunc"]["t"])
+        t_order = _at_most("trunc.t", int(data["trunc"]["t"]), MAX_T)
     with _parsing("trunc.x"):
-        pd_degree = int(data["trunc"]["x"])
+        pd_degree = _at_most("trunc.x", int(data["trunc"]["x"]), MAX_D)
     trunc = Trunc(t_order, pd_degree)
+    _at_most("trunc.t * trunc.x * rank", t_order * pd_degree * rank, MAX_TDL)
     with _parsing("seeds"):
         seeds = Seeds.of([_parse_matrix(field, m, rank) for m in data["seeds"]])
     with _parsing("padic_prec"):
@@ -120,10 +133,10 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     if not isinstance(options, dict):
         raise ValidationError("options must be a JSON object")
     options = dict(options)
-    for name in INT_OPTIONS:
+    for name, limit in INT_OPTIONS.items():
         if name in options:
             with _parsing(f"options.{name}"):
-                options[name] = int(options[name])
+                options[name] = _at_most(f"options.{name}", int(options[name]), limit)
     return ProblemSpec(field, seeds, trunc, prec, options, data)
 
 

@@ -11,7 +11,12 @@ the triangular stage-1 system
     (A_{0,1} - m beta) B_m = sum_{p<m} (p theta_{1,m-p} - A_{m-p,1}) B_p,
 
 and the X^[k] coefficients for 2 <= k <= pd_degree are the stage-2
-filter.  Everything is exact linear algebra over K.
+filter.  Block row m of either system involves only B_p with p <= m, so
+the order-(t+1) kernel is the order-t kernel K extended by the one new
+block row: {(K z, y) : sum_{p<t} R_p K[p] z + R_t y = 0}, a system in
+dim K + l unknowns.  The basis this gives is the one kernel_basis gives
+for the whole system, so it depends only on the kernel.
+Everything is exact linear algebra over K.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from math import comb
 
 from .cosimplicial import CDTable, CosimpCtx, cd_table
 from .errors import ShapeMismatch
-from .field import FieldDesc
 from .matrix import KMat, kernel_basis, rank
 from .stratification import StratTable
 
@@ -71,104 +75,91 @@ def h0_dim_bound(a01: KMat, m_probe: int) -> int:
     return q
 
 
-def stage1_rows(table: StratTable, ctx: CosimpCtx, t_order: int) -> list[list]:
-    """The triangular X^[1] conditions as an (l*T x l*T) block matrix."""
-    field = ctx.field
-    l = table.l
-    beta = field.beta
-    blocks: list[list[KMat]] = []
-    zero = KMat.zero(field, l)
-    for m in range(t_order):
-        row = [zero] * t_order
-        row[m] = table.at(0, 1) - KMat.scalar(field, l, beta * m)
-        for p in range(m):
-            row[p] = table.at(m - p, 1) - KMat.scalar(
-                field, l, ctx.theta_at(1, m - p) * p
-            )
-        blocks.append(row)
-    return blocks
+def condition_block(
+    table: StratTable, ctx: CosimpCtx, cd: CDTable, m: int, k: int, p: int
+) -> KMat:
+    """Coefficient of B_p (p <= m) in the X^[k] condition at t-order m:
+    sum_{j=p}^{m} sum_s C(k, s) d_{p,j-p,k-s} A_{m-j,s}."""
+    acc = KMat.zero(ctx.field, table.l)
+    for j in range(p, m + 1):
+        for s in range(min(k, table.n_max) + 1):
+            a_is, d = table.at(m - j, s), cd.d(p, j - p, k - s)
+            if not (a_is.is_zero() or d.is_zero()):
+                acc = acc + a_is * (d * comb(k, s))
+    return acc
 
 
 def full_condition_rows(
     table: StratTable, ctx: CosimpCtx, cd: CDTable, t_order: int, k_range
 ) -> list[list]:
     """X^[k] conditions of the global-section equation for k in k_range:
-    one block row per (m, k), m-major, even when it is zero."""
-    field = ctx.field
-    l = table.l
-    zero = KMat.zero(field, l)
-    blocks: list[list[KMat]] = []
-    for m in range(t_order):
-        for k in k_range:
-            row = [zero] * t_order
-            for p in range(m + 1):
-                acc = zero
-                for j in range(p, m + 1):
-                    i = m - j
-                    for s in range(k + 1):
-                        v = k - s
-                        if s > table.n_max:
-                            continue
-                        a_is = table.at(i, s)
-                        if a_is.is_zero():
-                            continue
-                        d = cd.d(p, j - p, v)
-                        if d.is_zero():
-                            continue
-                        acc = acc + a_is * (d * comb(k, s))
-                row[p] = acc
-            blocks.append(row)
-    return blocks
+    one block row per (m, k), m-major, with zero blocks right of p = m."""
+    zero = KMat.zero(ctx.field, table.l)
+    return [
+        [
+            condition_block(table, ctx, cd, m, k, p) if p <= m else zero
+            for p in range(t_order)
+        ]
+        for m in range(t_order)
+        for k in k_range
+    ]
 
 
-def _flatten(blocks: list[list[KMat]], field: FieldDesc, l: int, t_order: int) -> KMat:
+def stage1_rows(table: StratTable, ctx: CosimpCtx, t_order: int) -> list[list]:
+    """The triangular X^[1] conditions as a T x T block matrix."""
+    cd = cd_table(ctx, range(0, t_order))
+    return full_condition_rows(table, ctx, cd, t_order, (1,))
+
+
+def _extend_kernel(
+    table: StratTable, ctx: CosimpCtx, cd: CDTable, k_range, basis: list, t: int
+) -> list:
+    """The order-(t+1) kernel basis from the order-t one, formed with R_p
+    only against a nonzero B_p block K[p] of `basis`.
+
+    kernel_basis gives each vector a 1 at its last nonzero position, a free
+    column, and 0 at the other free columns.  If `basis` has that form, so
+    has the result: the vector for a free z-column i is (K_i + sum_j c_j K_j,
+    0) over z-pivots j < i, and one for a free y-column has z only at
+    pivots j, where K_j is 0 at every other vector's free column.
+    """
+    field, l, d = ctx.field, table.l, len(basis)
+    cols = [
+        KMat.from_rows(field, [[v[p * l + r] for v in basis] for r in range(l)]) for p in range(t)
+    ]
     rows = []
-    for block_row in blocks:
-        for r in range(l):
-            rows.append(
-                [block_row[p].rows[r][c] for p in range(t_order) for c in range(l)]
-            )
-    return KMat.from_rows(field, rows)
+    for k in k_range:
+        left = KMat.zero(field, l, d)
+        for p, kp in enumerate(cols):
+            if not kp.is_zero():
+                left = left + condition_block(table, ctx, cd, t, k, p) * kp
+        diag = condition_block(table, ctx, cd, t, k, t)
+        rows += [a + c for a, c in zip(left.rows, diag.rows)]
+    extended = []
+    for zy in kernel_basis(KMat.from_rows(field, rows)):
+        vec = [field.zero] * (l * t)
+        for z, old in zip(zy, basis):
+            vec = [a + z * b for a, b in zip(vec, old)]
+        extended.append(vec + list(zy[d:]))
+    return extended
 
 
 def h0_solve(table: StratTable, ctx: CosimpCtx) -> H0Solution:
-    """Solve for truncated global sections; returns a K-basis plus diagnostics.
-
-    Block row m of either system involves only B_p with p <= m, so the
-    order-t system is the first t stage-1 block rows and the first
-    t*(D-1) stage-2 block rows, restricted to the first t block columns.
-    Both systems are built once, at T = t_order.
-    """
-    field = ctx.field
-    T = ctx.trunc.t_order
-    if table.n_max < ctx.trunc.pd_degree:
+    """Solve for truncated global sections; returns a K-basis plus diagnostics."""
+    T, D = ctx.trunc.t_order, ctx.trunc.pd_degree
+    if table.n_max < D:
         raise ShapeMismatch("table must be generated up to n = pd_degree")
     l = table.l
-    k_range = range(2, ctx.trunc.pd_degree + 1)
     cd = cd_table(ctx, range(0, T))
-    s1 = stage1_rows(table, ctx, T)
-    s2 = full_condition_rows(table, ctx, cd, T, k_range)
-    stage1_dim = len(kernel_basis(_flatten(s1, field, l, T)))
-    dims = []
-    for t in range(1, T + 1):
-        blocks = s1[:t] + s2[: t * len(k_range)]
-        final_kernel = kernel_basis(_flatten(blocks, field, l, t))
-        dims.append(len(final_kernel))
-    basis = []
-    for vec in final_kernel:
-        cols = []
-        for m in range(T):
-            col = KMat.from_rows(field, [[vec[m * l + r]] for r in range(l)])
-            cols.append(col)
-        basis.append(tuple(cols))
+    stage1, kernel, dims = [], [], []
+    for t in range(T):
+        stage1 = _extend_kernel(table, ctx, cd, (1,), stage1, t)
+        kernel = _extend_kernel(table, ctx, cd, range(1, D + 1), kernel, t)
+        dims.append(len(kernel))
+    basis = tuple(
+        tuple(KMat.from_rows(ctx.field, [[a] for a in vec[m * l : (m + 1) * l]]) for m in range(T))
+        for vec in kernel
+    )
     stabilized = len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]
     q = h0_dim_bound(table.at(0, 1), T - 1 + l)
-    return H0Solution(
-        l=l,
-        t_order=T,
-        basis=tuple(basis),
-        dim_per_order=tuple(dims),
-        stage1_dim=stage1_dim,
-        stabilized=stabilized,
-        q=q,
-    )
+    return H0Solution(l, T, basis, tuple(dims), len(stage1), stabilized, q)

@@ -180,13 +180,6 @@ def kernel_basis(m: KMat) -> list[tuple[KElem, ...]]:
     field = m.field
     ncols = m.ncols
     rows = [list(r) for r in m.rows]
-    if not rows:
-        return [
-            tuple(
-                field.one if i == j else field.zero for i in range(ncols)
-            )
-            for j in range(ncols)
-        ]
     pivots = row_reduce(rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

@@ -23,7 +23,7 @@ from math import comb, factorial, lcm
 
 from .errors import BadConstantTerm, NonUnit, ShapeMismatch
 from .field import FieldDesc, KElem
-from .matrix import KMat, kernel_basis, mat_inverse
+from .matrix import KMat, mat_inverse
 
 MultiIndex = tuple[int, ...]
 Key = tuple[int, MultiIndex]
@@ -463,11 +463,8 @@ def binomial_power(n_pow: list[SimplexRingElem], exponent) -> SimplexRingElem:
     return SimplexRingElem(field, one.n_vars, one.trunc, exponent.nrows, out)
 
 
-# kernel_basis and mat_inverse are re-exported for callers that already import series
 __all__ = [
     "Trunc",
     "SimplexRingElem",
     "binomial_power",
-    "mat_inverse",
-    "kernel_basis",
 ]

@@ -1,6 +1,10 @@
 """CLI: dispatch, validation, exit codes, determinism, sweeps."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,10 +106,16 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("E_coeffs", ["-3", "x", "1"]),
         ("options", {"n_max": "z"}),
         ("options", [1]),
+        ("options", {"n_probe": cli.INT_OPTIONS["n_probe"] + 1}),
+        ("trunc", {"t": cli.MAX_T + 1, "x": 4}),
+        ("trunc", {"t": 3, "x": cli.MAX_D + 1}),
+        ("trunc", {"t": cli.MAX_T, "x": cli.MAX_D}),
+        ("rank", cli.MAX_RANK + 1),
     ],
     ids=[
         "rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff",
-        "options_n_max", "options_list",
+        "options_n_max", "options_list", "n_probe_limit", "trunc_t_limit", "trunc_x_limit",
+        "t_x_rank_limit", "rank_limit",
     ],
 )
 def test_malformed_number_exits_2(tmp_path, field, value):
@@ -120,6 +130,25 @@ def test_malformed_number_exits_2(tmp_path, field, value):
     assert run("validate", spec, out) == 0
     parse = json.loads(open(out).read())["diagnostics"][0]
     assert parse == {"check": "parse", "ok": False, "error": "ValidationError", "message": error["message"]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("options", {"n_probe": 100_000_000}), ("trunc", {"t": 3, "x": 100_000})],
+    ids=["n_probe", "trunc_x"],
+)
+def test_huge_size_exits_2_quickly(tmp_path, field, value):
+    # both ran unbounded without the limits: a probe product of 10^8 factors,
+    # and a table and alpha powers 10^5 pd degrees deep
+    data = {**BASE_SPEC, "seeds": [[["1/2"]], [["2/3"]], [["0"]]], field: value}
+    spec = write_spec(tmp_path, data)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "prismstrat.cli", "gen", "--spec", spec],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "limit" in json.loads(proc.stdout)["error"]["message"]
 
 
 def test_sweep_survives_bad_instance(tmp_path):

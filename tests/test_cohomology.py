@@ -8,12 +8,13 @@ import pytest
 from prismstrat.cohomology import full_condition_rows, h0_dim_bound, h0_solve, stage1_rows
 from prismstrat.cosimplicial import CosimpCtx, cd_table
 from prismstrat.field import field_init
-from prismstrat.matrix import KMat
+from prismstrat.matrix import KMat, kernel_basis
 from prismstrat.series import Trunc
-from prismstrat.stratification import Seeds, generate_Amn
+from prismstrat.stratification import Seeds, StratTable, generate_Amn
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
+F3 = field_init(3, [-3, 0, 0, 1])
 
 
 def scalar_seeds(field, values):
@@ -70,16 +71,23 @@ def test_dim_bound_examples():
 
 
 def test_stage1_matches_general_machinery_at_k1():
+    # the X^[1] conditions in closed form: A_{0,1} - m beta on the diagonal
+    # and A_{m-p,1} - p theta_{1,m-p} left of it
     ctx = CosimpCtx(F2, Trunc(3, 4))
     seeds = scalar_seeds(F2, [Fraction(1, 2), 2, Fraction(-1, 3)])
     table = generate_Amn(seeds, ctx, 4)
     cd = cd_table(ctx, range(0, 3))
-    s1 = stage1_rows(table, ctx, 3)
     k1 = full_condition_rows(table, ctx, cd, 3, [1])
-    assert len(k1) == len(s1)
-    for row_a, row_b in zip(s1, k1):
-        for a, b in zip(row_a, row_b):
-            assert a == b
+    assert stage1_rows(table, ctx, 3) == k1
+    for m, row in enumerate(k1):
+        for p, block in enumerate(row):
+            if p == m:
+                want = table.at(0, 1) - KMat.scalar(F2, 1, F2.beta * m)
+            elif p < m:
+                want = table.at(m - p, 1) - KMat.scalar(F2, 1, ctx.theta_at(1, m - p) * p)
+            else:
+                want = KMat.zero(F2, 1)
+            assert block == want, (m, p)
 
 
 def test_solver_dim_bounded_by_q_random():
@@ -125,25 +133,66 @@ def commuting_seeds(field, d0=Fraction(1, 2)):
     return Seeds.of([KMat.scalar(field, 2, field.from_rational(c)) + m * d for c, d in cd])
 
 
+def commuting_case(field, d0):
+    seeds = commuting_seeds(field, d0)
+    return lambda ctx: generate_Amn(seeds, ctx, ctx.trunc.pd_degree)
+
+
+# zero rank-2 seeds with A_{m,n} += delta, and the dims this gives: the
+# stage-2 rows then cut the stage-1 kernel, of dimension 2 at t-order T
+PERTURBED = {
+    "A12": ((1, 2), ((1, 0), (0, 0)), [2, 1, 1, 1]),
+    "A02": ((0, 2), ((0, 0), (0, Fraction(2, 3))), [1, 1, 1, 1]),
+    "A23": ((2, 3), ((1, 1), (0, 0)), [2, 2, 1, 1]),
+}
+
+
+def perturbed_case(field, name):
+    (m, n), delta, _ = PERTURBED[name]
+    moved = KMat.from_rows(field, [[field.from_rational(v) for v in row] for row in delta])
+
+    def build(ctx):
+        zero = Seeds.of([KMat.zero(field, 2)] * ctx.trunc.t_order)
+        table = generate_Amn(zero, ctx, ctx.trunc.pd_degree)
+        if m >= ctx.trunc.t_order:
+            return table
+        A = dict(table.A)
+        A[(m, n)] = A[(m, n)] + moved
+        return StratTable(table.l, table.t_order, table.n_max, A)
+
+    return build
+
+
+def flatten(blocks, t):
+    """Block rows restricted to their first t block columns, as one KMat."""
+    rows = [[a for b in row[:t] for a in b.rows[r]] for row in blocks for r in range(row[0].nrows)]
+    return KMat.from_rows(blocks[0][0].field, rows)
+
+
 @pytest.mark.parametrize(
-    "field, d0, dims",
+    "field, build, dims, stage1_dim",
     [
-        (F2, Fraction(1, 2), [1, 1, 1, 1]),
+        (F2, commuting_case(F2, Fraction(1, 2)), [1, 1, 1, 1], 1),
         # e = 1 has beta = 1, so A_{0,1} = 2M/5 has the eigenvalue 2 beta and
         # a second section appears from t-order 3 on
-        (F1, Fraction(2, 5), [1, 1, 2, 2]),
+        (F1, commuting_case(F1, Fraction(2, 5)), [1, 1, 2, 2], 2),
+    ]
+    + [
+        (field, perturbed_case(field, name), dims, 2)
+        for field in (F1, F2, F3)
+        for name, (_, _, dims) in PERTURBED.items()
     ],
-    ids=["e2", "e1_weight2"],
+    ids=["e2", "e1_weight2"] + [f"e{e}_{name}" for e in (1, 2, 3) for name in PERTURBED],
 )
-def test_dim_per_order_matches_solves_from_scratch(field, d0, dims):
-    # the order-t system is a slice of the order-T system, so the order-t
-    # dimension is read off it; a solve truncated at t from the start must agree
-    seeds = commuting_seeds(field, d0)
+def test_dim_per_order_matches_solves_from_scratch(field, build, dims, stage1_dim):
+    # the order-t system is a slice of the order-T system; a solve truncated
+    # at t from the start must report the kernel_basis of that slice
     T, D = 4, 5
     ctx = CosimpCtx(field, Trunc(T, D))
-    table = generate_Amn(seeds, ctx, D)
+    table = build(ctx)
     sol = h0_solve(table, ctx)
     assert list(sol.dim_per_order) == dims
+    assert sol.stage1_dim == stage1_dim
     ks = range(2, D + 1)
     cd = cd_table(ctx, range(0, T))
     s1, s2 = stage1_rows(table, ctx, T), full_condition_rows(table, ctx, cd, T, ks)
@@ -155,8 +204,12 @@ def test_dim_per_order_matches_solves_from_scratch(field, d0, dims):
             assert [row[:t] for row in whole] == rows
             assert all(b.is_zero() for row in whole for b in row[t:])
         ctx_t = CosimpCtx(field, Trunc(t, D))
-        alone = h0_solve(generate_Amn(seeds, ctx_t, D), ctx_t)
+        alone = h0_solve(build(ctx_t), ctx_t)
         assert alone.dim == sol.dim_per_order[t - 1], t
+        assert alone.stage1_dim == len(kernel_basis(flatten(s1[:t], t))), t
+        got = [tuple(row[0] for col in elem for row in col.rows) for elem in alone.basis]
+        assert got == kernel_basis(flatten(s1[:t] + s2[: t * len(ks)], t)), t
+    assert alone.basis == sol.basis
 
 
 def test_report_shape():
