@@ -37,7 +37,7 @@ from math import factorial
 from .cosimplicial import CosimpCtx
 from .errors import NonCommutingSeeds, ShapeMismatch
 from .field import FieldDesc, KElem
-from .matrix import KMat
+from .matrix import KMat, sum_products
 from .series import SimplexRingElem as SRE
 from .series import Trunc, binomial_power
 from .stratification import Seeds, StratTable, generate_Amn
@@ -215,7 +215,7 @@ def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int) -> HTable:
                 contribs.append((f, i + 1, hfi * th, top))
                 if i != f:
                     contribs.append((f, i, hfi * (th * (i - f)), top))
-        row: dict[int, KMat] = {}
+        row: dict[int, list] = {}
         for f, ip, kappa, top in contribs:
             if kappa.is_zero():
                 continue
@@ -224,10 +224,9 @@ def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int) -> HTable:
                 if gj.is_zero():
                     continue
                 u = top if j <= m else m - j
-                term = kappa * _linear_product(field, a01, range(f - ip + 1, u + 1)) * gj
-                cur = row.get(j)
-                row[j] = term if cur is None else cur + term
-        h[m] = {j: mat for j, mat in row.items() if not mat.is_zero()}
+                factors = _linear_product(field, a01, range(f - ip + 1, u + 1)) * gj
+                row.setdefault(j, []).append((kappa, factors))
+        h[m] = {j: mat for j, pairs in row.items() if not (mat := sum_products(pairs)).is_zero()}
     return HTable(field, l, seeds, h)
 
 

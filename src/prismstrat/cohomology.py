@@ -26,7 +26,7 @@ from math import comb
 
 from .cosimplicial import CDTable, CosimpCtx, cd_table
 from .errors import ShapeMismatch
-from .matrix import KMat, kernel_basis, rank
+from .matrix import KMat, kernel_basis, rank, sum_products
 from .stratification import StratTable
 
 
@@ -80,13 +80,14 @@ def condition_block(
 ) -> KMat:
     """Coefficient of B_p (p <= m) in the X^[k] condition at t-order m:
     sum_{j=p}^{m} sum_s C(k, s) d_{p,j-p,k-s} A_{m-j,s}."""
-    acc = KMat.zero(ctx.field, table.l)
+    field, l = ctx.field, table.l
+    pairs = []
     for j in range(p, m + 1):
         for s in range(min(k, table.n_max) + 1):
             a_is, d = table.at(m - j, s), cd.d(p, j - p, k - s)
             if not (a_is.is_zero() or d.is_zero()):
-                acc = acc + a_is * (d * comb(k, s))
-    return acc
+                pairs.append((a_is, KMat.scalar(field, l, d * comb(k, s))))
+    return sum_products(pairs) if pairs else KMat.zero(field, l)
 
 
 def full_condition_rows(
@@ -124,17 +125,16 @@ def _extend_kernel(
     pivots j, where K_j is 0 at every other vector's free column.
     """
     field, l, d = ctx.field, table.l, len(basis)
-    cols = [
-        KMat.from_rows(field, [[v[p * l + r] for v in basis] for r in range(l)]) for p in range(t)
+    # R_p acts on [K[p] | 0] for p < t (the old unknowns z), R_t on [0 | I] (the new y)
+    zeros, ident = [field.zero] * l, KMat.identity(field, l).rows
+    lifts = [
+        (p, KMat.from_rows(field, [[v[p * l + r] for v in basis] + zeros for r in range(l)])) for p in range(t)
     ]
+    lifts = [(p, kp) for p, kp in lifts if not kp.is_zero()]
+    lifts.append((t, KMat.from_rows(field, [[field.zero] * d + list(ident[r]) for r in range(l)])))
     rows = []
     for k in k_range:
-        left = KMat.zero(field, l, d)
-        for p, kp in enumerate(cols):
-            if not kp.is_zero():
-                left = left + condition_block(table, ctx, cd, t, k, p) * kp
-        diag = condition_block(table, ctx, cd, t, k, t)
-        rows += [a + c for a, c in zip(left.rows, diag.rows)]
+        rows += sum_products([(condition_block(table, ctx, cd, t, k, p), kp) for p, kp in lifts]).rows
     extended = []
     for zy in kernel_basis(KMat.from_rows(field, rows)):
         vec = [field.zero] * (l * t)

@@ -90,7 +90,7 @@ class FieldDesc:
 
     Precomputes the reduction table pi^k mod E for k < 2e-1, its integer
     copy _int_pow_table = _pow_den * _pow_table (cleared of denominators,
-    for the ring-product kernel) and the element beta = E'(pi).  Immutable
+    for the integer product kernel) and the element beta = E'(pi).  Immutable
     after construction.
     """
 

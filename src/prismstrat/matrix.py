@@ -2,13 +2,15 @@
 
 Everything is dense and tiny (rank l <= a handful); exact Gaussian
 elimination needs no pivoting strategy beyond "first nonzero entry".
+Every matrix product, and the ring product in series, runs on one integer
+kernel after FLINT's fmpq_mat: int_form, accumulate, from_polys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 from .errors import NonUnit, ShapeMismatch
 from .field import INF, FieldDesc, KElem
@@ -85,21 +87,7 @@ class KMat:
             )
         if not isinstance(other, KMat):
             return NotImplemented
-        if self.ncols != other.nrows:
-            raise ShapeMismatch(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        bt = list(zip(*other.rows))
-        out = []
-        for ra in self.rows:
-            row = []
-            for cb in bt:
-                acc = self.field.zero
-                for a, b in zip(ra, cb):
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return KMat(self.field, tuple(out))
+        return sum_products([(self, other)])
 
     def __rmul__(self, other):
         # scalar * matrix
@@ -149,6 +137,66 @@ class KMat:
     def __repr__(self):
         body = "; ".join("[" + ", ".join(repr(a) for a in r) + "]" for r in self.rows)
         return f"KMat({body})"
+
+
+def int_form(mats) -> tuple[int, list]:
+    """(d, forms): d is the lcm of the coordinate denominators of all of mats,
+    and forms[n][r] lists (c, ((i, d * coord_i), ...)) over the nonzero
+    entries (r, c) of mats[n] and their nonzero coordinates i."""
+    den = lcm(*(q.denominator for m in mats for row in m.rows for a in row for q in a.coords))
+
+    def ints(a: KElem):
+        return tuple((i, q.numerator * (den // q.denominator)) for i, q in enumerate(a.coords) if q)
+
+    return den, [[[(c, v) for c, a in enumerate(row) if (v := ints(a))] for row in m.rows] for m in mats]
+
+
+def accumulate(polys: list[list[int]], a: list, b: list, ncols: int, scale: int):
+    """polys[r * ncols + c] += scale * sum_k a[r][k] b[k][c] on int_form rows,
+    as unreduced pi-polynomials of degree 2e-2."""
+    for r, row in enumerate(a):
+        out = polys[r * ncols : (r + 1) * ncols]
+        for k, av in row:
+            for i, ai in av:
+                ai *= scale
+                for c, bv in b[k]:
+                    poly = out[c]
+                    for j, bj in bv:
+                        poly[i + j] += ai * bj
+
+
+def from_polys(field: FieldDesc, polys: list[list[int]], nrows: int, ncols: int, den: int) -> KMat:
+    """The matrix whose entry (r, c) is polys[r * ncols + c] reduced mod E with
+    the integer pi-power table and divided by den * _pow_den."""
+    den *= field._pow_den
+    columns = tuple(zip(*field._int_pow_table))
+    entries = [
+        KElem(field, tuple(Fraction(sum(map(int.__mul__, poly, col)), den) for col in columns))
+        if any(poly)
+        else field.zero
+        for poly in polys
+    ]
+    return KMat(field, tuple(tuple(entries[r * ncols : (r + 1) * ncols]) for r in range(nrows)))
+
+
+def sum_products(pairs) -> KMat:
+    """sum_i X_i Y_i over a non-empty sequence of pairs (X_i, Y_i), exact: each
+    pair is rescaled to d = lcm_i(d_X_i d_Y_i), so every output entry is one
+    integer pi-polynomial, reduced mod E and divided by d once."""
+    field, nrows, ncols = pairs[0][0].field, pairs[0][0].nrows, pairs[0][1].ncols
+    forms = []
+    for x, y in pairs:
+        if x.ncols != y.nrows or x.nrows != nrows or y.ncols != ncols:
+            raise ShapeMismatch(
+                f"cannot multiply {x.nrows}x{x.ncols} by {y.nrows}x{y.ncols} into {nrows}x{ncols}"
+            )
+        (dx, (a,)), (dy, (b,)) = int_form((x,)), int_form((y,))
+        forms.append((dx * dy, a, b))
+    den = lcm(*(d for d, _, _ in forms))
+    polys = [[0] * (2 * field.e - 1) for _ in range(nrows * ncols)]
+    for d, a, b in forms:
+        accumulate(polys, a, b, ncols, den // d)
+    return from_polys(field, polys, nrows, ncols, den)
 
 
 def row_reduce(rows: list[list[KElem]], field: FieldDesc):
@@ -231,70 +279,79 @@ def charpoly(m: KMat) -> list[KElem]:
 
 def rational_roots(poly: list[KElem]) -> list[Fraction] | None:
     """Rational roots (with multiplicity) of a monic poly with rational
-    coefficients in K; None when the coefficients are not all rational."""
+    coefficients in K; None when the coefficients are not all rational or
+    the poly does not split over Q.
+
+    Exact and polynomial in the bit size: with integer coefficients, every
+    rational root is k/a for a the leading coefficient.  Sturm bisection on
+    the square-free part isolates each real root in (lo, hi] of width < 1/a,
+    which holds at most one such k/a; one exact evaluation decides it.  The
+    roots come sorted by (r != 0, |numerator|, denominator, r < 0).
+    """
     if any(not c.is_rational() for c in poly):
         return None
-    rat = [c.coords[0] for c in poly]
-    # clear denominators to get integer coefficients
-    den = lcm(*(c.denominator for c in rat))
-    ints = [int(c * den) for c in rat]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
+    f = [c.coords[0] for c in poly]
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
         return []
-    roots: list[Fraction] = []
-    # peel roots by trial over divisors of the trailing/leading coefficients
-    cur = list(ints)
-    while len(cur) > 1:
-        if cur[0] == 0:
-            roots.append(Fraction(0))
-            cur = cur[1:]
-            continue
-        found = None
-        for pn in _divisors(abs(cur[0])):
-            for qn in _divisors(abs(cur[-1])):
-                for sign in (1, -1):
-                    cand = Fraction(sign * pn, qn)
-                    if _poly_eval_rat(cur, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None  # does not split over Q
-        roots.append(found)
-        cur = _poly_deflate(cur, found)
-    return roots
+    roots = []
+    while f[0] == 0:
+        roots.append(Fraction(0))
+        f.pop(0)
+    a = abs(int(f[-1] * lcm(*(c.denominator for c in f))))
+    bound = 2 + int(max((abs(c / f[-1]) for c in f[:-1]), default=0))
+    square_free = _poly_divmod(f, _sturm(f)[-1])[0]  # f / gcd(f, f')
+    sturm = _sturm(square_free)
+    intervals = [(Fraction(-bound), Fraction(bound))]
+    while intervals:
+        lo, hi = intervals.pop()
+        count = _sign_changes(sturm, lo) - _sign_changes(sturm, hi)
+        if count == 1 and (hi - lo) * a < 1:
+            r = Fraction(floor(hi * a), a)
+            if r <= lo or _poly_eval(square_free, r):
+                return None  # an irrational real root
+            while not (rem := _poly_divmod(f, [-r, 1]))[1]:
+                f = rem[0]
+                roots.append(r)
+        elif count:
+            mid = (lo + hi) / 2
+            intervals += [(lo, mid), (mid, hi)]
+    if len(f) > 1:
+        return None  # complex roots
+    return sorted(roots, key=lambda r: (r != 0, abs(r.numerator), r.denominator, r < 0))
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _sturm(f: list[Fraction]) -> list[list[Fraction]]:
+    """Sturm sequence f, f', -rem(f, f'), ...; its last entry is gcd(f, f')."""
+    seq = [f, [c * k for k, c in enumerate(f)][1:]]
+    while seq[-1] and (rem := _poly_divmod(seq[-2], seq[-1])[1]):
+        seq.append([-c for c in rem])
+    return seq if seq[-1] else seq[:-1]
 
 
-def _poly_eval_rat(coeffs: list[int], x: Fraction) -> Fraction:
+def _sign_changes(seq: list[list[Fraction]], x: Fraction) -> int:
+    signs = [v > 0 for p in seq if (v := _poly_eval(p, x))]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def _poly_deflate(coeffs: list[int], root: Fraction) -> list[int]:
-    """Divide by (x - root), assuming it divides exactly; rescale to integers."""
-    out: list[Fraction] = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = Fraction(coeffs[i]) + carry * root
-        out[i - 1] = carry
-    den = lcm(*(c.denominator for c in out))
-    return [int(c * den) for c in out]
+def _poly_divmod(f: list[Fraction], g: list[Fraction]):
+    """(quotient, remainder) of f by g (g[-1] != 0), low-to-high, the
+    remainder without trailing zeros."""
+    rem, quot = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(rem) >= len(g):
+        c, shift = rem[-1] / g[-1], len(rem) - len(g)
+        quot[shift] = c
+        for i, gi in enumerate(g):
+            rem[shift + i] -= c * gi
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem

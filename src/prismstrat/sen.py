@@ -24,7 +24,7 @@ from math import floor
 from .cosimplicial import CosimpCtx, eval_poly_at_series
 from .errors import ProductNotSettled, SeedShapeMismatch
 from .field import INF, KElem, PadicApprox
-from .matrix import KMat, charpoly, rational_roots
+from .matrix import KMat, charpoly, rational_roots, sum_products
 from .series import SimplexRingElem as SRE
 from .stratification import Seeds, check_near_HT
 
@@ -172,20 +172,14 @@ def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int 
     # exact t-series products (the only approximation is the lambda tail);
     # cofactor = u0 * sum_m A_{m,1} t^m, matrix-valued per t-order
     u0_coeffs = _series_coeffs(ctx.u0)
-    cofactor = []
-    for m in range(t_order):
-        acc = KMat.zero(field, l)
-        for j in range(m + 1):
-            if u0_coeffs[j].is_zero():
-                continue
-            acc = acc + seeds.A1[m - j] * u0_coeffs[j]
-        cofactor.append(acc)
+    cofactor = [
+        sum_products([(seeds.A1[m - j], KMat.scalar(field, l, u0_coeffs[j])) for j in range(m + 1)])
+        for m in range(t_order)
+    ]
     n_rows = []
     for m in range(t_order):
-        acc = KMat.zero(field, l)
-        for j in range(m + 1):
-            acc = acc + cofactor[m - j] * lam1_exact[j]
-        mat = acc * -1
+        lam = [(cofactor[m - j], KMat.scalar(field, l, -lam1_exact[j])) for j in range(m + 1)]
+        mat = sum_products(lam)
         # the lambda tail error is scaled by the exact cofactor entries
         lam_prec = min(lam1.coeffs[j].prec for j in range(m + 1))
         co_v = min(cofactor[j].min_valuation() for j in range(m + 1))

@@ -8,22 +8,22 @@ so products never resurrect dropped terms.
 
 Ordinary powers are never stored: X^n enters as n! X^[n].
 
-The ring x ring product runs on integers (after FLINT's fmpq_poly): each
-operand is scaled by the lcm of its coordinate denominators, every output
-entry accumulates an unreduced pi-polynomial, and that is reduced mod E and
-divided by the three denominators once.  Scaling, binomial_power,
-invert/log/exp and the linear algebra stay on KElem.
+The ring x ring product runs on the integer kernel of matrix.py, after
+FLINT's fmpq_poly: each operand is scaled to integer coordinates over one
+denominator, every output entry accumulates an unreduced pi-polynomial
+across all term pairs, and that is reduced mod E and divided once.
+binomial_power collects its terms per key and sums each key in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .errors import BadConstantTerm, NonUnit, ShapeMismatch
 from .field import FieldDesc, KElem
-from .matrix import KMat, mat_inverse
+from .matrix import KMat, accumulate, from_polys, int_form, mat_inverse, sum_products
 
 MultiIndex = tuple[int, ...]
 Key = tuple[int, MultiIndex]
@@ -359,45 +359,21 @@ class SimplexRingElem:
         return "SRE{" + "; ".join(parts) + more + "}"
 
 
-def _integer_form(x: SimplexRingElem):
-    """(d, terms): d is the lcm of every coordinate denominator of x, and
-    terms lists (key, rows) with rows[r] = [(c, ((i, d * coord_i), ...)), ...]
-    over the nonzero entries (r, c) and their nonzero coordinates i."""
-    coords = [q for mat in x.coeffs.values() for row in mat.rows for a in row for q in a.coords]
-    den = lcm(*(q.denominator for q in coords))
-    terms = []
-    for key, mat in x.coeffs.items():
-        rows = []
-        for row in mat.rows:
-            entries = []
-            for c, a in enumerate(row):
-                vec = tuple(
-                    (i, q.numerator * (den // q.denominator)) for i, q in enumerate(a.coords) if q
-                )
-                if vec:
-                    entries.append((c, vec))
-            rows.append(entries)
-        terms.append((key, rows))
-    return den, terms
-
-
 def _ring_product(x: SimplexRingElem, y: SimplexRingElem) -> SimplexRingElem:
-    """x * y on common-denominator integer forms, after FLINT's fmpq_poly.
-
-    Zero entries and coordinates are skipped, so a map_size operand costs
-    l^2 per term pair.  Each output entry accumulates an unreduced
-    pi-polynomial of degree 2e-2 over the integers; it is reduced mod E with
-    the integer pi-power table and divided by d_x * d_y * d_E once, at the end.
-    """
+    """x * y on the integer forms of matrix.py, one denominator per operand:
+    every kept term pair is accumulated into its output key's unreduced
+    pi-polynomials.  y's terms are sorted by key, so by t-order first, and
+    each scan stops at the first pair past t_order."""
     field, trunc, l = x.field, x.trunc, x.size
-    dx, x_terms = _integer_form(x)
-    dy, y_terms = _integer_form(y)
+    dx, x_forms = int_form(x.coeffs.values())
+    dy, y_forms = int_form(y.coeffs.values())
+    y_terms = sorted(zip(y.coeffs, y_forms))
     acc: dict[Key, list[list[int]]] = {}
-    for (m1, i1), a in x_terms:
+    for (m1, i1), a in zip(x.coeffs, x_forms):
         for (m2, i2), b in y_terms:
             m = m1 + m2
             if m >= trunc.t_order:
-                continue
+                break
             idx = tuple(u + v for u, v in zip(i1, i2))
             if sum(idx) > trunc.pd_degree:
                 continue
@@ -408,25 +384,8 @@ def _ring_product(x: SimplexRingElem, y: SimplexRingElem) -> SimplexRingElem:
             polys = acc.get((m, idx))
             if polys is None:
                 polys = acc[(m, idx)] = [[0] * (2 * field.e - 1) for _ in range(l * l)]
-            for r, row in enumerate(a):
-                for k, av in row:
-                    for i, ai in av:
-                        ai *= scale
-                        for c, bv in b[k]:
-                            poly = polys[r * l + c]
-                            for j, bj in bv:
-                                poly[i + j] += ai * bj
-    den = dx * dy * field._pow_den
-    columns = tuple(zip(*field._int_pow_table))
-    out: dict[Key, KMat] = {}
-    for key, polys in acc.items():
-        entries = [
-            KElem(field, tuple(Fraction(sum(map(int.__mul__, poly, col)), den) for col in columns))
-            if any(poly)
-            else field.zero
-            for poly in polys
-        ]
-        out[key] = KMat(field, tuple(tuple(entries[r * l : (r + 1) * l]) for r in range(l)))
+            accumulate(polys, a, b, l, scale)
+    out = {key: from_polys(field, polys, l, l, dx * dy) for key, polys in acc.items()}
     return SimplexRingElem(field, x.n_vars, trunc, l, out)
 
 
@@ -445,9 +404,10 @@ def binomial_power(n_pow: list[SimplexRingElem], exponent) -> SimplexRingElem:
     field = one.field
     if isinstance(exponent, int):
         exponent = KMat.scalar(field, 1, field.from_rational(exponent))
-    ident = KMat.identity(field, exponent.nrows)
+    size = exponent.nrows
+    ident = KMat.identity(field, size)
     binom = ident
-    out: dict[Key, KMat] = {}
+    pairs: dict[Key, list] = {}
     j = 0
     while not binom.is_zero():
         if j == len(n_pow):
@@ -455,12 +415,11 @@ def binomial_power(n_pow: list[SimplexRingElem], exponent) -> SimplexRingElem:
         if n_pow[j].is_zero():
             break
         for key, c in n_pow[j].coeffs.items():
-            term = binom * c.rows[0][0]
-            cur = out.get(key)
-            out[key] = term if cur is None else cur + term
+            pairs.setdefault(key, []).append((binom, KMat.scalar(field, size, c.rows[0][0])))
         binom = binom * (exponent - ident * j) * Fraction(1, j + 1)
         j += 1
-    return SimplexRingElem(field, one.n_vars, one.trunc, exponent.nrows, out)
+    out = {key: sum_products(terms) for key, terms in pairs.items()}
+    return SimplexRingElem(field, one.n_vars, one.trunc, size, out)
 
 
 __all__ = [

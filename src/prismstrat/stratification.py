@@ -20,7 +20,7 @@ from math import comb
 from .cosimplicial import CDTable, CosimpCtx, face_map
 from .errors import SeedShapeMismatch
 from .field import INF, KElem
-from .matrix import KMat
+from .matrix import KMat, sum_products
 from .series import SimplexRingElem as SRE
 from .series import Trunc
 
@@ -96,14 +96,12 @@ def generate_Amn(seeds: Seeds, ctx: CosimpCtx, n_max: int) -> StratTable:
             A[(m, 1)] = seeds.A1[m]
     for n in range(1, n_max):
         for m in range(t_order):
-            acc = (KMat.scalar(field, l, beta * (n - m)) + a01) * A[(m, n)]
+            pairs = [(KMat.scalar(field, l, beta * (n - m)) + a01, A[(m, n)])]
             for i in range(m):
                 j = m - i
-                coeff = seeds.A1[j] + KMat.scalar(
-                    field, l, ctx.theta_at(1, j) * (n - i)
-                )
-                acc = acc + coeff * A[(i, n)]
-            A[(m, n + 1)] = acc
+                coeff = seeds.A1[j] + KMat.scalar(field, l, ctx.theta_at(1, j) * (n - i))
+                pairs.append((coeff, A[(i, n)]))
+            A[(m, n + 1)] = sum_products(pairs)
     return StratTable(l, t_order, n_max, A)
 
 

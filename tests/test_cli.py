@@ -151,6 +151,21 @@ def test_huge_size_exits_2_quickly(tmp_path, field, value):
     assert "limit" in json.loads(proc.stdout)["error"]["message"]
 
 
+def test_sen_with_huge_rational_weight_finishes(tmp_path):
+    # trial division over the divisors of the charpoly's coefficients ran
+    # for minutes on this 60-bit weight
+    weight = "1000000000000000003/1000000000000000009"
+    data = {**BASE_SPEC, "E_coeffs": ["-3", "1"], "seeds": [[[weight]], [["0"]], [["0"]]]}
+    spec = write_spec(tmp_path, data)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "prismstrat.cli", "sen", "--spec", spec],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["weights_rational"] == ["-" + weight]
+
+
 def test_sweep_survives_bad_instance(tmp_path):
     sweep = {
         "command": "cocycle",

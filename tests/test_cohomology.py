@@ -144,6 +144,9 @@ PERTURBED = {
     "A12": ((1, 2), ((1, 0), (0, 0)), [2, 1, 1, 1]),
     "A02": ((0, 2), ((0, 0), (0, Fraction(2, 3))), [1, 1, 1, 1]),
     "A23": ((2, 3), ((1, 1), (0, 0)), [2, 2, 1, 1]),
+    # cut only by the X^[D] condition, D = 5
+    "A05": ((0, 5), ((1, 0), (0, 0)), [1, 1, 1, 1]),
+    "A15": ((1, 5), ((1, 0), (0, 0)), [2, 1, 1, 1]),
 }
 
 

@@ -1,15 +1,19 @@
-"""Exact linear algebra over K: kernels of block lower-triangular systems."""
+"""Exact linear algebra over K: the integer product kernel, kernels of block
+lower-triangular systems, rational roots."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismstrat.field import field_init
-from prismstrat.matrix import KMat, kernel_basis
+from prismstrat.matrix import KMat, kernel_basis, rational_roots, sum_products
 
 FIELDS = [field_init(3, [-3, 1]), field_init(3, [-3, 0, 1]), field_init(3, [-3, 0, 0, 1])]
+# Eisenstein at 3 with non-integral coefficients: pi^k mod E has denominators
+FIELD_FRAC = field_init(3, [Fraction(3, 5), Fraction(3, 2), 1])
 
 
 def _matrix(data, field, nrows, ncols):
@@ -47,3 +51,139 @@ def test_kernel_of_block_system_extends_first_block_kernel(field):
         assert lifted == kernel_basis(KMat.from_rows(field, whole))
 
     inner()
+
+
+def _reference_product(x, y):
+    """X * Y by the KElem loop, as the product was before the integer kernel."""
+    out = []
+    for ra in x.rows:
+        row = []
+        for cb in zip(*y.rows):
+            acc = x.field.zero
+            for a, b in zip(ra, cb):
+                acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return KMat.from_rows(x.field, out)
+
+
+@pytest.mark.parametrize("field", FIELDS + [FIELD_FRAC], ids=["e1", "e2", "e3", "e2_frac"])
+def test_sum_products_matches_reference_loop(field):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def inner(data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            k = data.draw(st.integers(1, 3))
+            x, y = _matrix(data, field, n, k), _matrix(data, field, k, m)
+            pairs.append((KMat.from_rows(field, x), KMat.from_rows(field, y)))
+        if data.draw(st.booleans()):
+            # a pair that cancels the first one entry for entry
+            x, y = pairs[0]
+            pairs.append((-x, y))
+        want = KMat.zero(field, n, m)
+        for x, y in pairs:
+            want = want + _reference_product(x, y)
+        assert sum_products(pairs) == want
+        assert pairs[0][0] * pairs[0][1] == _reference_product(*pairs[0])
+
+    inner()
+
+
+def test_sum_products_of_zero_matrices_is_zero():
+    field = FIELD_FRAC
+    zero = KMat.zero(field, 2, 3)
+    assert sum_products([(zero, KMat.identity(field, 3))]) == zero
+    assert KMat.identity(field, 2) * KMat.zero(field, 2, 3) == zero
+
+
+def _trial_division_roots(poly):
+    """Rational roots by trial division over the divisors of the trailing and
+    leading coefficients, as rational_roots was before root isolation."""
+    if any(not c.is_rational() for c in poly):
+        return None
+    rat = [c.coords[0] for c in poly]
+    den = lcm(*(c.denominator for c in rat))
+    cur = [int(c * den) for c in rat]
+    while cur and cur[-1] == 0:
+        cur.pop()
+    roots = []
+    while len(cur) > 1:
+        if cur[0] == 0:
+            roots.append(Fraction(0))
+            cur = cur[1:]
+            continue
+        found = next(
+            (
+                Fraction(sign * pn, qn)
+                for pn in _divisors(cur[0])
+                for qn in _divisors(cur[-1])
+                for sign in (1, -1)
+                if _eval(cur, Fraction(sign * pn, qn)) == 0
+            ),
+            None,
+        )
+        if found is None:
+            return None
+        roots.append(found)
+        # divide by (x - found) and clear denominators again
+        out, carry = [Fraction(0)] * (len(cur) - 1), Fraction(0)
+        for i in range(len(cur) - 1, 0, -1):
+            carry = cur[i] + carry * found
+            out[i - 1] = carry
+        d = lcm(*(c.denominator for c in out))
+        cur = [int(c * d) for c in out]
+    return roots
+
+
+def _divisors(n):
+    n = abs(n)
+    return sorted({d for q in range(1, int(n**0.5) + 1) if n % q == 0 for d in (q, n // q)})
+
+
+def _eval(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _monic(coeffs):
+    return [FIELDS[0].from_rational(Fraction(c) / coeffs[-1]) for c in coeffs]
+
+
+def _times_linear(coeffs, p, q):
+    """coeffs * (q x - p), low-to-high."""
+    out = [Fraction(0)] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i] -= p * c
+        out[i + 1] += q * c
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), min_size=1, max_size=5),
+    st.lists(st.integers(-20, 20), min_size=0, max_size=3),
+)
+def test_rational_roots_match_trial_division(factors, extra):
+    # split polynomials (repeated and zero roots included), and the same
+    # times a small factor that need not split over Q
+    split = [Fraction(1)]
+    for p, q in factors:
+        split = _times_linear(split, p, q)
+    assert rational_roots(_monic(split)) == _trial_division_roots(_monic(split))
+    other = [Fraction(c) for c in extra] + [Fraction(1)]
+    prod = [Fraction(0)] * (len(split) + len(other) - 1)
+    for i, a in enumerate(split):
+        for j, b in enumerate(other):
+            prod[i + j] += a * b
+    assert rational_roots(_monic(prod)) == _trial_division_roots(_monic(prod))
+
+
+def test_rational_roots_of_irrational_and_complex_polys():
+    assert rational_roots(_monic([Fraction(-2), 0, 1])) is None
+    assert rational_roots(_monic([Fraction(1), 0, 1])) is None
+    assert rational_roots(_monic([Fraction(-1), 1, 0, 0, 1])) is None
+    assert rational_roots([FIELDS[1].pi, FIELDS[1].one]) is None
