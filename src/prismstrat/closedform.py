@@ -259,7 +259,7 @@ def closedform_series(htable: HTable, m: int, ctx: CosimpCtx, pd_degree: int | N
     # (1 - beta X)^r = (1 + N)^r with N^i = (-beta X)^i = (-beta)^i i! X^[i]
     n_pow = [
         SRE.ordinary_monomial(field, 1, tr, 0, (i,), KMat.scalar(field, 1, (-field.beta) ** i))
-        for i in range(deg + 1)
+        for i in range(max(deg, 1) + 1)
     ]
     # sum_j h~_{m,j} (1 - beta X)^(m-j) X^j, then one product with the growth series
     prefactor = SRE.zero(field, 1, tr, l)

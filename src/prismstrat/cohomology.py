@@ -147,6 +147,8 @@ def _extend_kernel(
 def h0_solve(table: StratTable, ctx: CosimpCtx) -> H0Solution:
     """Solve for truncated global sections; returns a K-basis plus diagnostics."""
     T, D = ctx.trunc.t_order, ctx.trunc.pd_degree
+    if D < 1:
+        raise ShapeMismatch(f"h0 needs pd degree >= 1 for the X^[1] condition, got {D}")
     if table.n_max < D:
         raise ShapeMismatch("table must be generated up to n = pd_degree")
     l = table.l

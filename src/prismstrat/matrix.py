@@ -2,89 +2,95 @@
 
 Everything is dense and tiny (rank l <= a handful); exact Gaussian
 elimination needs no pivoting strategy beyond "first nonzero entry".
-Every matrix product, and the ring product in series, runs on one integer
-kernel after FLINT's fmpq_mat: int_form, accumulate, from_polys.
+A matrix stores integer pi-coordinates over one denominator, after FLINT's
+fmpq_mat; `rows` is the K-element view that parsing, to_json and
+elimination use.  Every matrix product, and the ring product in series,
+runs on one integer kernel: int_form, accumulate, from_polys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 from .errors import NonUnit, ShapeMismatch
-from .field import INF, FieldDesc, KElem
+from .field import INF, FieldDesc, KElem, vp_rational
 
 
 @dataclass(frozen=True, slots=True)
 class KMat:
-    """An l x l (or rectangular) matrix with KElem entries."""
+    """An nrows x ncols matrix over K: entry (r, c) has the coordinates
+    nums[(r * ncols + c) * e + i] / den, i < e.  The form is canonical,
+    den >= 1 and gcd(den, *nums) == 1, so == and hash are structural."""
 
     field: FieldDesc
-    rows: tuple[tuple[KElem, ...], ...]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    nrows: int
+    ncols: int
+    den: int
+    nums: tuple[int, ...]
 
     @staticmethod
     def from_rows(field: FieldDesc, rows) -> KMat:
-        return KMat(field, tuple(tuple(r) for r in rows))
+        """The matrix of a grid of KElems; ShapeMismatch on ragged rows."""
+        rows = [list(r) for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ShapeMismatch(f"matrix rows have lengths {[len(r) for r in rows]}")
+        coords = [q for r in rows for a in r for q in a.coords]
+        den = lcm(*(q.denominator for q in coords))
+        nums = tuple(q.numerator * (den // q.denominator) for q in coords)
+        return KMat(field, len(rows), ncols, den, nums)
 
     @staticmethod
     def zero(field: FieldDesc, n: int, m: int | None = None) -> KMat:
         m = n if m is None else m
-        z = field.zero
-        return KMat(field, tuple(tuple(z for _ in range(m)) for _ in range(n)))
+        return KMat(field, n, m, 1, (0,) * (n * m * field.e))
 
     @staticmethod
     def identity(field: FieldDesc, n: int) -> KMat:
-        z, o = field.zero, field.one
-        return KMat(
-            field,
-            tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)),
-        )
+        return KMat.scalar(field, n, field.one)
 
     @staticmethod
     def scalar(field: FieldDesc, n: int, c: KElem) -> KMat:
-        z = field.zero
-        return KMat(
-            field,
-            tuple(tuple(c if i == j else z for j in range(n)) for i in range(n)),
-        )
+        e, den = field.e, lcm(*(q.denominator for q in c.coords))
+        coords = [q.numerator * (den // q.denominator) for q in c.coords]
+        nums = [0] * (n * n * e)
+        for k in range(0, n * n * e, (n + 1) * e):
+            nums[k : k + e] = coords
+        return KMat(field, n, n, den, tuple(nums))
+
+    @property
+    def rows(self) -> tuple[tuple[KElem, ...], ...]:
+        """The K-element grid."""
+        e, fracs = self.field.e, [Fraction(a, self.den) for a in self.nums]
+        entries = [KElem(self.field, tuple(fracs[k : k + e])) for k in range(0, len(fracs), e)]
+        return tuple(tuple(entries[r * self.ncols : (r + 1) * self.ncols]) for r in range(self.nrows))
+
+    def _combine(self, other: KMat, sign: int) -> KMat:
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ShapeMismatch("matrix shapes differ")
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        nums = [a * s + b * t for a, b in zip(self.nums, other.nums)]
+        return _reduced(self.field, self.nrows, self.ncols, den, nums)
 
     def __add__(self, other: KMat) -> KMat:
-        self._check_same_shape(other)
-        return KMat(
-            self.field,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: KMat) -> KMat:
-        self._check_same_shape(other)
-        return KMat(
-            self.field,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> KMat:
-        return KMat(self.field, tuple(tuple(-a for a in r) for r in self.rows))
+        return KMat(self.field, self.nrows, self.ncols, self.den, tuple(-a for a in self.nums))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, KElem)):
-            return KMat(
-                self.field, tuple(tuple(a * other for a in r) for r in self.rows)
-            )
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            nums = [a * q.numerator for a in self.nums]
+            return _reduced(self.field, self.nrows, self.ncols, self.den * q.denominator, nums)
+        if isinstance(other, KElem):
+            other = KMat.scalar(self.field, self.ncols, other)
         if not isinstance(other, KMat):
             return NotImplemented
         return sum_products([(self, other)])
@@ -94,61 +100,59 @@ class KMat:
         return self.__mul__(other)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
+        return not any(self.nums)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def transpose(self) -> KMat:
-        return KMat(self.field, tuple(zip(*self.rows)))
-
     def trace(self) -> KElem:
-        acc = self.field.zero
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
+        e, nums = self.field.e, self.nums
+        diag = range(0, min(self.nrows, self.ncols) * (self.ncols + 1) * e, (self.ncols + 1) * e)
+        return KElem(self.field, tuple(Fraction(sum(nums[k + i] for k in diag), self.den) for i in range(e)))
 
     def commutes_with(self, other: KMat) -> bool:
         return (self * other - other * self).is_zero()
 
     def min_valuation(self):
-        """Minimum entry valuation (v(pi)=1 units); INF for the zero matrix."""
-        best = INF
-        for r in self.rows:
-            for a in r:
-                v = a.valuation()
-                if v < best:
-                    best = v
-        return best
-
-    def _check_same_shape(self, other: KMat):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ShapeMismatch("matrix shapes differ")
+        """Minimum entry valuation (v(pi)=1 units); INF for the zero matrix.
+        With g_i the gcd of all i-th coordinates' numerators, this is
+        min_i (e v_p(g_i) + i) - e v_p(den), as v_p(gcd(a, b)) = min(v_p(a), v_p(b))."""
+        e, p = self.field.e, self.field.p
+        vals = [e * vp_rational(g, p) + i for i in range(e) if (g := gcd(*self.nums[i::e]))]
+        return min(vals) - e * vp_rational(self.den, p) if vals else INF
 
     def to_json(self):
         return [[a.to_json() for a in r] for r in self.rows]
 
     @staticmethod
     def from_json(field: FieldDesc, data) -> KMat:
-        return KMat.from_rows(
-            field, [[KElem.from_json(field, a) for a in row] for row in data]
-        )
+        return KMat.from_rows(field, [[KElem.from_json(field, a) for a in row] for row in data])
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(repr(a) for a in r) + "]" for r in self.rows)
         return f"KMat({body})"
 
 
+def _reduced(field: FieldDesc, nrows: int, ncols: int, den: int, nums) -> KMat:
+    """The canonical KMat with coordinates nums / den (den >= 1)."""
+    g = gcd(den, *nums)
+    if g > 1:
+        den, nums = den // g, [a // g for a in nums]
+    return KMat(field, nrows, ncols, den, tuple(nums))
+
+
 def int_form(mats) -> tuple[int, list]:
-    """(d, forms): d is the lcm of the coordinate denominators of all of mats,
-    and forms[n][r] lists (c, ((i, d * coord_i), ...)) over the nonzero
-    entries (r, c) of mats[n] and their nonzero coordinates i."""
-    den = lcm(*(q.denominator for m in mats for row in m.rows for a in row for q in a.coords))
-
-    def ints(a: KElem):
-        return tuple((i, q.numerator * (den // q.denominator)) for i, q in enumerate(a.coords) if q)
-
-    return den, [[[(c, v) for c, a in enumerate(row) if (v := ints(a))] for row in m.rows] for m in mats]
+    """(d, forms): d is the lcm of the denominators of all of mats, and
+    forms[n][r] lists (c, ((i, d * coord_i), ...)) over the nonzero entries
+    (r, c) of mats[n] and their nonzero coordinates i."""
+    den = lcm(*(m.den for m in mats))
+    forms = []
+    for m in mats:
+        e, s, nums = m.field.e, den // m.den, m.nums
+        ints = [tuple((i, a * s) for i, a in enumerate(nums[k : k + e]) if a) for k in range(0, len(nums), e)]
+        rows = (ints[r * m.ncols : (r + 1) * m.ncols] for r in range(m.nrows))
+        forms.append([[(c, v) for c, v in enumerate(row) if v] for row in rows])
+    return den, forms
 
 
 def accumulate(polys: list[list[int]], a: list, b: list, ncols: int, scale: int):
@@ -168,15 +172,9 @@ def accumulate(polys: list[list[int]], a: list, b: list, ncols: int, scale: int)
 def from_polys(field: FieldDesc, polys: list[list[int]], nrows: int, ncols: int, den: int) -> KMat:
     """The matrix whose entry (r, c) is polys[r * ncols + c] reduced mod E with
     the integer pi-power table and divided by den * _pow_den."""
-    den *= field._pow_den
     columns = tuple(zip(*field._int_pow_table))
-    entries = [
-        KElem(field, tuple(Fraction(sum(map(int.__mul__, poly, col)), den) for col in columns))
-        if any(poly)
-        else field.zero
-        for poly in polys
-    ]
-    return KMat(field, tuple(tuple(entries[r * ncols : (r + 1) * ncols]) for r in range(nrows)))
+    nums = [sum(map(int.__mul__, poly, col)) for poly in polys for col in columns]
+    return _reduced(field, nrows, ncols, den * field._pow_den, nums)
 
 
 def sum_products(pairs) -> KMat:

@@ -156,15 +156,7 @@ class SimplexRingElem:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, KElem)):
-            return SimplexRingElem(
-                self.field,
-                self.n_vars,
-                self.trunc,
-                self.size,
-                {key: mat * other for key, mat in self.coeffs.items()},
-            )
-        if isinstance(other, KMat):
+        if isinstance(other, (int, Fraction, KElem, KMat)):
             return SimplexRingElem(
                 self.field,
                 self.n_vars,

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prismstrat import cli
 from prismstrat.cli import main, run
@@ -19,6 +21,10 @@ BASE_SPEC = {
     "trunc": {"t": 3, "x": 4},
     "padic_prec": 8,
 }
+
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+SINGLE_SPEC_COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "validate")
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -303,3 +309,75 @@ def test_sweep_caps_workers(tmp_path, monkeypatch, jobs, cpus, n_instances, expe
     spec = write_spec(tmp_path, sweep)
     assert run("sweep", spec, str(tmp_path / "out.json"), jobs=jobs) == 0
     assert started == ([] if expected is None else [expected])
+
+
+def _mutated(spec: dict, path: tuple, value):
+    """A copy of spec with the field, seed row or option at path set to value."""
+    out = json.loads(json.dumps(spec))
+    node = out
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = value
+    return out
+
+
+_SCALAR = st.one_of(st.integers(-2, 8), st.sampled_from(["1/0", "x", "1/2", "-3", ""]), st.none())
+_KEY = st.sampled_from(["t", "x", "n_max"])
+_VALUE = st.one_of(
+    st.integers(-2, 8),
+    st.lists(_SCALAR, max_size=3),
+    st.recursive(
+        _SCALAR,
+        lambda v: st.lists(v, max_size=3) | st.dictionaries(_KEY, v, max_size=2),
+        max_leaves=5,
+    ),
+)
+_PATHS = [
+    ("p",), ("E_coeffs",), ("rank",), ("seeds",), ("trunc",), ("trunc", "t"), ("trunc", "x"),
+    ("padic_prec",), ("options",), ("seeds", 0, 0), ("seeds", 0, -1), ("seeds", 2, 0),
+    *(("options", name) for name in cli.INT_OPTIONS),
+]
+
+
+@settings(max_examples=40, deadline=5000, derandomize=True)
+@given(name=st.sampled_from(["cocycle_e1", "commuting_e3"]), path=st.sampled_from(_PATHS), value=_VALUE)
+@example(name="commuting_e3", path=("seeds", 0, -1), value=["3"])
+@example(name="commuting_e3", path=("seeds", 0, -1), value=["1", "2", 3])
+@example(name="cocycle_e1", path=("trunc", "x"), value=0)
+def test_mutated_spec_keeps_cli_contract(tmp_path_factory, name, path, value):
+    # every single-spec command exits 0, 2 or 3 with a JSON report, and an
+    # "error" object on failure; the explicit examples are ragged seed rows
+    # and pd degree 0
+    tmp = tmp_path_factory.mktemp("contract")
+    spec = write_spec(tmp, _mutated(json.loads((SPECS / f"{name}.json").read_text()), path, value))
+    out = tmp / "out.json"
+    for command in SINGLE_SPEC_COMMANDS:
+        code = main([command, "--spec", spec, "--out", str(out)])
+        assert code in (0, 2, 3), command
+        report = json.loads(out.read_text())
+        assert (code != 0) == isinstance(report.get("error"), dict), command
+
+
+@pytest.mark.parametrize("row", [["3"], ["3", "4", 5]], ids=["short", "long"])
+def test_ragged_seed_rows_exit_2(tmp_path, row):
+    zero = [["0", "0"], ["0", "0"]]
+    data = {**BASE_SPEC, "rank": 2, "seeds": [[["1", "2"], row], zero, zero]}
+    spec = write_spec(tmp_path, data)
+    out = str(tmp_path / "out.json")
+    for command in ("gen", "h0"):
+        assert run(command, spec, out) == 2
+        assert json.loads(open(out).read())["error"]["type"] == "ShapeMismatch"
+    assert run("validate", spec, out) == 0
+    parse = json.loads(open(out).read())["diagnostics"][0]
+    assert (parse["check"], parse["ok"], parse["error"]) == ("parse", False, "ShapeMismatch")
+
+
+def test_pd_degree_zero(tmp_path):
+    # closed-form needs N^1 even at pd degree 0; h0 has no X^[1] condition there
+    data = json.loads((SPECS / "cocycle_e1.json").read_text())
+    spec = write_spec(tmp_path, {**data, "trunc": {"t": 3, "x": 0}})
+    out = str(tmp_path / "out.json")
+    assert run("closed-form", spec, out) == 0
+    assert run("h0", spec, out) == 2
+    error = json.loads(open(out).read())["error"]
+    assert error["type"] == "ShapeMismatch" and "pd degree" in error["message"]

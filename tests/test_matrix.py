@@ -1,14 +1,14 @@
-"""Exact linear algebra over K: the integer product kernel, kernels of block
-lower-triangular systems, rational roots."""
+"""Exact linear algebra over K: integer storage, the integer product kernel,
+kernels of block lower-triangular systems, rational roots."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prismstrat.field import field_init
+from prismstrat.field import INF, field_init
 from prismstrat.matrix import KMat, kernel_basis, rational_roots, sum_products
 
 FIELDS = [field_init(3, [-3, 1]), field_init(3, [-3, 0, 1]), field_init(3, [-3, 0, 0, 1])]
@@ -51,6 +51,38 @@ def test_kernel_of_block_system_extends_first_block_kernel(field):
         assert lifted == kernel_basis(KMat.from_rows(field, whole))
 
     inner()
+
+
+@pytest.mark.parametrize("field", FIELDS + [FIELD_FRAC], ids=["e1", "e2", "e3", "e2_frac"])
+def test_integer_storage_matches_entrywise_kelem(field):
+    # the canonical integer form against the KElem grid it stands for
+    coord = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 5, 9, 27]))
+
+    def grid(data, n, m):
+        cs = data.draw(st.lists(coord, min_size=n * m * field.e, max_size=n * m * field.e))
+        entries = [field.from_coords(cs[k : k + field.e]) for k in range(0, len(cs), field.e)]
+        return tuple(tuple(entries[r * m : (r + 1) * m]) for r in range(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def inner(data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        rows, other = grid(data, n, m), grid(data, n, m)
+        a, b = KMat.from_rows(field, rows), KMat.from_rows(field, other)
+        assert a.rows == rows
+        assert a.den >= 1 and gcd(a.den, *a.nums) == 1
+        assert (a + b) - b == a and (a - b) + b == a
+        scalars = [data.draw(st.integers(-9, 9)), data.draw(coord), grid(data, 1, 1)[0][0]]
+        for c in scalars:
+            assert a * c == KMat.from_rows(field, [[x * c for x in r] for r in rows]) == c * a
+        if n == m:
+            assert a.trace() == sum((rows[i][i] for i in range(n)), field.zero)
+        assert a.to_json() == [[x.to_json() for x in r] for r in rows]
+        assert a.min_valuation() == min(x.valuation() for r in rows for x in r)
+
+    inner()
+    assert KMat.zero(field, 2, 3).min_valuation() is INF
+    assert KMat.zero(field, 2).den == 1
 
 
 def _reference_product(x, y):
