@@ -26,7 +26,7 @@ from math import comb
 
 from .cosimplicial import CDTable, CosimpCtx, cd_table
 from .errors import ShapeMismatch
-from .matrix import KMat, kernel_basis, rank, sum_products
+from .matrix import KMat, blocks, kernel_basis, rank, submatrix, sum_products
 from .stratification import StratTable
 
 
@@ -113,35 +113,28 @@ def stage1_rows(table: StratTable, ctx: CosimpCtx, t_order: int) -> list[list]:
 
 
 def _extend_kernel(
-    table: StratTable, ctx: CosimpCtx, cd: CDTable, k_range, basis: list, t: int
-) -> list:
-    """The order-(t+1) kernel basis from the order-t one, formed with R_p
-    only against a nonzero B_p block K[p] of `basis`.
+    table: StratTable, ctx: CosimpCtx, cd: CDTable, k_range, basis: KMat, t: int
+) -> KMat:
+    """The order-(t+1) kernel from the order-t one, both as KMats whose
+    columns are the basis; R_p is formed only against a nonzero block
+    K[p] of `basis`.
 
-    kernel_basis gives each vector a 1 at its last nonzero position, a free
+    kernel_basis gives each column a 1 at its last nonzero position, a free
     column, and 0 at the other free columns.  If `basis` has that form, so
-    has the result: the vector for a free z-column i is (K_i + sum_j c_j K_j,
+    has the result: the column for a free z-column i is (K_i + sum_j c_j K_j,
     0) over z-pivots j < i, and one for a free y-column has z only at
-    pivots j, where K_j is 0 at every other vector's free column.
+    pivots j, where K_j is 0 at every other column's free column.
     """
-    field, l, d = ctx.field, table.l, len(basis)
+    field, l, d = ctx.field, table.l, basis.ncols
     # R_p acts on [K[p] | 0] for p < t (the old unknowns z), R_t on [0 | I] (the new y)
-    zeros, ident = [field.zero] * l, KMat.identity(field, l).rows
-    lifts = [
-        (p, KMat.from_rows(field, [[v[p * l + r] for v in basis] + zeros for r in range(l)])) for p in range(t)
-    ]
-    lifts = [(p, kp) for p, kp in lifts if not kp.is_zero()]
-    lifts.append((t, KMat.from_rows(field, [[field.zero] * d + list(ident[r]) for r in range(l)])))
-    rows = []
-    for k in k_range:
-        rows += sum_products([(condition_block(table, ctx, cd, t, k, p), kp) for p, kp in lifts]).rows
-    extended = []
-    for zy in kernel_basis(KMat.from_rows(field, rows)):
-        vec = [field.zero] * (l * t)
-        for z, old in zip(zy, basis):
-            vec = [a + z * b for a, b in zip(vec, old)]
-        extended.append(vec + list(zy[d:]))
-    return extended
+    lifts = [(p, submatrix(basis, range(p * l, (p + 1) * l), range(d))) for p in range(t)]
+    lifts = [(p, blocks([[kp, KMat.zero(field, l)]])) for p, kp in lifts if not kp.is_zero()]
+    lifts.append((t, blocks([[KMat.zero(field, l, d), KMat.identity(field, l)]])))
+    system = blocks(
+        [[sum_products([(condition_block(table, ctx, cd, t, k, p), kp) for p, kp in lifts])] for k in k_range]
+    )
+    lift = blocks([[basis, KMat.zero(field, l * t, l)], [KMat.zero(field, l, d), KMat.identity(field, l)]])
+    return lift * kernel_basis(system)
 
 
 def h0_solve(table: StratTable, ctx: CosimpCtx) -> H0Solution:
@@ -153,15 +146,16 @@ def h0_solve(table: StratTable, ctx: CosimpCtx) -> H0Solution:
         raise ShapeMismatch("table must be generated up to n = pd_degree")
     l = table.l
     cd = cd_table(ctx, range(0, T))
-    stage1, kernel, dims = [], [], []
+    stage1 = kernel = KMat.zero(ctx.field, 0)
+    dims = []
     for t in range(T):
         stage1 = _extend_kernel(table, ctx, cd, (1,), stage1, t)
         kernel = _extend_kernel(table, ctx, cd, range(1, D + 1), kernel, t)
-        dims.append(len(kernel))
+        dims.append(kernel.ncols)
     basis = tuple(
-        tuple(KMat.from_rows(ctx.field, [[a] for a in vec[m * l : (m + 1) * l]]) for m in range(T))
-        for vec in kernel
+        tuple(submatrix(kernel, range(m * l, (m + 1) * l), [j]) for m in range(T))
+        for j in range(kernel.ncols)
     )
     stabilized = len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]
     q = h0_dim_bound(table.at(0, 1), T - 1 + l)
-    return H0Solution(l, T, basis, tuple(dims), len(stage1), stabilized, q)
+    return H0Solution(l, T, basis, tuple(dims), stage1.ncols, stabilized, q)

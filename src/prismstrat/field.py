@@ -61,6 +61,21 @@ def vp_rational(x: Fraction, p: int):
     return v
 
 
+def poly_divmod(f: list[Fraction], g: list[Fraction]):
+    """(quotient, remainder) of f by g (g[-1] != 0), low-to-high, the
+    remainder without trailing zeros."""
+    rem, quot = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(rem) >= len(g):
+        c, shift = rem[-1] / g[-1], len(rem) - len(g)
+        quot[shift] = c
+        for i, gi in enumerate(g):
+            rem[shift + i] -= c * gi
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -275,53 +290,25 @@ class KElem:
         return acc
 
     def inverse(self) -> KElem:
-        """Inverse mod E via extended Euclid over Q[u]."""
+        """Inverse mod E via extended Euclid over Q[u]: s_i a = r_i mod E."""
         if self.is_zero():
             raise DivisionByZero("inverting 0 in K")
         fld = self.field
-        if fld.e == 1:
-            return KElem(fld, (1 / self.coords[0],))
-        # extended gcd of a(u) and E(u) in Q[u]; E irreducible so gcd is a unit
-        r0 = list(fld.E_coeffs)
-        r1 = list(self.coords)
-        while r1 and r1[-1] == 0:
+        r0, r1 = list(fld.E_coeffs), list(self.coords)
+        while r1[-1] == 0:
             r1.pop()
-        s0: list[Fraction] = [Fraction(0)]
-        s1: list[Fraction] = [Fraction(1)]
-
-        def poly_sub_scaled(a, b, c, shift):
-            # a -= c * u^shift * b, in place on a copy
-            out = list(a) + [Fraction(0)] * max(0, len(b) + shift - len(a))
-            for i, bi in enumerate(b):
-                out[i + shift] -= c * bi
-            while out and out[-1] == 0:
-                out.pop()
-            return out
-
+        s0, s1 = [], [Fraction(1)]
         while len(r1) > 1:
-            # divide r0 by r1
-            q = [Fraction(0)] * max(len(r0) - len(r1) + 1, 0)
-            rem = list(r0)
-            while len(rem) >= len(r1):
-                c = rem[-1] / r1[-1]
-                shift = len(rem) - len(r1)
-                q[shift] = c
-                rem = poly_sub_scaled(rem, r1, c, shift)
-            # s_next = s0 - q * s1
-            s_next = list(s0)
+            q, rem = poly_divmod(r0, r1)
+            s_next = s0 + [Fraction(0)] * (len(q) + len(s1) - 1 - len(s0))
             for i, qi in enumerate(q):
-                if qi != 0:
-                    s_next = poly_sub_scaled(s_next, s1, qi, i)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_next
-            if not r1:
-                break
+                for j, sj in enumerate(s1):
+                    s_next[i + j] -= qi * sj
+            r0, r1, s0, s1 = r1, rem, s1, s_next
         if not r1:
-            # gcd is r0; for irreducible E this means a was a multiple of E => 0
+            # the gcd r0 is not a unit, which E irreducible rules out for a != 0
             raise DivisionByZero("element not invertible mod E")
-        # r1 is a nonzero constant; inverse is s1 / r1[0]
-        inv_coords = [c / r1[0] for c in s1]
-        return fld.from_coords(inv_coords)
+        return fld.from_coords([c / r1[0] for c in s1])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -405,7 +392,7 @@ class PadicApprox:
     """A KElem known modulo p^prec (absolute p-adic precision).
 
     prec is a Fraction (valuations of K-elements live in (1/e)Z) or INF
-    for exact values.  Arithmetic propagates precision pessimistically.
+    for exact values.
     """
 
     value: KElem
@@ -419,32 +406,6 @@ class PadicApprox:
     def approx(value: KElem, prec) -> PadicApprox:
         return PadicApprox(value, prec if prec is INF else Fraction(prec))
 
-    def _vp(self):
-        return self.value.vp()
-
-    def __add__(self, other: PadicApprox) -> PadicApprox:
-        return PadicApprox(self.value + other.value, min(self.prec, other.prec))
-
-    def __sub__(self, other: PadicApprox) -> PadicApprox:
-        return PadicApprox(self.value - other.value, min(self.prec, other.prec))
-
-    def __mul__(self, other: PadicApprox) -> PadicApprox:
-        va, vb = self._vp(), other._vp()
-        prec = min(
-            _add_prec(self.prec, vb),
-            _add_prec(other.prec, va),
-            _add_prec(self.prec, other.prec),
-        )
-        return PadicApprox(self.value * other.value, prec)
-
-    def __truediv__(self, other: PadicApprox) -> PadicApprox:
-        vb = other._vp()
-        if vb is INF:
-            raise DivisionByZero("division by (approximate) zero")
-        va = self._vp()
-        prec = min(_add_prec(self.prec, -vb), _add_prec(other.prec, va - 2 * vb))
-        return PadicApprox(self.value / other.value, prec)
-
     def agrees_mod(self, other: PadicApprox, n) -> bool:
         """Whether self == other modulo p^n (as far as both are known)."""
         diff = (self.value - other.value).vp()
@@ -452,7 +413,7 @@ class PadicApprox:
 
     def known_nonzero(self) -> bool:
         """Nonzero at the stated precision: v_p(value) < prec."""
-        v = self._vp()
+        v = self.value.vp()
         return v is not INF and v < self.prec
 
     def to_json(self) -> dict:
@@ -464,9 +425,3 @@ class PadicApprox:
     def __repr__(self):
         pr = "inf" if self.prec is INF else str(self.prec)
         return f"{self.value!r} + O(p^{pr})"
-
-
-def _add_prec(a, b):
-    if a is INF or b is INF:
-        return INF
-    return a + b

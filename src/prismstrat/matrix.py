@@ -3,9 +3,11 @@
 Everything is dense and tiny (rank l <= a handful); exact Gaussian
 elimination needs no pivoting strategy beyond "first nonzero entry".
 A matrix stores integer pi-coordinates over one denominator, after FLINT's
-fmpq_mat; `rows` is the K-element view that parsing, to_json and
-elimination use.  Every matrix product, and the ring product in series,
-runs on one integer kernel: int_form, accumulate, from_polys.
+fmpq_mat; `rows` is the K-element view for parsing, to_json and 1 x 1 reads.
+Every matrix product, and the ring product in series, runs on one integer
+kernel: int_form, accumulate, from_polys.  The one elimination, echelon,
+runs its rank-1 updates on that kernel, and submatrix and blocks slice and
+assemble the integer storage directly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 
 from .errors import NonUnit, ShapeMismatch
-from .field import INF, FieldDesc, KElem, vp_rational
+from .field import INF, FieldDesc, KElem, poly_divmod, vp_rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,46 +199,60 @@ def sum_products(pairs) -> KMat:
     return from_polys(field, polys, nrows, ncols, den)
 
 
-def row_reduce(rows: list[list[KElem]], field: FieldDesc):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+def submatrix(m: KMat, rows, cols) -> KMat:
+    """The matrix of the entries (r, c) of m, r in rows and c in cols, in order."""
+    e, nums = m.field.e, m.nums
+    out = [a for r in rows for c in cols for a in nums[(r * m.ncols + c) * e : (r * m.ncols + c + 1) * e]]
+    return _reduced(m.field, len(rows), len(cols), m.den, out)
+
+
+def blocks(grid) -> KMat:
+    """The matrix assembled from a non-empty grid of KMats; the blocks of
+    one grid row share nrows, and every grid row has the same width."""
+    field, den = grid[0][0].field, lcm(*(b.den for row in grid for b in row))
+    ncols, nums = sum(b.ncols for b in grid[0]), []
+    for row in grid:
+        if any(b.nrows != row[0].nrows for b in row) or sum(b.ncols for b in row) != ncols:
+            raise ShapeMismatch(f"blocks {[(b.nrows, b.ncols) for b in row]} do not fit")
+        for r in range(row[0].nrows):
+            for b in row:
+                w = b.ncols * field.e
+                nums += [a * (den // b.den) for a in b.nums[r * w : (r + 1) * w]]
+    return _reduced(field, sum(row[0].nrows for row in grid), ncols, den, nums)
+
+
+def echelon(m: KMat) -> tuple[KMat, list[int]]:
+    """(R, pivots): the reduced row echelon form of m and its pivot columns.
+    Each pivot takes one K-inverse and one rank-1 update
+    R -= (R[:, c] - e_r) (R[r] / R[r, c]) on the integer kernel."""
+    field, e, nrows, ncols = m.field, m.field.e, m.nrows, m.ncols
+    R, pivots, cols, w = m, [], range(ncols), ncols * e
+    for c in cols:
+        r = len(pivots)
         if r == nrows:
             break
-    return pivots
+        piv = next((i for i in range(r, nrows) if any(R.nums[i * w + c * e : i * w + (c + 1) * e])), None)
+        if piv is None:
+            continue
+        if piv != r:
+            order = list(range(nrows))
+            order[r], order[piv] = piv, r
+            R = submatrix(R, order, cols)
+        inv = KMat.scalar(field, 1, submatrix(R, [r], [c]).rows[0][0].inverse())
+        unit = submatrix(KMat.identity(field, nrows), range(nrows), [r])
+        R = R - (submatrix(R, range(nrows), [c]) - unit) * (inv * submatrix(R, [r], cols))
+        pivots.append(c)
+    return R, pivots
 
 
-def kernel_basis(m: KMat) -> list[tuple[KElem, ...]]:
-    """Basis of the right kernel {x : m x = 0}, exact over K."""
-    field = m.field
-    ncols = m.ncols
-    rows = [list(r) for r in m.rows]
-    pivots = row_reduce(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
+def kernel_basis(m: KMat) -> KMat:
+    """The ncols x d matrix whose columns are a basis of {x : m x = 0}: the
+    column for the j-th free column f is 1 at f, 0 at the other free
+    columns and -R[r, f] at pivot column r of R = echelon(m)."""
+    R, pivots = echelon(m)
+    free = [c for c in range(m.ncols) if c not in pivots]
+    stacked = blocks([[-submatrix(R, range(len(pivots)), free)], [KMat.identity(m.field, len(free))]])
+    return submatrix(stacked, [(pivots + free).index(c) for c in range(m.ncols)], range(len(free)))
 
 
 def mat_inverse(m: KMat) -> KMat:
@@ -244,18 +260,14 @@ def mat_inverse(m: KMat) -> KMat:
     n = m.nrows
     if n != m.ncols:
         raise NonUnit("matrix is singular over K")
-    ident = KMat.identity(m.field, n).rows
-    aug = [list(r) + list(ident[i]) for i, r in enumerate(m.rows)]
-    if row_reduce(aug, m.field) != list(range(n)):
+    R, pivots = echelon(blocks([[m, KMat.identity(m.field, n)]]))
+    if pivots != list(range(n)):
         raise NonUnit("matrix is singular over K")
-    return KMat.from_rows(m.field, [row[n:] for row in aug])
+    return submatrix(R, range(n), range(n, 2 * n))
 
 
 def rank(m: KMat) -> int:
-    rows = [list(r) for r in m.rows]
-    if not rows:
-        return 0
-    return len(row_reduce(rows, m.field))
+    return len(echelon(m)[1])
 
 
 def charpoly(m: KMat) -> list[KElem]:
@@ -299,7 +311,7 @@ def rational_roots(poly: list[KElem]) -> list[Fraction] | None:
         f.pop(0)
     a = abs(int(f[-1] * lcm(*(c.denominator for c in f))))
     bound = 2 + int(max((abs(c / f[-1]) for c in f[:-1]), default=0))
-    square_free = _poly_divmod(f, _sturm(f)[-1])[0]  # f / gcd(f, f')
+    square_free = poly_divmod(f, _sturm(f)[-1])[0]  # f / gcd(f, f')
     sturm = _sturm(square_free)
     intervals = [(Fraction(-bound), Fraction(bound))]
     while intervals:
@@ -309,7 +321,7 @@ def rational_roots(poly: list[KElem]) -> list[Fraction] | None:
             r = Fraction(floor(hi * a), a)
             if r <= lo or _poly_eval(square_free, r):
                 return None  # an irrational real root
-            while not (rem := _poly_divmod(f, [-r, 1]))[1]:
+            while not (rem := poly_divmod(f, [-r, 1]))[1]:
                 f = rem[0]
                 roots.append(r)
         elif count:
@@ -323,7 +335,7 @@ def rational_roots(poly: list[KElem]) -> list[Fraction] | None:
 def _sturm(f: list[Fraction]) -> list[list[Fraction]]:
     """Sturm sequence f, f', -rem(f, f'), ...; its last entry is gcd(f, f')."""
     seq = [f, [c * k for k, c in enumerate(f)][1:]]
-    while seq[-1] and (rem := _poly_divmod(seq[-2], seq[-1])[1]):
+    while seq[-1] and (rem := poly_divmod(seq[-2], seq[-1])[1]):
         seq.append([-c for c in rem])
     return seq if seq[-1] else seq[:-1]
 
@@ -339,17 +351,3 @@ def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
         acc = acc * x + c
     return acc
 
-
-def _poly_divmod(f: list[Fraction], g: list[Fraction]):
-    """(quotient, remainder) of f by g (g[-1] != 0), low-to-high, the
-    remainder without trailing zeros."""
-    rem, quot = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(rem) >= len(g):
-        c, shift = rem[-1] / g[-1], len(rem) - len(g)
-        quot[shift] = c
-        for i, gi in enumerate(g):
-            rem[shift + i] -= c * gi
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return quot, rem

@@ -1,5 +1,6 @@
 """Exact linear algebra over K: integer storage, the integer product kernel,
-kernels of block lower-triangular systems, rational roots."""
+elimination against a KElem reference, kernels of block lower-triangular
+systems, rational roots."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismstrat.field import INF, field_init
-from prismstrat.matrix import KMat, kernel_basis, rational_roots, sum_products
+from prismstrat.errors import NonUnit
+from prismstrat.matrix import KMat, echelon, kernel_basis, mat_inverse, rank, rational_roots, sum_products
 
 FIELDS = [field_init(3, [-3, 1]), field_init(3, [-3, 0, 1]), field_init(3, [-3, 0, 0, 1])]
 # Eisenstein at 3 with non-integral coefficients: pi^k mod E has denominators
@@ -28,6 +30,107 @@ def _matrix(data, field, nrows, ncols):
     return [entries[r * ncols : (r + 1) * ncols] for r in range(nrows)]
 
 
+def _row_reduce(rows, field):
+    """In-place reduced row echelon form of a KElem grid by KElem loops, as
+    elimination was before it ran on KMat; returns the pivot columns."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _reference_kernel(rows, ncols, field):
+    """Kernel vectors of a KElem grid from _row_reduce: a 1 at the free
+    column, 0 at the other free columns, -R[r, free] at pivot r."""
+    rows = [list(r) for r in rows]
+    pivots = _row_reduce(rows, field)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _columns(m):
+    """The columns of a KMat as tuples of KElems."""
+    return list(zip(*m.rows)) if m.nrows else [()] * m.ncols
+
+
+def _kmat(field, grid, ncols):
+    return KMat.from_rows(field, grid) if grid else KMat.zero(field, 0, ncols)
+
+
+@pytest.mark.parametrize("field", FIELDS + [FIELD_FRAC], ids=["e1", "e2", "e3", "e2_frac"])
+def test_echelon_matches_kelem_reference(field):
+    # wide, tall, square, rank-deficient, zero and empty shapes against
+    # the KElem elimination, exactly
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def inner(data):
+        n, m = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        kind = data.draw(st.sampled_from(["random", "deficient", "zero"]))
+        grid = _matrix(data, field, n, m) if kind != "zero" else [[field.zero] * m for _ in range(n)]
+        if kind == "deficient" and n >= 2:
+            # the last row is a K-combination of the others
+            cs = _matrix(data, field, 1, n - 1)[0]
+            grid[-1] = [sum((c * row[j] for c, row in zip(cs, grid)), field.zero) for j in range(m)]
+        mat = _kmat(field, grid, m)
+        ref = [list(r) for r in grid]
+        pivots = _row_reduce(ref, field)
+        R, got = echelon(mat)
+        assert got == pivots
+        assert R == _kmat(field, ref, m)
+        assert rank(mat) == len(pivots)
+        kernel = kernel_basis(mat)
+        assert (kernel.nrows, kernel.ncols) == (m, m - len(pivots))
+        assert _columns(kernel) == _reference_kernel(grid, m, field)
+        if n == m:
+            ident = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+            aug = [list(r) + ident[i] for i, r in enumerate(grid)]
+            if _row_reduce(aug, field) != list(range(n)):
+                with pytest.raises(NonUnit):
+                    mat_inverse(mat)
+            else:
+                inv = mat_inverse(mat)
+                assert inv == _kmat(field, [r[n:] for r in aug], n)
+                assert mat * inv == KMat.identity(field, n)
+
+    inner()
+
+
+def test_empty_shapes():
+    field = FIELDS[1]
+    for n, m in ((0, 0), (3, 0), (0, 3)):
+        mat = KMat.zero(field, n, m)
+        assert echelon(mat) == (mat, [])
+        assert kernel_basis(mat) == KMat.identity(field, m)
+        assert rank(mat) == 0
+    assert mat_inverse(KMat.zero(field, 0)) == KMat.zero(field, 0)
+    with pytest.raises(NonUnit):
+        mat_inverse(KMat.zero(field, 2))
+    with pytest.raises(NonUnit):
+        mat_inverse(KMat.zero(field, 2, 3))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=["e1", "e2", "e3"])
 def test_kernel_of_block_system_extends_first_block_kernel(field):
     # h0_solve's per-order step: with K = kernel_basis(A), A wider than tall,
@@ -40,15 +143,15 @@ def test_kernel_of_block_system_extends_first_block_kernel(field):
         r1, r2 = data.draw(st.integers(1, n1 - 1)), data.draw(st.integers(1, 3))
         a, b, c = (_matrix(data, field, r, n) for r, n in ((r1, n1), (r2, n1), (r2, n2)))
         whole = [row + [field.zero] * n2 for row in a] + [x + y for x, y in zip(b, c)]
-        k = kernel_basis(KMat.from_rows(field, a))
+        k = _columns(kernel_basis(KMat.from_rows(field, a)))
         bk = [[sum((x * v for x, v in zip(row, vec)), field.zero) for vec in k] for row in b]
         lifted = []
-        for zy in kernel_basis(KMat.from_rows(field, [x + y for x, y in zip(bk, c)])):
+        for zy in _columns(kernel_basis(KMat.from_rows(field, [x + y for x, y in zip(bk, c)]))):
             first = [field.zero] * n1
             for z, vec in zip(zy, k):
                 first = [f + z * v for f, v in zip(first, vec)]
             lifted.append(tuple(first) + zy[len(k) :])
-        assert lifted == kernel_basis(KMat.from_rows(field, whole))
+        assert lifted == _columns(kernel_basis(KMat.from_rows(field, whole)))
 
     inner()
 
