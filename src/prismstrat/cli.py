@@ -13,10 +13,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .closedform import conjecture_residual, h_table, verify_commutative
 from .cohomology import h0_solve
@@ -180,8 +180,7 @@ def validate_spec(raw: dict) -> dict:
     return {"ok": ok, "diagnostics": diagnostics}
 
 
-def _dispatch(command: str, spec: ProblemSpec) -> dict:
-    ctx = CosimpCtx(spec.field, spec.trunc)
+def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
     opts = spec.options
     if command == "gen":
         n_max = opts.get("n_max", spec.trunc.pd_degree)
@@ -231,13 +230,18 @@ def _dispatch(command: str, spec: ProblemSpec) -> dict:
     raise ValidationError(f"unknown command {command!r}")
 
 
+# The one context of each (field, trunc) in a sweep process, cleared when
+# run_sweep returns.  Sharing is safe: a context caches only exact values.
+_sweep_ctx = cache(CosimpCtx)
+
+
 def _run_worker(payload):
     """Sweep worker: parse and run one instance; must stay picklable."""
     idx, command, raw = payload
     instance_id = raw.get("id", idx)
     try:
         spec = load_problem(raw)
-        report = _dispatch(command, spec)
+        report = _dispatch(command, spec, _sweep_ctx(spec.field, spec.trunc))
         return {"id": instance_id, "ok": True, "report": report}
     except EngineError as exc:
         return {
@@ -260,11 +264,15 @@ def run_sweep(raw: dict, jobs: int) -> dict:
     payloads = [(idx, command, {**base, **inst}) for idx, inst in enumerate(instances)]
     # ProcessPoolExecutor forks all max_workers processes at once
     workers = min(jobs, os.cpu_count() or 1, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_worker, payloads))
-    else:
-        results = [_run_worker(p) for p in payloads]
+    try:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_run_worker, payloads))
+        else:
+            results = [_run_worker(p) for p in payloads]
+    finally:
+        _sweep_ctx.cache_clear()
     flagged = []
     for res in results:
         if not res["ok"]:
@@ -305,7 +313,7 @@ def run(command: str, spec_path: str, out_path: str | None = None, **overrides) 
             report = run_sweep(raw, jobs)
         else:
             spec = load_problem(raw, overrides)
-            report = _dispatch(command, spec)
+            report = _dispatch(command, spec, CosimpCtx(spec.field, spec.trunc))
     except ValidationError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, out_path)
         return 2

@@ -256,10 +256,11 @@ def closedform_series(htable: HTable, m: int, ctx: CosimpCtx, pd_degree: int | N
     growth = exponential_sum_series(field, htable.seeds.a01, tr)
     if m == 0:
         return growth
-    # (1 - beta X)^r = (1 + N)^r with N^i = (-beta X)^i = (-beta)^i i! X^[i]
+    # (1 - beta X)^r = (1 + N)^r with N^i = (-beta X)^i = (-beta)^i i! X^[i],
+    # through N^(deg+1) = 0, so binomial_power never extends the list
     n_pow = [
         SRE.ordinary_monomial(field, 1, tr, 0, (i,), KMat.scalar(field, 1, (-field.beta) ** i))
-        for i in range(max(deg, 1) + 1)
+        for i in range(deg + 2)
     ]
     # sum_j h~_{m,j} (1 - beta X)^(m-j) X^j, then one product with the growth series
     prefactor = SRE.zero(field, 1, tr, l)

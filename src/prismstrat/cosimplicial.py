@@ -61,7 +61,7 @@ class CosimpCtx:
         self.alpha = alpha_series(field, self.theta, trunc)
         one = SRE.one(field, 1, trunc)
         self._n_pow = [one, self.alpha - one]
-        self._alpha_pows: dict = {}
+        self._alpha_pows: dict[int, SRE] = {}
         self._alpha_pows_2v: dict[int, SRE] = {}
 
     def theta_at(self, n: int, i: int) -> KElem:
@@ -74,12 +74,16 @@ class CosimpCtx:
         return self.field.beta
 
     def alpha_pow(self, k) -> SRE:
-        """alpha^k in the 1-variable ring, cached; k an integer of either sign
-        or a square KMat exponent (then the result is matrix valued).
+        """alpha^k in the 1-variable ring; k an integer of either sign, or a
+        square KMat exponent (then the result is matrix valued).
 
         alpha = 1 + N with N nilpotent, so alpha^k = sum_j C(k, j) N^j; the
-        powers N^j are shared by every exponent and built on demand.
+        powers N^j are shared by every exponent and built on demand.  Only
+        integer exponents are cached, so a context shared by many problems
+        does not grow with their number.
         """
+        if isinstance(k, KMat):
+            return binomial_power(self._n_pow, k)
         if k not in self._alpha_pows:
             self._alpha_pows[k] = binomial_power(self._n_pow, k)
         return self._alpha_pows[k]

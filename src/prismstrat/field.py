@@ -8,8 +8,8 @@ e*v_p(c_i) + i (distinct residues mod e), so
 
     v(sum_i c_i pi^i) = min_i (e*v_p(c_i) + i)
 
-with no cancellation.  This is the primary valuation routine; the norm
-form N(a) = det(mult-by-a) gives an independent oracle used in tests.
+with no cancellation.  This is the primary valuation routine; the tests
+check it against the norm form N(a) = det(mult-by-a).
 
 No floating point anywhere.
 """
@@ -334,35 +334,6 @@ class KElem:
         if v is INF:
             return INF
         return Fraction(v, self.field.e)
-
-    def norm(self) -> Fraction:
-        """Field norm N(a) = det of multiplication-by-a on the power basis."""
-        fld = self.field
-        e = fld.e
-        cols = []
-        basis = fld.one
-        for k in range(e):
-            col = (self * basis).coords
-            cols.append(col)
-            basis = basis * fld.pi
-        # det by fraction-free-ish Gaussian elimination over Q
-        m = [[cols[j][i] for j in range(e)] for i in range(e)]
-        det = Fraction(1)
-        for c in range(e):
-            piv = next((r for r in range(c, e) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, e):
-                f = m[r][c] * inv
-                if f:
-                    for cc in range(c, e):
-                        m[r][cc] -= f * m[c][cc]
-        return det
 
     def to_json(self) -> list[str]:
         return [rat_str(c) for c in self.coords]

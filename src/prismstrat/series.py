@@ -12,7 +12,9 @@ The ring x ring product runs on the integer kernel of matrix.py, after
 FLINT's fmpq_poly: each operand is scaled to integer coordinates over one
 denominator, every output entry accumulates an unreduced pi-polynomial
 across all term pairs, and that is reduced mod E and divided once.
-binomial_power collects its terms per key and sums each key in one call.
+binomial_power and the product by a matrix each take one kernel call: the
+coefficients are stacked into one matrix with blocks and the product is
+sliced back per key with submatrix.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import comb, factorial
 
 from .errors import BadConstantTerm, NonUnit, ShapeMismatch
 from .field import FieldDesc, KElem
-from .matrix import KMat, accumulate, from_polys, int_form, mat_inverse, sum_products
+from .matrix import KMat, accumulate, blocks, from_polys, int_form, mat_inverse, submatrix
 
 MultiIndex = tuple[int, ...]
 Key = tuple[int, MultiIndex]
@@ -156,14 +158,19 @@ class SimplexRingElem:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, KElem, KMat)):
-            return SimplexRingElem(
-                self.field,
-                self.n_vars,
-                self.trunc,
-                self.size,
-                {key: mat * other for key, mat in self.coeffs.items()},
-            )
+        if isinstance(other, (int, Fraction)):
+            coeffs = {key: mat * other for key, mat in self.coeffs.items()}
+            return SimplexRingElem(self.field, self.n_vars, self.trunc, self.size, coeffs)
+        if isinstance(other, KElem):
+            other = KMat.scalar(self.field, self.size, other)
+        if isinstance(other, KMat):
+            # one product: the coefficients stacked as rows, times other
+            if not self.coeffs:
+                return SimplexRingElem.zero(self.field, self.n_vars, self.trunc, self.size)
+            prod, l = blocks([[mat] for mat in self.coeffs.values()]) * other, self.size
+            rows = {key: range(n * l, (n + 1) * l) for n, key in enumerate(self.coeffs)}
+            coeffs = {key: submatrix(prod, r, range(other.ncols)) for key, r in rows.items()}
+            return SimplexRingElem(self.field, self.n_vars, self.trunc, self.size, coeffs)
         self._check_compatible(other)
         return _ring_product(self, other)
 
@@ -398,19 +405,25 @@ def binomial_power(n_pow: list[SimplexRingElem], exponent) -> SimplexRingElem:
         exponent = KMat.scalar(field, 1, field.from_rational(exponent))
     size = exponent.nrows
     ident = KMat.identity(field, size)
-    binom = ident
-    pairs: dict[Key, list] = {}
-    j = 0
+    binom, vec_binoms = ident, []
     while not binom.is_zero():
+        j = len(vec_binoms)
         if j == len(n_pow):
             n_pow.append(n_pow[-1] * n)
         if n_pow[j].is_zero():
             break
-        for key, c in n_pow[j].coeffs.items():
-            pairs.setdefault(key, []).append((binom, KMat.scalar(field, size, c.rows[0][0])))
+        vec_binoms.append(KMat(field, 1, size * size, binom.den, binom.nums))
+        if j + 1 < len(n_pow) and n_pow[j + 1].is_zero():
+            break  # C(M, j + 1) is not needed
         binom = binom * (exponent - ident * j) * Fraction(1, j + 1)
-        j += 1
-    out = {key: sum_products(terms) for key, terms in pairs.items()}
+    # one product: (the N^j coefficient of each key) x (the rows vec C(M, j))
+    n_pows = n_pow[: len(vec_binoms)]
+    keys = list(dict.fromkeys(key for nj in n_pows for key in nj.coeffs))
+    zero = KMat.zero(field, 1)
+    coeffs = blocks([[nj.coeffs.get(key, zero) for nj in n_pows] for key in keys])
+    prod = coeffs * blocks([[b] for b in vec_binoms])
+    rows = [submatrix(prod, [r], range(size * size)) for r in range(len(keys))]
+    out = {key: KMat(field, size, size, row.den, row.nums) for key, row in zip(keys, rows)}
     return SimplexRingElem(field, one.n_vars, one.trunc, size, out)
 
 

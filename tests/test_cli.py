@@ -1,5 +1,6 @@
 """CLI: dispatch, validation, exit codes, determinism, sweeps."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from prismstrat import cli
 from prismstrat.cli import main, run
+from prismstrat.cosimplicial import CosimpCtx
 
 BASE_SPEC = {
     "p": 3,
@@ -243,6 +245,58 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert report["flagged"] == []
 
 
+# Rank-2 seed sets that share A_{0,1} and commute with it; the instances mix
+# two fields and two truncations, so a sweep builds four contexts.
+_A01 = [["1/2", "1"], ["0", "2/3"]]
+_SEEDS_1 = [_A01, [["1", "3"], ["0", "3/2"]], [["-2", "0"], ["0", "-2"]], [["1/3", "1/3"], ["0", "7/18"]]]
+_SEEDS_2 = [_A01, [["0", "1"], ["0", "1/6"]], [["1", "-2"], ["0", "2/3"]], [["0", "0"], ["0", "0"]]]
+SHARING_SWEEP_INSTANCES = [
+    {"id": "a", "seeds": _SEEDS_1},
+    {"id": "b", "seeds": _SEEDS_2},
+    {"id": "c", "seeds": _SEEDS_1, "E_coeffs": ["-3", "1"]},
+    {"id": "d", "seeds": _SEEDS_2, "trunc": {"t": 4, "x": 3}},
+    {"id": "e", "seeds": _SEEDS_1, "E_coeffs": ["-3", "1"], "trunc": {"t": 4, "x": 3}},
+    {"id": "f", "seeds": _SEEDS_1},
+]
+
+
+def _sharing_sweep(command):
+    base = {**BASE_SPEC, "rank": 2, "options": {"k_max": 2}}
+    return {"command": command, "base": base, "instances": SHARING_SWEEP_INSTANCES}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("command", ["conjecture", "cocycle"])
+def test_sweep_reports_match_fresh_contexts(tmp_path, command, jobs):
+    """Every instance of a sweep reports what it reports on a context of its
+    own, although the sweep gives instances of one (field, trunc) one context."""
+    sweep = _sharing_sweep(command)
+    out = str(tmp_path / "out.json")
+    assert run("sweep", write_spec(tmp_path, sweep), out, jobs=jobs) == 0
+    results = json.loads(open(out).read())["results"]
+    assert [r["id"] for r in results] == [inst["id"] for inst in sweep["instances"]]
+    for res, inst in zip(results, sweep["instances"]):
+        spec = cli.load_problem({**sweep["base"], **inst})
+        fresh = cli._dispatch(command, spec, CosimpCtx(spec.field, spec.trunc))
+        assert res["ok"] and res["report"] == json.loads(json.dumps(fresh)), inst["id"]
+
+
+def test_serial_sweep_builds_one_context_per_field_and_trunc(tmp_path, monkeypatch):
+    built = []
+    init = CosimpCtx.__init__
+
+    def counting_init(self, field, trunc):
+        built.append((field.E_coeffs, trunc))
+        init(self, field, trunc)
+
+    monkeypatch.setattr(CosimpCtx, "__init__", counting_init)
+    spec = write_spec(tmp_path, _sharing_sweep("conjecture"))
+    assert run("sweep", spec, str(tmp_path / "out.json"), jobs=1) == 0
+    assert len(built) == len(set(built)) == 4
+    assert run("sweep", spec, str(tmp_path / "out.json"), jobs=1) == 0
+    assert built[4:] == built[:4]
+
+
 def test_sweep_without_instances_exits_2(tmp_path):
     spec = write_spec(tmp_path, {"command": "cocycle", "base": BASE_SPEC})
     assert run("sweep", spec, str(tmp_path / "o.json")) == 2
@@ -299,7 +353,7 @@ def test_sweep_caps_workers(tmp_path, monkeypatch, jobs, cpus, n_instances, expe
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     sweep = {
         "command": "cocycle",

@@ -112,6 +112,21 @@ def test_alpha_pow_matrix_exponent_matches_exp_log(field):
         assert got == ctx.alpha.exp_pow(mi)
 
 
+def test_alpha_pow_stores_nothing_for_matrix_exponents():
+    # a context shared by a sweep must not grow with its number of instances
+    ctx = CosimpCtx(F2, Trunc(3, 4))
+    half = F2.from_rational(Fraction(1, 2))
+    m = KMat.from_rows(F2, [[half, F2.one], [F2.zero, F2.pi]])
+    ctx.alpha_pow(m)  # builds every nonzero power of N = alpha - 1
+    sizes = {name: len(v) for name, v in vars(ctx).items() if isinstance(v, (dict, list))}
+    for i in range(4):
+        mi = m + KMat.scalar(F2, 2, F2.from_rational(i))
+        assert ctx.alpha_pow(mi) == ctx.alpha.exp_pow(mi)
+    assert {name: len(v) for name, v in vars(ctx).items() if isinstance(v, (dict, list))} == sizes
+    ctx.alpha_pow(2)
+    assert len(ctx._alpha_pows) == sizes["_alpha_pows"] + 1
+
+
 def test_cd_basic_structure():
     ctx = CosimpCtx(F2, Trunc(4, 4))
     table = cd_table(ctx, range(-3, 4))

@@ -122,6 +122,35 @@ def test_valuation_additive_and_ultrametric(field):
     inner()
 
 
+def _norm(a) -> Fraction:
+    """Field norm N(a) = det of multiplication-by-a on the power basis, by
+    Gaussian elimination over Q."""
+    fld = a.field
+    e = fld.e
+    cols = []
+    basis = fld.one
+    for k in range(e):
+        cols.append((a * basis).coords)
+        basis = basis * fld.pi
+    m = [[cols[j][i] for j in range(e)] for i in range(e)]
+    det = Fraction(1)
+    for c in range(e):
+        piv = next((r for r in range(c, e) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, e):
+            f = m[r][c] * inv
+            if f:
+                for cc in range(c, e):
+                    m[r][cc] -= f * m[c][cc]
+    return det
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=["e1", "e2", "e3"])
 def test_valuation_against_norm_oracle(field):
     # v(a) = v_p(N(a)) for totally ramified extensions
@@ -130,7 +159,7 @@ def test_valuation_against_norm_oracle(field):
     @settings(max_examples=40, deadline=None)
     @given(_nonzero(field))
     def inner(a):
-        assert a.valuation() == vp_rational(a.norm(), field.p)
+        assert a.valuation() == vp_rational(_norm(a), field.p)
 
     inner()
 

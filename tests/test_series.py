@@ -1,14 +1,18 @@
 """Truncated pd-series ring: product rule, units, log/exp, matrix exponents."""
 
+import functools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prismstrat.cosimplicial import CosimpCtx
 from prismstrat.errors import BadConstantTerm, NonUnit, ShapeMismatch
 from prismstrat.field import field_init
-from prismstrat.matrix import KMat
+from prismstrat.matrix import KMat, sum_products
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc, binomial_power
 
@@ -310,3 +314,144 @@ def test_serialization_round_trip():
     tr = Trunc(2, 3)
     a = _random_sre(rng, FQ, 2, tr, 2)
     assert SRE.from_json(FQ, a.to_json()) == a
+
+
+# -- binomial powers and products by a matrix against per-key references ----
+
+KERNEL_FIELDS = [F, FQ, FC, FQ_FRAC]
+KERNEL_IDS = ["e1", "e2", "e3", "e2_frac"]
+
+
+def _draw_kmat(data, field, nrows, ncols):
+    """An nrows x ncols matrix with coordinates in {0, +-1/3, ..., +-2}."""
+    n = nrows * ncols * field.e
+    coords = data.draw(st.lists(st.one_of(st.just(0), st.integers(-6, 6)), min_size=n, max_size=n))
+    entries = [field.from_coords([Fraction(c, 3) for c in coords[i : i + field.e]]) for i in range(0, n, field.e)]
+    return KMat.from_rows(field, [entries[r * ncols : (r + 1) * ncols] for r in range(nrows)])
+
+
+def _draw_series(data, field, n_vars, trunc, size, nilpotent=False):
+    """Up to four random terms (none at the constant key when nilpotent);
+    the series may be empty."""
+    keys = [(m, idx) for m in range(trunc.t_order) for idx in _indices(n_vars, trunc.pd_degree)]
+    if nilpotent:
+        keys = keys[1:]
+    chosen = data.draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)) if keys else []
+    return SRE(field, n_vars, trunc, size, {key: _draw_kmat(data, field, size, size) for key in chosen})
+
+
+def _reference_binomial_power(n_pow, exponent):
+    """(1 + N)^M with one sum_products per key, as binomial_power was before
+    it became one product."""
+    one, n = n_pow[0], n_pow[1]
+    field = one.field
+    if isinstance(exponent, int):
+        exponent = KMat.scalar(field, 1, field.from_rational(exponent))
+    size = exponent.nrows
+    ident = KMat.identity(field, size)
+    binom = ident
+    pairs = {}
+    j = 0
+    while not binom.is_zero():
+        if j == len(n_pow):
+            n_pow.append(n_pow[-1] * n)
+        if n_pow[j].is_zero():
+            break
+        for key, c in n_pow[j].coeffs.items():
+            pairs.setdefault(key, []).append((binom, KMat.scalar(field, size, c.rows[0][0])))
+        binom = binom * (exponent - ident * j) * Fraction(1, j + 1)
+        j += 1
+    out = {key: sum_products(terms) for key, terms in pairs.items()}
+    return SRE(field, one.n_vars, one.trunc, size, out)
+
+
+def _reference_scaled(x, mat):
+    """x * mat with one KMat product per key, as the product by a matrix was
+    before it became one stacked product."""
+    return SRE(x.field, x.n_vars, x.trunc, x.size, {key: c * mat for key, c in x.coeffs.items()})
+
+
+def _draw_exponent(data, field, trunc):
+    kind = data.draw(st.sampled_from(["int", "random", "singular", "upper", "shifted"]))
+    if kind == "int":
+        return data.draw(st.integers(-trunc.pd_degree - 1, trunc.t_order + 1))
+    size = data.draw(st.integers(1, 3))
+    m = _draw_kmat(data, field, size, size)
+    if kind == "singular":
+        # the last row is a multiple of the first (zero when size is 1)
+        rows = [list(r) for r in m.rows]
+        c = field.from_rational(data.draw(st.integers(0, 2))) if size > 1 else field.zero
+        rows[-1] = [a * c for a in rows[0]]
+        return KMat.from_rows(field, rows)
+    if kind == "upper":
+        # upper triangular with a nonzero corner: it does not commute with its
+        # transpose, so reading vec C(M, j) column-major would show
+        rows = [[a if c >= r else field.zero for c, a in enumerate(row)] for r, row in enumerate(m.rows)]
+        if rows[0][-1].is_zero():
+            rows[0][-1] = field.one
+        return KMat.from_rows(field, rows)
+    if kind == "shifted":
+        # -A_{0,1}/beta + i I, as conjecture_residual asks for
+        i = data.draw(st.integers(0, 3))
+        return m * field.beta.inverse() * -1 + KMat.scalar(field, size, field.from_rational(i))
+    return m
+
+
+@functools.cache
+def _alpha_minus_one(field, trunc):
+    ctx = CosimpCtx(field, trunc)
+    return ctx.alpha - SRE.one(field, 1, trunc)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_binomial_power_matches_per_key_reference(field):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def inner(data):
+        trunc = Trunc(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4)))
+        one = SRE.one(field, 1, trunc)
+        if data.draw(st.booleans()):
+            n = _alpha_minus_one(field, trunc)
+        else:
+            n = _draw_series(data, field, 1, trunc, 1, nilpotent=True)
+        exponent = _draw_exponent(data, field, trunc)
+        assert binomial_power([one, n], exponent) == _reference_binomial_power([one, n], exponent)
+
+    inner()
+
+
+def test_binomial_power_drops_cancelled_keys():
+    # N = X - X^[2]: the X^[2] coefficient of (1 + N)^2 is 2(-1) + 2 = 0
+    tr = Trunc(1, 4)
+    one = SRE.one(FQ, 1, tr)
+    n = X(FQ, tr) - X(FQ, tr, 2)
+    got = binomial_power([one, n], 2)
+    assert got == _reference_binomial_power([one, n], 2) == (one + n) * (one + n)
+    assert (0, (2,)) not in got.coeffs
+    empty = SRE.zero(FQ, 1, tr)
+    assert binomial_power([one, empty], KMat.identity(FQ, 2) * 5) == SRE.one(FQ, 1, tr, 2)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_series_times_matrix_matches_per_key_reference(field):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def inner(data):
+        n_vars, size = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
+        trunc = Trunc(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+        x = _draw_series(data, field, n_vars, trunc, size)
+        mat = _draw_kmat(data, field, size, size)
+        if data.draw(st.booleans()):
+            # a zero last row of mat cancels every term that only has a last column
+            rows = [list(r) for r in mat.rows]
+            rows[-1] = [field.zero] * size
+            mat = KMat.from_rows(field, rows)
+            col = [[field.one if c == size - 1 else field.zero for c in range(size)] for _ in range(size)]
+            x = x + SRE.monomial(field, n_vars, trunc, 0, (0,) * n_vars, KMat.from_rows(field, col))
+        got = x * mat
+        assert got == _reference_scaled(x, mat)
+        assert not any(c.is_zero() for c in got.coeffs.values())
+        c = mat.rows[0][-1]
+        assert x * c == _reference_scaled(x, KMat.scalar(field, size, c))
+
+    inner()
