@@ -11,9 +11,7 @@ from .closedform import (
     ak_series,
     closedform_series,
     conjecture_residual,
-    fg_coeffs,
     h_table,
-    lemma_identity_check,
     verify_commutative,
 )
 from .cohomology import H0Solution, h0_dim_bound, h0_solve
@@ -57,11 +55,9 @@ __all__ = [
     "check_near_HT",
     "FGTables",
     "HTable",
-    "fg_coeffs",
     "h_table",
     "closedform_series",
     "verify_commutative",
-    "lemma_identity_check",
     "ak_series",
     "conjecture_residual",
     "H0Solution",

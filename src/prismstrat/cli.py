@@ -28,9 +28,9 @@ from .errors import (
     SeedShapeMismatch,
     ValidationError,
 )
-from .field import FieldDesc, KElem, field_init
+from .field import FieldDesc, field_init
 from .matrix import KMat
-from .sen import sen_operator_matrix, nearly_dR_report
+from .sen import sen_operator_matrix
 from .series import Trunc
 from .stratification import (
     Seeds,
@@ -44,8 +44,9 @@ from .stratification import (
 
 COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep", "validate")
 # Largest accepted sizes, so that every spec runs in bounded work: the
-# t-order T, the pd degree D, the rank l, T * D * l and each integer option.
-MAX_T, MAX_D, MAX_RANK, MAX_TDL = 16, 64, 8, 512
+# t-order T, the pd degree D, the rank l, T * D * l, the degree e of E, the
+# p-adic precision and each integer option.
+MAX_T, MAX_D, MAX_RANK, MAX_TDL, MAX_E, MAX_PREC = 16, 64, 8, 512, 8, 1024
 INT_OPTIONS = {
     "n_max": MAX_D, "m_max": MAX_T, "k_max": MAX_T, "n_probe": 256, "threshold": 1024, "n_phi_max": 1024
 }
@@ -62,13 +63,7 @@ class ProblemSpec:
 
 
 def _parse_matrix(field: FieldDesc, data, rank: int) -> KMat:
-    rows = []
-    for row in data:
-        out_row = []
-        for entry in row:
-            out_row.append(KElem.from_json(field, entry))
-        rows.append(out_row)
-    mat = KMat.from_rows(field, rows)
+    mat = KMat.from_json(field, data)
     if mat.nrows != rank or mat.ncols != rank:
         raise SeedShapeMismatch(
             f"seed matrix is {mat.nrows}x{mat.ncols}, expected {rank}x{rank}"
@@ -110,6 +105,7 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
             raise ValidationError(f"spec is missing the {key!r} field")
     with _parsing("E_coeffs"):
         e_coeffs = [Fraction(str(c)) for c in data["E_coeffs"]]
+        _at_most("the degree of E_coeffs", len(e_coeffs) - 1, MAX_E)
     with _parsing("p"):
         field = field_init(data["p"], e_coeffs)
     with _parsing("rank"):
@@ -129,6 +125,7 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
         prec = int(data.get("padic_prec", 10))
     if prec < 1:
         raise ValidationError("padic_prec must be >= 1")
+    _at_most("padic_prec", prec, MAX_PREC)
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError("options must be a JSON object")
@@ -191,10 +188,7 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
             "theta": theta_report(ctx),
             "valuation_profile": valuation_profile(table),
             "near_HT": check_near_HT(
-                spec.seeds.a01,
-                "probe",
-                n_probe=opts.get("n_probe", 64),
-                threshold=opts.get("threshold", 40),
+                spec.seeds.a01, opts.get("n_probe", 64), opts.get("threshold", 40)
             ),
         }
     if command == "cocycle":
@@ -211,12 +205,8 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
         sol = h0_solve(table, ctx)
         return {"command": "h0", "solution": sol.to_json()}
     if command == "sen":
-        rep = sen_operator_matrix(
-            spec.seeds, ctx, spec.prec, opts.get("n_phi_max", 24)
-        )
-        out = rep.to_json()
-        out["nearly_dR"] = nearly_dR_report(spec.seeds, ctx)
-        return {"command": "sen", "report": out}
+        rep = sen_operator_matrix(spec.seeds, ctx, spec.prec, opts.get("n_phi_max", 24))
+        return {"command": "sen", "report": rep.to_json()}
     if command == "conjecture":
         k_max = opts.get("k_max", 2)
         rep = conjecture_residual(spec.seeds, ctx, k_max)
@@ -298,7 +288,7 @@ def run(command: str, spec_path: str, out_path: str | None = None, **overrides) 
     try:
         with open(spec_path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an integer above the digit limit
         _emit({"error": {"type": "BadSpecFile", "message": str(exc)}}, out_path)
         return 2
     try:

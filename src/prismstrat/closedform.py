@@ -23,9 +23,9 @@ t = f-i'+1 .. u with u = max(f-i, 0) for j <= m and u = m-j for j > m;
 so the construction only multiplies and never divides by a
 possibly-singular matrix.
 
-The scalar tables themselves are computed twice, by closed form and by
-induction, and must agree; this pins down the beta exponent in g, which
-is easy to mis-transcribe.
+The scalar tables g come from their closed form.  The tests rebuild
+them by induction and require the two to agree; that pins down the beta
+exponent in g, which is easy to mis-transcribe.
 """
 
 from __future__ import annotations
@@ -49,13 +49,13 @@ from .stratification import Seeds, StratTable, generate_Amn
 
 
 class FGTables:
-    """g^j_{m,f,i} in K, with f_{m,i} = g^i_{m,0,0}; dual-path construction.
+    """g^j_{m,f,i} in K, with f_{m,i} = g^i_{m,0,0}, from the closed form
 
-    Closed form:  g^j_{m,f,i} = beta^(j-i-1)/(j (j-i-1)!) *
-                  (m-(f+1)) ... (m-(f+j-i-1))     for m >= f+1,
-                  i+1 <= j <= m-f+i; zero otherwise.
-    Induction:    g^j_{m+1,f,i} = g^j_{m,f,i} + (beta - beta/j) g^(j-1)_{m,f,i},
-                  from the base row g^(i+1)_{f+1,f,i} = 1/(i+1).
+        g^j_{m,f,i} = beta^(j-i-1)/(j (j-i-1)!) * (m-(f+1)) ... (m-(f+j-i-1))
+
+    for m >= f+1 and i+1 <= j <= m-f+i; zero otherwise.  The tests check it
+    against the induction g^j_{m+1,f,i} = g^j_{m,f,i} + (beta - beta/j)
+    g^(j-1)_{m,f,i} from the base row g^(i+1)_{f+1,f,i} = 1/(i+1).
     """
 
     def __init__(self, field: FieldDesc):
@@ -68,9 +68,6 @@ class FGTables:
             self._closed_cache[key] = self._closed(m, f, i, j)
         return self._closed_cache[key]
 
-    def f(self, m: int, i: int) -> KElem:
-        return self.g(m, 0, 0, i)
-
     def _closed(self, m: int, f: int, i: int, j: int) -> KElem:
         field = self.field
         if m < f + 1 or j < i + 1 or j > m - f + i:
@@ -81,69 +78,6 @@ class FGTables:
             num *= m - (f + k)
         scale = Fraction(num, j * factorial(r))
         return field.beta**r * scale
-
-    def g_inductive_row(self, m: int, f: int, i: int) -> dict[int, KElem]:
-        """{j: g^j_{m,f,i}} built purely from the induction; for cross-checks."""
-        field = self.field
-        beta = field.beta
-        if m < f + 1:
-            return {}
-        row = {i + 1: field.from_rational(Fraction(1, i + 1))}
-        for mm in range(f + 1, m):
-            nxt: dict[int, KElem] = {}
-            for j in range(i + 1, (mm + 1) - f + i + 1):
-                cur = row.get(j, field.zero)
-                prev = row.get(j - 1, field.zero)
-                val = cur + prev * (beta - beta * Fraction(1, j))
-                if not val.is_zero():
-                    nxt[j] = val
-            row = nxt
-        return row
-
-
-def fg_coeffs(field: FieldDesc, m_max: int) -> FGTables:
-    """Build the scalar tables, verifying closed form against induction."""
-    tables = FGTables(field)
-    report = fg_dual_check(tables, m_max)
-    if not report["ok"]:
-        raise AssertionError(f"f/g dual-path disagreement: {report['mismatches']}")
-    return tables
-
-
-def fg_to_json(tables: FGTables, m_max: int) -> dict:
-    """f and g values up to m_max, keyed by indices, zeros omitted."""
-    f_out = {}
-    g_out = {}
-    for m in range(1, m_max + 1):
-        for i in range(1, m + 1):
-            val = tables.f(m, i)
-            if not val.is_zero():
-                f_out[f"{m},{i}"] = val.to_json()
-        for f in range(0, m):
-            for i in range(0, 2 * f + 2):
-                for j in range(i + 1, m - f + i + 1):
-                    val = tables.g(m, f, i, j)
-                    if not val.is_zero():
-                        g_out[f"{m},{f},{i},{j}"] = val.to_json()
-    return {"f": f_out, "g": g_out}
-
-
-def fg_dual_check(tables: FGTables, m_max: int, i_max: int | None = None) -> dict:
-    """Compare closed form vs induction for all m <= m_max; exact."""
-    mismatches = []
-    checked = 0
-    for f in range(0, m_max):
-        imax = i_max if i_max is not None else 2 * f + 2
-        for i in range(0, imax + 1):
-            for m in range(f + 1, m_max + 1):
-                ind = tables.g_inductive_row(m, f, i)
-                for j in range(0, m - f + i + 2):
-                    a = tables.g(m, f, i, j)
-                    b = ind.get(j, tables.field.zero)
-                    checked += 1
-                    if a != b:
-                        mismatches.append((m, f, i, j))
-    return {"ok": not mismatches, "checked": checked, "mismatches": mismatches}
 
 
 # ---------------------------------------------------------------------------
@@ -302,95 +236,6 @@ def verify_commutative(ht: HTable, ctx: CosimpCtx, pd_degree: int) -> dict:
             ok = False
         rows[str(m)] = {"residual_degrees": nonzero, "zero": not nonzero}
     return {"ok": ok, "m_max": m_max, "pd_degree": pd_degree, "rows": rows}
-
-
-# ---------------------------------------------------------------------------
-# polynomial-in-s identity checks for the summation identities
-# ---------------------------------------------------------------------------
-
-
-def _falling_factorial(s: int, i: int) -> int:
-    out = 1
-    for u in range(i):
-        out *= s - u
-    return out
-
-
-def lemma_identity_check(
-    field: FieldDesc,
-    kind: str,
-    a01: KMat,
-    params: dict,
-    tables: FGTables | None = None,
-    s_samples: list[int] | None = None,
-) -> dict:
-    """Evaluate both sides of a summation identity at integer samples s.
-
-    Both sides are polynomials in s of degree <= m+i+1, so agreement on
-    degree+1 samples certifies the identity for the given A_{0,1}.
-    """
-    tables = tables or FGTables(field)
-    l = a01.nrows
-
-    if kind == "change_m":
-        m = params["m"]
-        f, i = 0, 0
-    elif kind == "change_mfi":
-        m, f, i = params["m"], params["f"], params["i"]
-    elif kind == "exp_sum":
-        return _exp_sum_check(field, a01, params)
-    else:
-        raise ValueError(f"unknown lemma kind {kind!r}")
-
-    degree = m + i + 1
-    samples = s_samples if s_samples is not None else list(range(degree + 1))
-    mismatches = []
-    for s in samples:
-        lhs = KMat.zero(field, l)
-        for c in range(s):
-            # prod_{t=f+1}^{m-1} ((c - t) beta + A_{0,1})
-            factors = _linear_product(field, a01, range(f + 1 - c, m - c))
-            lhs = lhs + factors * _falling_factorial(c, i)
-        rhs = KMat.zero(field, l)
-        for j in range(i + 1, m - f + i + 1):
-            gj = tables.g(m, f, i, j)
-            if gj.is_zero():
-                continue
-            factors = _linear_product(field, a01, range(f - i + 1, m - j + 1))
-            rhs = rhs + factors * (_falling_factorial(s, j) * gj)
-        if lhs != rhs:
-            mismatches.append(s)
-    return {
-        "kind": kind,
-        "params": dict(params),
-        "degree": degree,
-        "samples": list(samples),
-        "ok": not mismatches,
-        "mismatching_samples": mismatches,
-    }
-
-
-def _exp_sum_check(field: FieldDesc, a: KMat, params: dict) -> dict:
-    """sum_s A_{k+s} X^[s] = A_k (1 - beta X)^(-A/beta - k), both truncated."""
-    k = params.get("k", 0)
-    deg = params.get("pd_degree", 8)
-    tr = Trunc(1, deg)
-    l = a.nrows
-    beta = field.beta
-    lhs: dict = {}
-    acc = _linear_product(field, a, range(1 - k, 1))
-    ak = acc
-    for s in range(deg + 1):
-        if not acc.is_zero():
-            lhs[(0, (s,))] = acc
-        acc = (KMat.scalar(field, l, beta * (k + s)) + a) * acc
-    lhs_sre = SRE(field, 1, tr, l, lhs)
-    one = SRE.one(field, 1, tr)
-    x = SRE.monomial(field, 1, tr, 0, (1,), KMat.identity(field, 1))
-    exponent = a * beta.inverse() * -1 - KMat.scalar(field, l, field.from_rational(k))
-    rhs_sre = ak * (one + x * (-beta)).exp_pow(exponent)
-    ok = lhs_sre == rhs_sre
-    return {"kind": "exp_sum", "params": dict(params), "ok": ok}
 
 
 # ---------------------------------------------------------------------------

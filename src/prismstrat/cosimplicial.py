@@ -69,10 +69,6 @@ class CosimpCtx:
             return self.field.zero
         return self.theta.get((n, i), self.field.zero)
 
-    @property
-    def beta(self) -> KElem:
-        return self.field.beta
-
     def alpha_pow(self, k) -> SRE:
         """alpha^k in the 1-variable ring; k an integer of either sign, or a
         square KMat exponent (then the result is matrix valued).
@@ -134,24 +130,8 @@ class CDTable:
     field: FieldDesc
     c: dict
 
-    def c_poly(self, p: int, s: int) -> dict[int, KElem]:
-        return self.c.get((p, s), {})
-
     def d(self, p: int, s: int, k: int) -> KElem:
         return self.c.get((p, s), {}).get(k, self.field.zero)
-
-    def to_json(self) -> dict:
-        entries = []
-        for (p, s) in sorted(self.c):
-            poly = self.c[(p, s)]
-            entries.append(
-                {
-                    "p": p,
-                    "s": s,
-                    "d": {str(k): v.to_json() for k, v in sorted(poly.items())},
-                }
-            )
-        return {"entries": entries}
 
 
 def theta_report(ctx: CosimpCtx) -> dict:
@@ -174,20 +154,6 @@ def cd_table(ctx: CosimpCtx, p_range) -> CDTable:
                 poly[idx[0]] = mat.rows[0][0]
             c[(p, s)] = poly
     return CDTable(ctx.field, c)
-
-
-def pd_binomial(field: FieldDesc, trunc: Trunc, q: int) -> SRE:
-    """(X_2 - X_1)^[q] = sum_k (-1)^(q-k) X_1^[q-k] X_2^[k], in two variables.
-
-    face_map places these terms directly; this is the reference for them.
-    """
-    out = SRE.zero(field, 2, trunc)
-    for k in range(q + 1):
-        sign = -1 if (q - k) % 2 else 1
-        out = out + SRE.monomial(
-            field, 2, trunc, 0, (q - k, k), KMat.identity(field, 1) * sign
-        )
-    return out
 
 
 def face_map(ctx: CosimpCtx, i: int, x: SRE) -> SRE:

@@ -56,3 +56,7 @@ class NonCommutingSeeds(ValidationError):
 
 class ProductNotSettled(ComputationError):
     pass
+
+
+class NumberTooLarge(ComputationError):
+    pass

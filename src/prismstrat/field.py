@@ -17,11 +17,12 @@ No floating point anywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DivisionByZero, NotEisenstein, PrimeTooSmall
+from .errors import DivisionByZero, NotEisenstein, NumberTooLarge, PrimeTooSmall
 
 Rat = Union[int, Fraction, str]
 
@@ -39,10 +40,17 @@ def _to_fraction(x: Rat) -> Fraction:
 
 
 def rat_str(x: Fraction) -> str:
-    """Canonical "num/den" form, plain integer when den == 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Canonical "num/den" form, plain integer when den == 1.  NumberTooLarge
+    when a part has more digits than Python converts to a string."""
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise NumberTooLarge(
+            f"a rational of {x.numerator.bit_length()} / {x.denominator.bit_length()} bits "
+            f"exceeds the {sys.get_int_max_str_digits()}-digit limit of a report"
+        ) from None
 
 
 def vp_rational(x: Fraction, p: int):
@@ -328,13 +336,6 @@ class KElem:
                 best = v
         return best
 
-    def vp(self):
-        """p-adic valuation (v / e), rational in general; INF for 0."""
-        v = self.valuation()
-        if v is INF:
-            return INF
-        return Fraction(v, self.field.e)
-
     def to_json(self) -> list[str]:
         return [rat_str(c) for c in self.coords]
 
@@ -370,22 +371,8 @@ class PadicApprox:
     prec: object  # Fraction or INF
 
     @staticmethod
-    def exact(value: KElem) -> PadicApprox:
-        return PadicApprox(value, INF)
-
-    @staticmethod
     def approx(value: KElem, prec) -> PadicApprox:
         return PadicApprox(value, prec if prec is INF else Fraction(prec))
-
-    def agrees_mod(self, other: PadicApprox, n) -> bool:
-        """Whether self == other modulo p^n (as far as both are known)."""
-        diff = (self.value - other.value).vp()
-        return diff is INF or diff >= n
-
-    def known_nonzero(self) -> bool:
-        """Nonzero at the stated precision: v_p(value) < prec."""
-        v = self.value.vp()
-        return v is not INF and v < self.prec
 
     def to_json(self) -> dict:
         return {

@@ -23,10 +23,10 @@ from math import floor
 
 from .cosimplicial import CosimpCtx, eval_poly_at_series
 from .errors import ProductNotSettled, SeedShapeMismatch
-from .field import INF, KElem, PadicApprox
-from .matrix import KMat, charpoly, rational_roots, sum_products
+from .field import INF, KElem, PadicApprox, rat_str
+from .matrix import KMat, charpoly, rational_roots
 from .series import SimplexRingElem as SRE
-from .stratification import Seeds, check_near_HT
+from .stratification import Seeds, check_near_HT, check_weights_near_HT
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,9 +41,6 @@ class Lambda1:
     n_factors: int
     target_prec: int
 
-    def constant_term(self) -> PadicApprox:
-        return self.coeffs[0]
-
     def exact_values(self) -> list[KElem]:
         return [c.value for c in self.coeffs]
 
@@ -55,8 +52,10 @@ class Lambda1:
         }
 
 
-def _series_coeffs(s: SRE) -> list[KElem]:
-    return [s.coeff(m, ()).rows[0][0] for m in range(s.trunc.t_order)]
+def _vp(field, mats):
+    """Least p-adic valuation of the entries of mats; INF when all are zero."""
+    v = min((mat.min_valuation() for mat in mats), default=INF)
+    return v if v is INF else Fraction(v, field.e)
 
 
 def lambda1_series(ctx: CosimpCtx, prec: int, n_phi_max: int = 24) -> Lambda1:
@@ -67,35 +66,23 @@ def lambda1_series(ctx: CosimpCtx, prec: int, n_phi_max: int = 24) -> Lambda1:
     the target.
     """
     field = ctx.field
-    t_order = ctx.trunc.t_order
     e0 = field.E_coeffs[0]
-    partial = SRE.from_scalar(field, 0, ctx.trunc, field.from_rational(1 / e0))
+    one = SRE.one(field, 0, ctx.trunc)
+    partial = one * (1 / e0)
     u_power = ctx.u0
     prev_gap = None
     n_used = None
     for n in range(1, n_phi_max + 1):
         u_power = u_power**field.p
         factor = eval_poly_at_series(field, field.E_coeffs, u_power) * (1 / e0)
-        # valuation of factor - 1, coefficient-wise
-        gap = INF
-        for m in range(t_order):
-            c = factor.coeff(m, ()).rows[0][0]
-            if m == 0:
-                c = c - field.one
-            v = c.vp()
-            if v is not INF:
-                gap = min(gap, v)
+        gap = _vp(field, (factor - one).coeffs.values())
         if prev_gap is not None and gap is not INF and gap <= prev_gap:
             raise ProductNotSettled(
                 f"factor valuations stopped growing at n={n} ({prev_gap} -> {gap})"
             )
         prev_gap = gap
         # absolute-error target: tail times partial must stay below p^-prec
-        min_partial_vp = min(
-            (c.vp() for c in _series_coeffs(partial) if not c.is_zero()),
-            default=Fraction(0),
-        )
-        needed = prec - min(0, floor(min_partial_vp))
+        needed = prec - floor(min(0, _vp(field, partial.coeffs.values())))
         if gap is INF or gap >= needed:
             n_used = n
             break
@@ -104,12 +91,11 @@ def lambda1_series(ctx: CosimpCtx, prec: int, n_phi_max: int = 24) -> Lambda1:
         raise ProductNotSettled(
             f"product did not settle to p^-{prec} within {n_phi_max} factors"
         )
-    values = _series_coeffs(partial)
-    coeffs = []
-    for m in range(t_order):
-        prefix = [values[j] for j in range(m + 1) if not values[j].is_zero()]
-        base = min((c.vp() for c in prefix), default=Fraction(0))
-        coeffs.append(PadicApprox.approx(values[m], prec + min(0, base)))
+    coeffs, base = [], INF
+    for m in range(ctx.trunc.t_order):
+        mat = partial.coeff(m, ())
+        base = min(base, _vp(field, [mat]))
+        coeffs.append(PadicApprox.approx(mat.rows[0][0], prec + min(0, base)))
     return Lambda1(tuple(coeffs), n_used, prec)
 
 
@@ -126,6 +112,7 @@ class SenReport:
     leibniz_ok: bool
     fiber_normalization_ok: bool
     near_HT: dict
+    nearly_dR: dict
 
     def to_json(self) -> dict:
         return {
@@ -133,23 +120,20 @@ class SenReport:
             "t_order": self.t_order,
             "lambda1": self.lambda1.to_json(),
             "n_matrix": [
-                {"m": m, "matrix": mat.to_json(), "prec": _prec_str(pr)}
+                {"m": m, "matrix": mat.to_json(), "prec": rat_str(pr)}
                 for m, (mat, pr) in enumerate(self.n_matrix)
             ],
             "weights_charpoly": [c.to_json() for c in self.weights_charpoly],
             "weights_rational": (
                 None
                 if self.weights_rational is None
-                else [str(w) for w in self.weights_rational]
+                else [rat_str(w) for w in self.weights_rational]
             ),
             "leibniz_ok": self.leibniz_ok,
             "fiber_normalization_ok": self.fiber_normalization_ok,
             "near_HT": self.near_HT,
+            "nearly_dR": self.nearly_dR,
         }
-
-
-def _prec_str(p):
-    return "inf" if p is INF else str(p)
 
 
 def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int = 24) -> SenReport:
@@ -161,57 +145,41 @@ def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int 
     characteristic polynomial matches that of -A_{0,1}/beta after the
     theta(lambda1) pi beta rescaling.
     """
-    field = ctx.field
+    field, trunc = ctx.field, ctx.trunc
     l = seeds.l
-    t_order = ctx.trunc.t_order
+    t_order = trunc.t_order
     if len(seeds.A1) < t_order:
         raise SeedShapeMismatch(f"need seeds A_(m,1) for all m < {t_order}")
     lam1 = lambda1_series(ctx, prec, n_phi_max)
-    lam1_exact = lam1.exact_values()
+    lam = SRE(field, 0, trunc, 1, {(m, ()): KMat.scalar(field, 1, c) for m, c in enumerate(lam1.exact_values())})
 
-    # exact t-series products (the only approximation is the lambda tail);
-    # cofactor = u0 * sum_m A_{m,1} t^m, matrix-valued per t-order
-    u0_coeffs = _series_coeffs(ctx.u0)
-    cofactor = [
-        sum_products([(seeds.A1[m - j], KMat.scalar(field, l, u0_coeffs[j])) for j in range(m + 1)])
-        for m in range(t_order)
-    ]
+    # exact t-series products (the only approximation is the lambda tail)
+    seeds_series = SRE(field, 0, trunc, l, {(m, ()): seeds.A1[m] for m in range(t_order)})
+    cofactor = ctx.u0.map_size(l) * seeds_series
+    n_series = (-lam).map_size(l) * cofactor
     n_rows = []
+    lam_prec = co_vp = INF
     for m in range(t_order):
-        lam = [(cofactor[m - j], KMat.scalar(field, l, -lam1_exact[j])) for j in range(m + 1)]
-        mat = sum_products(lam)
         # the lambda tail error is scaled by the exact cofactor entries
-        lam_prec = min(lam1.coeffs[j].prec for j in range(m + 1))
-        co_v = min(cofactor[j].min_valuation() for j in range(m + 1))
-        co_vp = Fraction(0) if co_v is INF else Fraction(co_v, field.e)
-        n_rows.append((mat, lam_prec + min(0, co_vp)))
+        lam_prec = min(lam_prec, lam1.coeffs[m].prec)
+        co_vp = min(co_vp, _vp(field, [cofactor.coeff(m, ())]))
+        n_rows.append((n_series.coeff(m, ()), lam_prec + min(0, co_vp)))
 
     # Leibniz/definition identity: lambda = lambda1 * E(u0) exactly
     e0 = field.E_coeffs[0]
     n0_factor = eval_poly_at_series(field, field.E_coeffs, ctx.u0) * (1 / e0)
-    lam_full = _convolve_scalar(
-        field, _series_coeffs(n0_factor), [c * e0 for c in lam1_exact], t_order
-    )
-    lam1_t = [field.zero] + lam1_exact[: t_order - 1]
-    dE_u0 = _series_coeffs(eval_poly_at_series(field, field.E_derivative(1), ctx.u0))
-    lhs = _convolve_scalar(field, dE_u0, lam_full, t_order)
-    rhs = _convolve_scalar(field, dE_u0, lam1_t, t_order)
-    leibniz_ok = all((a - b).is_zero() for a, b in zip(lhs, rhs))
+    t = SRE.monomial(field, 0, trunc, 1, (), KMat.identity(field, 1))
+    dE_u0 = eval_poly_at_series(field, field.E_derivative(1), ctx.u0)
+    leibniz_ok = dE_u0 * n0_factor * lam * e0 == dE_u0 * t * lam
 
     # fiber normalization: charpoly(N(0)) vs charpoly(-A_{0,1}/beta)
     beta = field.beta
-    sen_op = seeds.a01 * beta.inverse() * -1
-    cp_weights = charpoly(sen_op)
-    theta_lam1 = lam1_exact[0]
-    scale = theta_lam1 * field.pi * beta
+    cp_weights = charpoly(seeds.a01 * beta.inverse() * -1)
+    scale = lam1.coeffs[0].value * field.pi * beta
     cp_fiber = charpoly(n_rows[0][0])
-    fiber_ok = True
-    for k in range(l + 1):
-        lhs_c = cp_fiber[k]
-        rhs_c = cp_weights[k] * scale ** (l - k)
-        if lhs_c != rhs_c:
-            fiber_ok = False
-    weights_rational = rational_roots(list(cp_weights))
+    fiber_ok = all(cp_fiber[k] == cp_weights[k] * scale ** (l - k) for k in range(l + 1))
+    weights_rational = rational_roots(cp_weights)
+    probe = check_near_HT(seeds.a01)
 
     return SenReport(
         l=l,
@@ -222,43 +190,28 @@ def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int 
         weights_rational=None if weights_rational is None else tuple(weights_rational),
         leibniz_ok=leibniz_ok,
         fiber_normalization_ok=fiber_ok,
-        near_HT=check_near_HT(seeds.a01, "probe"),
+        near_HT=probe,
+        nearly_dR=nearly_dR_report(cp_weights, weights_rational, probe),
     )
 
 
-def _convolve_scalar(field, a: list[KElem], b: list[KElem], t_order: int) -> list[KElem]:
-    out = [field.zero] * t_order
-    for i, ai in enumerate(a[:t_order]):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b[: t_order - i]):
-            if bj.is_zero():
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
+def nearly_dR_report(weights_charpoly: list[KElem], weights_rational, probe: dict) -> dict:
+    """Classify the crystal by its Sen weights, given the charpoly of
+    -A_{0,1}/beta, its rational roots (None unless it splits over Q) and
+    the check_near_HT probe of A_{0,1}.
 
-
-def nearly_dR_report(seeds: Seeds, ctx: CosimpCtx, n_probe: int = 64, threshold: int = 40) -> dict:
-    """Classify the crystal by its Sen weights.
-
-    When the characteristic polynomial of -A_{0,1}/beta splits over Q,
-    the membership in Z + beta^{-1} m is decided exactly per eigenvalue;
-    otherwise the valuation-decay probe stands in, with an inconclusive
-    verdict when the probe neither certifies decay nor clearly diverges.
+    When the characteristic polynomial splits over Q, the membership in
+    Z + beta^{-1} m is decided exactly per eigenvalue; otherwise the
+    valuation-decay probe stands in, with an inconclusive verdict when the
+    probe neither certifies decay nor clearly diverges.
     """
-    field = ctx.field
-    beta = field.beta
-    sen_op = seeds.a01 * beta.inverse() * -1
-    cp = charpoly(sen_op)
-    roots = rational_roots(list(cp))
-    probe = check_near_HT(seeds.a01, "probe", n_probe=n_probe, threshold=threshold)
     report = {
-        "weights_charpoly": [c.to_json() for c in cp],
+        "weights_charpoly": [c.to_json() for c in weights_charpoly],
         "probe": probe,
     }
-    if roots is not None:
-        weights = [field.from_rational(r) for r in roots]
-        exact = check_near_HT(seeds.a01, "exact_weights", weights=weights)
+    if weights_rational is not None:
+        field = weights_charpoly[0].field
+        exact = check_weights_near_HT([field.from_rational(r) for r in weights_rational])
         report["per_eigenvalue"] = exact["weights"]
         report["verdict"] = (
             "nearly de Rham (exact)" if exact["verdict"] == "PASS" else "fails probe"

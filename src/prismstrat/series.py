@@ -45,9 +45,6 @@ class Trunc:
     def contains(self, m: int, idx: MultiIndex) -> bool:
         return m < self.t_order and sum(idx) <= self.pd_degree
 
-    def shrinks_to(self, other: Trunc) -> bool:
-        return other.t_order <= self.t_order and other.pd_degree <= self.pd_degree
-
 
 class SimplexRingElem:
     """Truncated element of the n-variable simplex ring, matrix valued."""
@@ -283,12 +280,6 @@ class SimplexRingElem:
         )
         return mlog.exp()
 
-    def truncate(self, trunc: Trunc) -> SimplexRingElem:
-        """Restrict to a smaller truncation window."""
-        if not self.trunc.shrinks_to(trunc):
-            raise ShapeMismatch("can only truncate to a smaller window")
-        return SimplexRingElem(self.field, self.n_vars, trunc, self.size, self.coeffs)
-
     def map_size(self, size: int) -> SimplexRingElem:
         """Reinterpret a scalar series as size x size scalar matrices."""
         if self.size != 1:
@@ -319,34 +310,6 @@ class SimplexRingElem:
                     new_idx[var_map[old]] = a
             out[(m, tuple(new_idx))] = mat
         return SimplexRingElem(self.field, n_vars, self.trunc, self.size, out)
-
-    def to_json(self) -> dict:
-        entries = []
-        for (m, idx) in sorted(self.coeffs):
-            entries.append(
-                {
-                    "m": m,
-                    "multi_index": list(idx),
-                    "matrix": self.coeffs[(m, idx)].to_json(),
-                }
-            )
-        return {
-            "trunc": {"t": self.trunc.t_order, "x": self.trunc.pd_degree},
-            "n_vars": self.n_vars,
-            "size": self.size,
-            "entries": entries,
-        }
-
-    @staticmethod
-    def from_json(field: FieldDesc, data: dict) -> SimplexRingElem:
-        trunc = Trunc(data["trunc"]["t"], data["trunc"]["x"])
-        out = SimplexRingElem(field, data["n_vars"], trunc, data["size"])
-        for entry in data["entries"]:
-            key = (entry["m"], tuple(entry["multi_index"]))
-            mat = KMat.from_json(field, entry["matrix"])
-            if trunc.contains(*key) and not mat.is_zero():
-                out.coeffs[key] = mat
-        return out
 
     def __repr__(self):
         if not self.coeffs:

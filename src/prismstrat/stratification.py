@@ -7,22 +7,20 @@ A table is generated from seeds {A_{m,1}} by the inductive formula
 
 with A_{0,0} = I and A_{i,0} = 0 for i > 0.  The cocycle residual is
 computed by honest ring arithmetic on the 2-simplex (assemble U, push it
-through the face maps, multiply, subtract); the re-indexed coefficient
-formula is implemented separately as an independent cross-check.
+through the face maps, multiply, subtract).  The re-indexed coefficient
+formula, an independent cross-check of that residual, lives in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .cosimplicial import CDTable, CosimpCtx, face_map
+from .cosimplicial import CosimpCtx, face_map
 from .errors import SeedShapeMismatch
 from .field import INF, KElem
 from .matrix import KMat, sum_products
 from .series import SimplexRingElem as SRE
-from .series import Trunc
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,9 +61,6 @@ class StratTable:
 
     def at(self, m: int, n: int) -> KMat:
         return self.A[(m, n)]
-
-    def row(self, m: int):
-        return [self.A[(m, n)] for n in range(self.n_max + 1)]
 
     def to_json(self) -> dict:
         return {
@@ -122,56 +117,6 @@ def cocycle_residual(U: SRE, ctx: CosimpCtx) -> SRE:
     return lhs - rhs
 
 
-def cocycle_coefficient_residual(
-    table: StratTable, ctx: CosimpCtx, cd: CDTable, m: int, k: int
-) -> SRE:
-    """The re-indexed residual for (t^m, X_2^[k]):
-
-        A_{m,k} - sum_{i+j=m} (sum_s A_{j,s} X_1^[s])
-                  (sum_{p<=i} sum_v A_{p,k+v} (-1)^v X_1^[v] c_{p-(k+v), i-p})
-
-    as a 1-variable pd polynomial, truncated at degree D - k so it matches
-    the ring-computed residual coefficient-for-coefficient.
-    """
-    field = ctx.field
-    deg = ctx.trunc.pd_degree - k
-    tr = Trunc(1, max(deg, 0))
-    l = table.l
-    total = SRE.zero(field, 1, tr, l)
-    if deg < 0:
-        return total
-    for i in range(m + 1):
-        j = m - i
-        first: dict = {}
-        for s in range(min(deg, table.n_max) + 1):
-            mat = table.at(j, s)
-            if not mat.is_zero():
-                first[(0, (s,))] = mat
-        first_sre = SRE(field, 1, tr, l, first)
-        inner = SRE.zero(field, 1, tr, l)
-        for p in range(i + 1):
-            for v in range(deg + 1):
-                if k + v > table.n_max:
-                    break
-                apk = table.at(p, k + v)
-                if apk.is_zero():
-                    continue
-                cpoly = cd.c_poly(p - (k + v), i - p)
-                if not cpoly:
-                    continue
-                sign = Fraction(-1) ** v
-                for w, cval in cpoly.items():
-                    if v + w > deg:
-                        continue
-                    # X^[v] * X^[w] = C(v+w, v) X^[v+w]
-                    scale = cval * (sign * comb(v + w, v))
-                    mono = SRE.monomial(field, 1, tr, 0, (v + w,), apk * scale)
-                    inner = inner + mono
-        total = total + first_sre * inner
-    lead = SRE.from_matrix(field, 1, tr, table.at(m, k)) if k <= table.n_max else SRE.zero(field, 1, tr, l)
-    return lead - total
-
-
 def residual_report(residual: SRE) -> dict:
     """JSON-ready summary of a (2-variable) residual series."""
     nonzero = []
@@ -197,66 +142,47 @@ def _val_str(v):
     return str(v)
 
 
-def check_near_HT(
-    a01: KMat,
-    mode: str = "probe",
-    n_probe: int = 64,
-    threshold: int = 40,
-    weights: list[KElem] | None = None,
-) -> dict:
-    """Convergence gate on A_{0,1}: prod_{i=0}^{n} (i beta + A_{0,1}) -> 0.
-
-    probe mode tracks the min entry valuation of the partial products;
-    exact_weights mode certifies supplied eigenvalues of -A_{0,1}/beta lie
-    in Z + beta^{-1} m via exact valuations.  Returns a verdict report,
-    never raises.
-    """
+def check_near_HT(a01: KMat, n_probe: int = 64, threshold: int = 40) -> dict:
+    """Convergence probe on A_{0,1}: prod_{i=0}^{n} (i beta + A_{0,1}) -> 0,
+    tracked by the min entry valuation of the partial products.  Returns a
+    verdict report, never raises."""
     field = a01.field
-    if mode == "probe":
-        beta = field.beta
-        l = a01.nrows
-        prod = KMat.identity(field, l)
-        vals = []
-        verdict = None
-        for i in range(n_probe + 1):
-            prod = (KMat.scalar(field, l, beta * i) + a01) * prod
-            v = prod.min_valuation()
-            if v is INF:
-                verdict = "PASS"
-                vals.append("inf")
-                break
-            vals.append(str(v))
-        if verdict is None:
-            final = prod.min_valuation()
-            verdict = "PASS" if final > threshold else "FAIL"
-        return {
-            "mode": "probe",
-            "verdict": verdict,
-            "n_probe": n_probe,
-            "threshold": threshold,
-            "min_valuations": vals,
-        }
-    if mode == "exact_weights":
-        if weights is None:
-            raise ValueError("exact_weights mode needs the weight list")
-        results = []
-        all_ok = True
-        for w in weights:
-            ok, witness = _weight_in_near_HT_set(w)
-            all_ok = all_ok and ok
-            results.append(
-                {
-                    "weight": w.to_json(),
-                    "in_set": ok,
-                    "nearest_integer": witness,
-                }
-            )
-        return {
-            "mode": "exact_weights",
-            "verdict": "PASS" if all_ok else "FAIL",
-            "weights": results,
-        }
-    raise ValueError(f"unknown mode {mode!r}")
+    beta = field.beta
+    l = a01.nrows
+    prod = KMat.identity(field, l)
+    vals = []
+    verdict = None
+    for i in range(n_probe + 1):
+        prod = (KMat.scalar(field, l, beta * i) + a01) * prod
+        v = prod.min_valuation()
+        if v is INF:
+            verdict = "PASS"
+            vals.append("inf")
+            break
+        vals.append(str(v))
+    if verdict is None:
+        final = prod.min_valuation()
+        verdict = "PASS" if final > threshold else "FAIL"
+    return {
+        "mode": "probe",
+        "verdict": verdict,
+        "n_probe": n_probe,
+        "threshold": threshold,
+        "min_valuations": vals,
+    }
+
+
+def check_weights_near_HT(weights: list[KElem]) -> dict:
+    """Certify that the eigenvalues `weights` of -A_{0,1}/beta lie in
+    Z + beta^{-1} m via exact valuations; a verdict report per weight."""
+    results = []
+    for w in weights:
+        ok, witness = _weight_in_near_HT_set(w)
+        results.append({"weight": w.to_json(), "in_set": ok, "nearest_integer": witness})
+    return {
+        "verdict": "PASS" if all(r["in_set"] for r in results) else "FAIL",
+        "weights": results,
+    }
 
 
 def _weight_in_near_HT_set(w: KElem):

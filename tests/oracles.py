@@ -1,0 +1,198 @@
+"""Reference implementations that more than one test file checks the engine
+against.  None of them runs on a CLI path; each is an independent
+derivation of something the engine computes another way."""
+
+from fractions import Fraction
+
+from prismstrat.closedform import FGTables, _linear_product
+from prismstrat.errors import ShapeMismatch
+from prismstrat.field import INF, FieldDesc, KElem, PadicApprox
+from prismstrat.matrix import KMat
+from prismstrat.series import SimplexRingElem as SRE
+from prismstrat.series import Trunc
+
+# -- p-adic approximations ----------------------------------------------------
+
+
+def _vp(a: KElem):
+    """p-adic valuation (v / e), rational in general; INF for 0."""
+    v = a.valuation()
+    return v if v is INF else Fraction(v, a.field.e)
+
+
+def agrees_mod(a: PadicApprox, b: PadicApprox, n) -> bool:
+    """Whether a == b modulo p^n (as far as both are known)."""
+    diff = _vp(a.value - b.value)
+    return diff is INF or diff >= n
+
+
+def known_nonzero(a: PadicApprox) -> bool:
+    """Nonzero at the stated precision: v_p(value) < prec."""
+    v = _vp(a.value)
+    return v is not INF and v < a.prec
+
+
+# -- series and the cosimplicial tables ---------------------------------------
+
+
+def truncate(x: SRE, trunc: Trunc) -> SRE:
+    """Restrict x to a smaller truncation window."""
+    if not (trunc.t_order <= x.trunc.t_order and trunc.pd_degree <= x.trunc.pd_degree):
+        raise ShapeMismatch("can only truncate to a smaller window")
+    return SRE(x.field, x.n_vars, trunc, x.size, x.coeffs)
+
+
+def c_poly(cd, p: int, s: int) -> dict[int, KElem]:
+    """c_{p,s} of a CDTable as {k: d_{p,s,k}}, zeros omitted."""
+    return cd.c.get((p, s), {})
+
+
+def pd_binomial(field: FieldDesc, trunc: Trunc, q: int) -> SRE:
+    """(X_2 - X_1)^[q] = sum_k (-1)^(q-k) X_1^[q-k] X_2^[k], in two variables.
+
+    face_map places these terms directly; this is the reference for them.
+    """
+    out = SRE.zero(field, 2, trunc)
+    for k in range(q + 1):
+        sign = -1 if (q - k) % 2 else 1
+        out = out + SRE.monomial(
+            field, 2, trunc, 0, (q - k, k), KMat.identity(field, 1) * sign
+        )
+    return out
+
+
+# -- the scalar tables f and g by induction -------------------------------------
+
+
+def g_inductive_row(tables: FGTables, m: int, f: int, i: int) -> dict[int, KElem]:
+    """{j: g^j_{m,f,i}} built purely from the induction
+    g^j_{m+1,f,i} = g^j_{m,f,i} + (beta - beta/j) g^(j-1)_{m,f,i}."""
+    field = tables.field
+    beta = field.beta
+    if m < f + 1:
+        return {}
+    row = {i + 1: field.from_rational(Fraction(1, i + 1))}
+    for mm in range(f + 1, m):
+        nxt: dict[int, KElem] = {}
+        for j in range(i + 1, (mm + 1) - f + i + 1):
+            cur = row.get(j, field.zero)
+            prev = row.get(j - 1, field.zero)
+            val = cur + prev * (beta - beta * Fraction(1, j))
+            if not val.is_zero():
+                nxt[j] = val
+        row = nxt
+    return row
+
+
+def fg_dual_check(tables: FGTables, m_max: int, i_max: int | None = None) -> dict:
+    """Compare closed form vs induction for all m <= m_max; exact."""
+    mismatches = []
+    checked = 0
+    for f in range(0, m_max):
+        imax = i_max if i_max is not None else 2 * f + 2
+        for i in range(0, imax + 1):
+            for m in range(f + 1, m_max + 1):
+                ind = g_inductive_row(tables, m, f, i)
+                for j in range(0, m - f + i + 2):
+                    a = tables.g(m, f, i, j)
+                    b = ind.get(j, tables.field.zero)
+                    checked += 1
+                    if a != b:
+                        mismatches.append((m, f, i, j))
+    return {"ok": not mismatches, "checked": checked, "mismatches": mismatches}
+
+
+def fg_coeffs(field: FieldDesc, m_max: int) -> FGTables:
+    """Build the scalar tables, verifying closed form against induction."""
+    tables = FGTables(field)
+    report = fg_dual_check(tables, m_max)
+    if not report["ok"]:
+        raise AssertionError(f"f/g dual-path disagreement: {report['mismatches']}")
+    return tables
+
+
+# -- polynomial-in-s identity checks for the summation identities -------------
+
+
+def _falling_factorial(s: int, i: int) -> int:
+    out = 1
+    for u in range(i):
+        out *= s - u
+    return out
+
+
+def lemma_identity_check(
+    field: FieldDesc,
+    kind: str,
+    a01: KMat,
+    params: dict,
+    tables: FGTables | None = None,
+    s_samples: list[int] | None = None,
+) -> dict:
+    """Evaluate both sides of a summation identity at integer samples s.
+
+    Both sides are polynomials in s of degree <= m+i+1, so agreement on
+    degree+1 samples certifies the identity for the given A_{0,1}.
+    """
+    tables = tables or FGTables(field)
+    l = a01.nrows
+
+    if kind == "change_m":
+        m = params["m"]
+        f, i = 0, 0
+    elif kind == "change_mfi":
+        m, f, i = params["m"], params["f"], params["i"]
+    elif kind == "exp_sum":
+        return _exp_sum_check(field, a01, params)
+    else:
+        raise ValueError(f"unknown lemma kind {kind!r}")
+
+    degree = m + i + 1
+    samples = s_samples if s_samples is not None else list(range(degree + 1))
+    mismatches = []
+    for s in samples:
+        lhs = KMat.zero(field, l)
+        for c in range(s):
+            # prod_{t=f+1}^{m-1} ((c - t) beta + A_{0,1})
+            factors = _linear_product(field, a01, range(f + 1 - c, m - c))
+            lhs = lhs + factors * _falling_factorial(c, i)
+        rhs = KMat.zero(field, l)
+        for j in range(i + 1, m - f + i + 1):
+            gj = tables.g(m, f, i, j)
+            if gj.is_zero():
+                continue
+            factors = _linear_product(field, a01, range(f - i + 1, m - j + 1))
+            rhs = rhs + factors * (_falling_factorial(s, j) * gj)
+        if lhs != rhs:
+            mismatches.append(s)
+    return {
+        "kind": kind,
+        "params": dict(params),
+        "degree": degree,
+        "samples": list(samples),
+        "ok": not mismatches,
+        "mismatching_samples": mismatches,
+    }
+
+
+def _exp_sum_check(field: FieldDesc, a: KMat, params: dict) -> dict:
+    """sum_s A_{k+s} X^[s] = A_k (1 - beta X)^(-A/beta - k), both truncated."""
+    k = params.get("k", 0)
+    deg = params.get("pd_degree", 8)
+    tr = Trunc(1, deg)
+    l = a.nrows
+    beta = field.beta
+    lhs: dict = {}
+    acc = _linear_product(field, a, range(1 - k, 1))
+    ak = acc
+    for s in range(deg + 1):
+        if not acc.is_zero():
+            lhs[(0, (s,))] = acc
+        acc = (KMat.scalar(field, l, beta * (k + s)) + a) * acc
+    lhs_sre = SRE(field, 1, tr, l, lhs)
+    one = SRE.one(field, 1, tr)
+    x = SRE.monomial(field, 1, tr, 0, (1,), KMat.identity(field, 1))
+    exponent = a * beta.inverse() * -1 - KMat.scalar(field, l, field.from_rational(k))
+    rhs_sre = ak * (one + x * (-beta)).exp_pow(exponent)
+    ok = lhs_sre == rhs_sre
+    return {"kind": "exp_sum", "params": dict(params), "ok": ok}

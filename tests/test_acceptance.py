@@ -17,13 +17,11 @@ from prismstrat.closedform import (
     closedform_series,
     conjecture_residual,
     exponential_sum_series,
-    fg_dual_check,
     h_table,
-    lemma_identity_check,
     verify_commutative,
 )
 from prismstrat.cohomology import h0_dim_bound, h0_solve
-from prismstrat.cosimplicial import CosimpCtx, cd_table, face_map, pd_binomial
+from prismstrat.cosimplicial import CosimpCtx, cd_table, face_map
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat, charpoly
 from prismstrat.sen import lambda1_series, sen_operator_matrix
@@ -35,6 +33,8 @@ from prismstrat.stratification import (
     cocycle_residual,
     generate_Amn,
 )
+
+from oracles import agrees_mod, fg_dual_check, known_nonzero, lemma_identity_check, pd_binomial, truncate
 
 F1 = field_init(3, [-3, 1])  # E = u - 3
 F2 = field_init(3, [-3, 0, 1])  # E = u^2 - 3
@@ -281,9 +281,9 @@ def test_criterion_8_sen_layer():
         ctx = CosimpCtx(field, Trunc(4, 2))
         lam10 = lambda1_series(ctx, 10)
         lam20 = lambda1_series(ctx, 20)
-        assert lam10.constant_term().known_nonzero()
+        assert known_nonzero(lam10.coeffs[0])
         for a, b in zip(lam10.coeffs, lam20.coeffs):
-            assert a.agrees_mod(b, 10)
+            assert agrees_mod(a, b, 10)
         seeds = scalar_seeds(field, [Fraction(-3, 2), 1, Fraction(2, 5), 0])
         rep = sen_operator_matrix(seeds, ctx, 10)
         assert rep.leibniz_ok
@@ -359,7 +359,7 @@ def test_criterion_9_ring_property_suite():
         field = FIELDS[rng.randint(0, 1)]
         a = _random_series(rng, field, big)
         b = _random_series(rng, field, big)
-        assert (a * b).truncate(small) == a.truncate(small) * b.truncate(small)
+        assert truncate(a * b, small) == truncate(a, small) * truncate(b, small)
         cases += 1
 
     # (iv) face-map monomial action vs ordinary-power oracle: 200 cases

@@ -119,11 +119,13 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("trunc", {"t": 3, "x": cli.MAX_D + 1}),
         ("trunc", {"t": cli.MAX_T, "x": cli.MAX_D}),
         ("rank", cli.MAX_RANK + 1),
+        ("E_coeffs", ["-3"] + ["0"] * cli.MAX_E + ["1"]),
+        ("padic_prec", cli.MAX_PREC + 1),
     ],
     ids=[
         "rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff",
         "options_n_max", "options_list", "n_probe_limit", "trunc_t_limit", "trunc_x_limit",
-        "t_x_rank_limit", "rank_limit",
+        "t_x_rank_limit", "rank_limit", "E_degree_limit", "padic_prec_limit",
     ],
 )
 def test_malformed_number_exits_2(tmp_path, field, value):
@@ -141,22 +143,55 @@ def test_malformed_number_exits_2(tmp_path, field, value):
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("options", {"n_probe": 100_000_000}), ("trunc", {"t": 3, "x": 100_000})],
-    ids=["n_probe", "trunc_x"],
+    "command, field, value",
+    [
+        ("gen", "options", {"n_probe": 100_000_000}),
+        ("gen", "trunc", {"t": 3, "x": 100_000}),
+        ("gen", "E_coeffs", ["-3"] + ["0"] * 199 + ["1"]),
+        ("sen", "padic_prec", 10**6),
+    ],
+    ids=["n_probe", "trunc_x", "E_degree", "padic_prec"],
 )
-def test_huge_size_exits_2_quickly(tmp_path, field, value):
-    # both ran unbounded without the limits: a probe product of 10^8 factors,
-    # and a table and alpha powers 10^5 pd degrees deep
+def test_huge_size_exits_2_quickly(tmp_path, command, field, value):
+    # all ran unbounded without the limits: a probe product of 10^8 factors,
+    # a table and alpha powers 10^5 pd degrees deep, field arithmetic with
+    # E = u^200 - 3, and a lambda1 product to precision p^(10^6)
     data = {**BASE_SPEC, "seeds": [[["1/2"]], [["2/3"]], [["0"]]], field: value}
     spec = write_spec(tmp_path, data)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-m", "prismstrat.cli", "gen", "--spec", spec],
+        [sys.executable, "-m", "prismstrat.cli", command, "--spec", spec],
         capture_output=True, text=True, timeout=10, env=env,
     )
     assert proc.returncode == 2, proc.stderr
     assert "limit" in json.loads(proc.stdout)["error"]["message"]
+
+
+def test_prec_option_above_limit_exits_2(tmp_path):
+    out = str(tmp_path / "out.json")
+    assert main(["sen", "--spec", str(SPECS / "sen_ramified.json"), "--out", out, "--prec", "1000000"]) == 2
+    assert "padic_prec" in json.loads(open(out).read())["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["gen", "h0", "sen"])
+def test_oversized_report_number_exits_3(tmp_path, command):
+    # E_0 = -3 (10^4000 + 1) is a legal 4001-digit input, but the reports
+    # hold rationals with more digits than Python converts to a string
+    data = json.loads((SPECS / "sen_ramified.json").read_text())
+    data["E_coeffs"][0] = str(-3 * (10**4000 + 1))
+    spec = write_spec(tmp_path, data)
+    out = str(tmp_path / "out.json")
+    assert run(command, spec, out) == 3
+    assert json.loads(open(out).read())["error"]["type"] == "NumberTooLarge"
+
+
+def test_oversized_json_integer_exits_2(tmp_path):
+    # json refuses an integer literal above Python's string conversion limit
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(BASE_SPEC).replace('"padic_prec": 8', '"padic_prec": 1' + "0" * 5000))
+    out = str(tmp_path / "out.json")
+    assert run("sen", str(spec), out) == 2
+    assert json.loads(open(out).read())["error"]["type"] == "BadSpecFile"
 
 
 def test_sen_with_huge_rational_weight_finishes(tmp_path):

@@ -11,9 +11,7 @@ from prismstrat.closedform import (
     closedform_series,
     conjecture_residual,
     exponential_sum_series,
-    fg_dual_check,
     h_table,
-    lemma_identity_check,
     row_series,
     verify_commutative,
 )
@@ -24,6 +22,8 @@ from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
 from prismstrat.stratification import Seeds, generate_Amn
+
+from oracles import fg_dual_check, lemma_identity_check
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
@@ -45,9 +45,9 @@ def test_f_base_values():
     t1 = FGTables(F1)
     t2 = FGTables(F2)
     for m in range(1, 9):
-        assert t1.f(m, 1) == F1.one
-        assert t2.f(m, 1) == F2.one
-    assert t2.f(2, 2) == F2.beta * Fraction(1, 2)
+        assert t1.g(m, 0, 0, 1) == F1.one
+        assert t2.g(m, 0, 0, 1) == F2.one
+    assert t2.g(2, 0, 0, 2) == F2.beta * Fraction(1, 2)
 
 
 def test_g_base_case():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from prismstrat.errors import DivisionByZero, NotEisenstein, PrimeTooSmall
 from prismstrat.field import INF, PadicApprox, field_init
 
+from oracles import agrees_mod
+
 F_LIN = field_init(3, [-3, 1])  # E = u - 3
 F_QUAD = field_init(3, [-3, 0, 1])  # E = u^2 - 3
 F_CUBIC = field_init(5, [-5, 0, 0, 1])  # E = u^3 - 5
@@ -167,8 +169,8 @@ def test_valuation_against_norm_oracle(field):
 def test_padic_agreement_mod():
     a = F_LIN.from_rational(5)
     b = F_LIN.from_rational(5 + 3**6)
-    assert PadicApprox.exact(a).agrees_mod(PadicApprox.exact(b), 6)
-    assert not PadicApprox.exact(a).agrees_mod(PadicApprox.exact(b), 7)
+    assert agrees_mod(PadicApprox(a, INF), PadicApprox(b, INF), 6)
+    assert not agrees_mod(PadicApprox(a, INF), PadicApprox(b, INF), 7)
 
 
 def test_serialization_round_trip():

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from prismstrat.closedform import fg_coeffs, fg_to_json, h_table
+from prismstrat.closedform import h_table
 from prismstrat.cosimplicial import CosimpCtx, theta_report
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat
@@ -16,6 +16,8 @@ from prismstrat.stratification import (
     valuation_profile,
 )
 
+from oracles import fg_coeffs
+
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
 
@@ -26,10 +28,10 @@ def scalar_seeds(field, values):
 
 def test_fg_coeffs_builds_verified_tables():
     tables = fg_coeffs(F2, 6)
-    assert tables.f(3, 2) == F2.beta  # beta/2 * (3-1)
-    report = fg_to_json(tables, 3)
-    assert report["f"]["1,1"] == ["1", "0"]
-    assert "2,1,1,2" in report["g"]
+    # f_{m,i} = g^i_{m,0,0}
+    assert tables.g(3, 0, 0, 2) == F2.beta  # beta/2 * (3-1)
+    assert tables.g(1, 0, 0, 1).to_json() == ["1", "0"]
+    assert not tables.g(2, 1, 1, 2).is_zero()
 
 
 def test_recursion_violation_shows_in_residual():

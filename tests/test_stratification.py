@@ -1,6 +1,7 @@
 """Table generation, epsilon assembly, cocycle residuals, near-HT probes."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,12 +15,14 @@ from prismstrat.stratification import (
     Seeds,
     assemble_epsilon,
     check_near_HT,
-    cocycle_coefficient_residual,
+    check_weights_near_HT,
     cocycle_residual,
     StratTable,
     generate_Amn,
     residual_report,
 )
+
+from oracles import c_poly
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
@@ -112,6 +115,54 @@ def test_zero_column_forced():
             assert R.coeff(m, (0, k)).is_zero()
 
 
+def cocycle_coefficient_residual(table: StratTable, ctx: CosimpCtx, cd, m: int, k: int) -> SRE:
+    """The re-indexed residual for (t^m, X_2^[k]):
+
+        A_{m,k} - sum_{i+j=m} (sum_s A_{j,s} X_1^[s])
+                  (sum_{p<=i} sum_v A_{p,k+v} (-1)^v X_1^[v] c_{p-(k+v), i-p})
+
+    as a 1-variable pd polynomial, truncated at degree D - k so it matches
+    the ring-computed residual coefficient-for-coefficient.
+    """
+    field = ctx.field
+    deg = ctx.trunc.pd_degree - k
+    tr = Trunc(1, max(deg, 0))
+    l = table.l
+    total = SRE.zero(field, 1, tr, l)
+    if deg < 0:
+        return total
+    for i in range(m + 1):
+        j = m - i
+        first: dict = {}
+        for s in range(min(deg, table.n_max) + 1):
+            mat = table.at(j, s)
+            if not mat.is_zero():
+                first[(0, (s,))] = mat
+        first_sre = SRE(field, 1, tr, l, first)
+        inner = SRE.zero(field, 1, tr, l)
+        for p in range(i + 1):
+            for v in range(deg + 1):
+                if k + v > table.n_max:
+                    break
+                apk = table.at(p, k + v)
+                if apk.is_zero():
+                    continue
+                cpoly = c_poly(cd, p - (k + v), i - p)
+                if not cpoly:
+                    continue
+                sign = Fraction(-1) ** v
+                for w, cval in cpoly.items():
+                    if v + w > deg:
+                        continue
+                    # X^[v] * X^[w] = C(v+w, v) X^[v+w]
+                    scale = cval * (sign * comb(v + w, v))
+                    mono = SRE.monomial(field, 1, tr, 0, (v + w,), apk * scale)
+                    inner = inner + mono
+        total = total + first_sre * inner
+    lead = SRE.from_matrix(field, 1, tr, table.at(m, k)) if k <= table.n_max else SRE.zero(field, 1, tr, l)
+    return lead - total
+
+
 def _formula_matches_ring_residual(table, ctx) -> int:
     """Compare the ring residual with the re-indexed coefficient formula
     coefficient for coefficient; returns the number of nonzero coefficients."""
@@ -158,43 +209,35 @@ def test_coefficient_formula_matches_ring_residual():
 
 def test_near_HT_probe_exact_zero():
     a01 = KMat.scalar(F2, 1, -F2.beta)
-    rep = check_near_HT(a01, "probe", n_probe=10, threshold=5)
+    rep = check_near_HT(a01, n_probe=10, threshold=5)
     assert rep["verdict"] == "PASS"
     assert rep["min_valuations"][-1] == "inf"
 
 
 def test_near_HT_probe_factorial_growth():
     a01 = KMat.identity(F1, 1)
-    rep = check_near_HT(a01, "probe", n_probe=200, threshold=40)
+    rep = check_near_HT(a01, n_probe=200, threshold=40)
     assert rep["verdict"] == "PASS"
 
 
 def test_near_HT_probe_divergent():
     a01 = KMat.scalar(F1, 1, F1.from_rational(Fraction(1, 3)))
-    rep = check_near_HT(a01, "probe", n_probe=30, threshold=0)
+    rep = check_near_HT(a01, n_probe=30, threshold=0)
     assert rep["verdict"] == "FAIL"
 
 
 def test_near_HT_exact_weights():
     # integer weights pass
-    rep = check_near_HT(
-        KMat.zero(F2, 1), "exact_weights", weights=[F2.from_rational(4)]
-    )
+    rep = check_weights_near_HT([F2.from_rational(4)])
     assert rep["verdict"] == "PASS"
     assert rep["weights"][0]["nearest_integer"] == 4
     # weight 1/p fails: negative-valuation distance to every integer
-    rep = check_near_HT(
-        KMat.zero(F1, 1),
-        "exact_weights",
-        weights=[F1.from_rational(Fraction(1, 3))],
-    )
+    rep = check_weights_near_HT([F1.from_rational(Fraction(1, 3))])
     assert rep["verdict"] == "FAIL"
     # weight with small pi-perturbation passes for e=2 (beta = 2 pi, v=1)
     w = F2.from_coords([2, Fraction(1)])  # 2 + pi, v(w-2) = 1 > -1
-    rep = check_near_HT(KMat.zero(F2, 1), "exact_weights", weights=[w])
+    rep = check_weights_near_HT([w])
     assert rep["verdict"] == "PASS"
     # rational weight 5/3 at p=3 fails even with the beta slack
-    rep = check_near_HT(
-        KMat.zero(F2, 1), "exact_weights", weights=[F2.from_rational(Fraction(5, 3))]
-    )
+    rep = check_weights_near_HT([F2.from_rational(Fraction(5, 3))])
     assert rep["verdict"] == "FAIL"
