@@ -45,10 +45,12 @@ from .stratification import (
 COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep", "validate")
 # Largest accepted sizes, so that every spec runs in bounded work: the
 # t-order T, the pd degree D, the rank l, T * D * l, the degree e of E, the
-# p-adic precision and each integer option.
+# p-adic precision and each integer option.  An option also has a floor,
+# below which its command would check nothing or fail as a computation.
 MAX_T, MAX_D, MAX_RANK, MAX_TDL, MAX_E, MAX_PREC = 16, 64, 8, 512, 8, 1024
-INT_OPTIONS = {
-    "n_max": MAX_D, "m_max": MAX_T, "k_max": MAX_T, "n_probe": 256, "threshold": 1024, "n_phi_max": 1024
+INT_OPTIONS = {  # name: (floor, limit)
+    "n_max": (0, MAX_D), "m_max": (0, MAX_T), "k_max": (0, MAX_T),
+    "n_probe": (0, 256), "threshold": (0, 1024), "n_phi_max": (1, 1024),
 }
 
 
@@ -130,10 +132,13 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     if not isinstance(options, dict):
         raise ValidationError("options must be a JSON object")
     options = dict(options)
-    for name, limit in INT_OPTIONS.items():
+    for name, (floor, limit) in INT_OPTIONS.items():
         if name in options:
             with _parsing(f"options.{name}"):
-                options[name] = _at_most(f"options.{name}", int(options[name]), limit)
+                value = int(options[name])
+            if value < floor:
+                raise ValidationError(f"options.{name} = {value} is below the floor {floor}")
+            options[name] = _at_most(f"options.{name}", value, limit)
     return ProblemSpec(field, seeds, trunc, prec, options, data)
 
 

@@ -4,12 +4,14 @@ derivation of something the engine computes another way."""
 
 from fractions import Fraction
 
-from prismstrat.closedform import FGTables, _linear_product
+from prismstrat import closedform
+from prismstrat.closedform import FGTables, _linear_product, row_series
 from prismstrat.errors import ShapeMismatch
 from prismstrat.field import INF, FieldDesc, KElem, PadicApprox
 from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
+from prismstrat.stratification import generate_Amn
 
 # -- p-adic approximations ----------------------------------------------------
 
@@ -59,6 +61,38 @@ def pd_binomial(field: FieldDesc, trunc: Trunc, q: int) -> SRE:
             field, 2, trunc, 0, (q - k, k), KMat.identity(field, 1) * sign
         )
     return out
+
+
+def conjecture_residual_per_k(seeds, ctx, k_max: int) -> dict:
+    """closedform.conjecture_residual built one k at a time: the t^(k-i)
+    slice of alpha^(i+a), one matrix power per i, times a_i, against
+    sum_m (sum_n A_{m,n} X^[n]) a_{k-m}.  The a_i come from
+    closedform.ak_series, looked up at call time so that a test can
+    perturb them in both."""
+    field, l, deg = ctx.field, seeds.l, ctx.trunc.pd_degree
+    tr1 = Trunc(1, deg)
+    a_list = closedform.ak_series(seeds, ctx, k_max)
+    table = generate_Amn(seeds, ctx, deg)
+    exponent = seeds.a01 * field.beta.inverse() * -1
+    alpha_ia = [
+        ctx.alpha_pow(exponent + KMat.scalar(field, l, field.from_rational(i)))
+        for i in range(k_max + 1)
+    ]
+    residuals = {}
+    for k in range(k_max + 1):
+        diff = SRE.zero(field, 1, tr1, l)
+        for i in range(k + 1):
+            d_slice = {(0, idx): mat for idx, mat in alpha_ia[i].t_slice(k - i).items()}
+            diff = diff + SRE(field, 1, tr1, l, d_slice) * a_list[i]
+            diff = diff - row_series(table, k - i, field, deg) * a_list[i]
+        nonzero = sorted(idx[0] for (_, idx) in diff.coeffs)
+        residuals[str(k)] = {"zero": not nonzero, "nonzero_degrees": nonzero}
+    return {
+        "k_max": k_max,
+        "pd_degree": deg,
+        "residuals": residuals,
+        "low_k_zero": all(residuals[str(k)]["zero"] for k in range(min(k_max, 2) + 1)),
+    }
 
 
 # -- the scalar tables f and g by induction -------------------------------------

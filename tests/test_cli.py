@@ -114,18 +114,20 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("E_coeffs", ["-3", "x", "1"]),
         ("options", {"n_max": "z"}),
         ("options", [1]),
-        ("options", {"n_probe": cli.INT_OPTIONS["n_probe"] + 1}),
+        ("options", {"n_probe": cli.INT_OPTIONS["n_probe"][1] + 1}),
         ("trunc", {"t": cli.MAX_T + 1, "x": 4}),
         ("trunc", {"t": 3, "x": cli.MAX_D + 1}),
         ("trunc", {"t": cli.MAX_T, "x": cli.MAX_D}),
         ("rank", cli.MAX_RANK + 1),
         ("E_coeffs", ["-3"] + ["0"] * cli.MAX_E + ["1"]),
         ("padic_prec", cli.MAX_PREC + 1),
+        *(("options", {name: floor - 1}) for name, (floor, _) in cli.INT_OPTIONS.items()),
     ],
     ids=[
         "rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff",
         "options_n_max", "options_list", "n_probe_limit", "trunc_t_limit", "trunc_x_limit",
         "t_x_rank_limit", "rank_limit", "E_degree_limit", "padic_prec_limit",
+        *(f"{name}_floor" for name in cli.INT_OPTIONS),
     ],
 )
 def test_malformed_number_exits_2(tmp_path, field, value):
@@ -445,6 +447,31 @@ def test_mutated_spec_keeps_cli_contract(tmp_path_factory, name, path, value):
         assert code in (0, 2, 3), command
         report = json.loads(out.read_text())
         assert (code != 0) == isinstance(report.get("error"), dict), command
+
+
+@settings(max_examples=30, deadline=10000, derandomize=True)
+@given(
+    where=st.sampled_from([("base",), ("instances", 0), ("instances", 3)]),
+    path=st.sampled_from(_PATHS),
+    value=_VALUE,
+)
+@example(where=("base",), path=("options", "k_max"), value=-1)
+@example(where=("base",), path=("options", "n_probe"), value=-3)
+@example(where=("instances", 0), path=("options",), value={"n_max": -2})
+@example(where=("instances", 3), path=("options",), value={"m_max": -1, "n_phi_max": 0})
+def test_mutated_sweep_keeps_cli_contract(tmp_path_factory, where, path, value):
+    # a sweep with a mutated base, instance or base option exits 0, 2 or 3
+    # with a JSON report, an "error" object on failure, and a {"type",
+    # "message"} error on every failed instance
+    tmp = tmp_path_factory.mktemp("sweep_contract")
+    sweep = _mutated(json.loads((SPECS / "sweep_conjecture.json").read_text()), (*where, *path), value)
+    out = tmp / "out.json"
+    code = main(["sweep", "--spec", write_spec(tmp, sweep), "--out", str(out), "--jobs", "1"])
+    assert code in (0, 2, 3)
+    report = json.loads(out.read_text())
+    assert (code != 0) == isinstance(report.get("error"), dict)
+    for res in report.get("results", []):
+        assert res["ok"] or set(res["error"]) == {"type", "message"}, res
 
 
 @pytest.mark.parametrize("row", [["3"], ["3", "4", 5]], ids=["short", "long"])

@@ -1,10 +1,14 @@
 """Closed forms: f/g tables, the h table, generating functions, a_k series."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prismstrat import closedform
 from prismstrat.closedform import (
     FGTables,
     ak_series,
@@ -16,14 +20,14 @@ from prismstrat.closedform import (
     verify_commutative,
 )
 from prismstrat.cosimplicial import CosimpCtx
-from prismstrat.errors import NonCommutingSeeds
+from prismstrat.errors import NonCommutingSeeds, ShapeMismatch
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
 from prismstrat.stratification import Seeds, generate_Amn
 
-from oracles import fg_dual_check, lemma_identity_check
+from oracles import conjecture_residual_per_k, fg_dual_check, lemma_identity_check
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
@@ -319,6 +323,97 @@ def test_conjecture_residual_low_k(field):
     for k in range(3):
         assert rep["residuals"][str(k)]["zero"], rep
     assert rep["low_k_zero"]
+
+
+@functools.cache
+def _ctx(field, t_order, pd_degree):
+    return CosimpCtx(field, Trunc(t_order, pd_degree))
+
+
+def _draw_commuting_seeds(data, field, count):
+    """count seeds of rank 1 or 2 whose A_{0,1} commutes with every A_{j,1}:
+    c_m I + d_m M for one random M, or a scalar A_{0,1} before arbitrary
+    matrices (which need not commute with each other)."""
+    rank = data.draw(st.integers(1, 2))
+
+    def q():
+        return field.from_rational(Fraction(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 4))))
+
+    def mat():
+        return KMat.from_rows(field, [[q() for _ in range(rank)] for _ in range(rank)])
+
+    if data.draw(st.booleans()):
+        m = mat()
+        return Seeds.of([KMat.scalar(field, rank, q()) + m * q() for _ in range(count)])
+    return Seeds.of([KMat.scalar(field, rank, q())] + [mat() for _ in range(count - 1)])
+
+
+def _draw_instance(data, field, min_k=0, min_pd=0):
+    """(seeds, ctx, k_max) with k_max < T <= 5 and min_pd <= D <= 4."""
+    sizes = [(t, d, k) for t in range(1, 6) for d in range(min_pd, 5) for k in range(min_k, t)]
+    t_order, pd_degree, k_max = data.draw(st.sampled_from(sizes))
+    return _draw_commuting_seeds(data, field, t_order), _ctx(field, t_order, pd_degree), k_max
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_conjecture_residual_matches_per_k_oracle(field, data):
+    seeds, ctx, k_max = _draw_instance(data, field)
+    assert conjecture_residual(seeds, ctx, k_max) == conjecture_residual_per_k(seeds, ctx, k_max)
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_conjecture_residual_matches_oracle_on_perturbed_a_k(field, data):
+    # every unperturbed residual is zero; adding D to a_j (j >= 1) leaves
+    # -j beta D at X^[1] t^j, so both sides must report a nonzero residual
+    seeds, ctx, k_max = _draw_instance(data, field, min_k=1, min_pd=1)
+    j = data.draw(st.integers(1, k_max))
+    rows = [[field.from_rational(data.draw(st.integers(-3, 3))) for _ in range(seeds.l)] for _ in range(seeds.l)]
+    delta = KMat.from_rows(field, rows)
+    if delta.is_zero():
+        delta = KMat.identity(field, seeds.l)
+    ak_series = closedform.ak_series
+
+    def perturbed(*args):
+        out = ak_series(*args)
+        out[j] = out[j] + delta
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closedform, "ak_series", perturbed)
+        got = conjecture_residual(seeds, ctx, k_max)
+        expect = conjecture_residual_per_k(seeds, ctx, k_max)
+    assert got == expect
+    assert not got["residuals"][str(j)]["zero"]
+
+
+def test_conjecture_residual_takes_one_matrix_power(monkeypatch):
+    matrix_exponents = []
+    alpha_pow = CosimpCtx.alpha_pow
+
+    def counting(self, k):
+        matrix_exponents.append(isinstance(k, KMat))
+        return alpha_pow(self, k)
+
+    monkeypatch.setattr(CosimpCtx, "alpha_pow", counting)
+    rep = conjecture_residual(commuting_seeds(F2), CosimpCtx(F2, Trunc(4, 6)), 3)
+    assert rep["low_k_zero"]
+    assert matrix_exponents.count(True) == 1
+
+
+def test_conjecture_residual_error_precedence():
+    ctx = CosimpCtx(F1, Trunc(3, 4))
+    a01 = KMat.from_rows(F1, [[F1.one, F1.one], [F1.zero, F1.one]])
+    a11 = KMat.from_rows(F1, [[F1.zero, F1.one], [F1.one, F1.zero]])
+    with pytest.raises(NonCommutingSeeds, match="must commute"):
+        conjecture_residual(Seeds.of([a01, a11, a11]), ctx, 5)
+    with pytest.raises(ShapeMismatch, match="need t_order > k_max"):
+        conjecture_residual(scalar_seeds(F1, [1, 2]), ctx, 5)
+    with pytest.raises(ShapeMismatch, match=r"need seeds up to A_\(2,1\)"):
+        conjecture_residual(scalar_seeds(F1, [1, 2]), ctx, 2)
 
 
 def test_row_series_matches_table():

@@ -386,7 +386,7 @@ def _draw_exponent(data, field, trunc):
             rows[0][-1] = field.one
         return KMat.from_rows(field, rows)
     if kind == "shifted":
-        # -A_{0,1}/beta + i I, as conjecture_residual asks for
+        # -A_{0,1}/beta + i I, as the per-k conjecture oracle in oracles.py asks for
         i = data.draw(st.integers(0, 3))
         return m * field.beta.inverse() * -1 + KMat.scalar(field, size, field.from_rational(i))
     return m
