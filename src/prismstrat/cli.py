@@ -14,12 +14,10 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
-from .closedform import conjecture_residual, h_table, verify_commutative
-from .cohomology import h0_solve
 from .cosimplicial import CosimpCtx, theta_report
 from .errors import (
     ComputationError,
@@ -28,9 +26,8 @@ from .errors import (
     SeedShapeMismatch,
     ValidationError,
 )
-from .field import FieldDesc, field_init
+from .field import FieldDesc, KElem, field_init
 from .matrix import KMat
-from .sen import sen_operator_matrix
 from .series import Trunc
 from .stratification import (
     Seeds,
@@ -45,17 +42,17 @@ from .stratification import (
 COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep", "validate")
 # Largest accepted sizes, so that every spec runs in bounded work: the
 # t-order T, the pd degree D, the rank l, T * D * l, the degree e of E, the
-# p-adic precision and each integer option.  An option also has a floor,
+# p-adic precision, the digits of the reduced numerator and denominator of
+# each input rational and each integer option.  An option also has a floor,
 # below which its command would check nothing or fail as a computation.
-MAX_T, MAX_D, MAX_RANK, MAX_TDL, MAX_E, MAX_PREC = 16, 64, 8, 512, 8, 1024
+MAX_T, MAX_D, MAX_RANK, MAX_TDL, MAX_E, MAX_PREC, MAX_DIGITS = 16, 64, 8, 512, 8, 1024, 20
 INT_OPTIONS = {  # name: (floor, limit)
     "n_max": (0, MAX_D), "m_max": (0, MAX_T), "k_max": (0, MAX_T),
     "n_probe": (0, 256), "threshold": (0, 1024), "n_phi_max": (1, 1024),
 }
 
 
-@dataclass
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     field: FieldDesc
     seeds: Seeds
     trunc: Trunc
@@ -65,7 +62,9 @@ class ProblemSpec:
 
 
 def _parse_matrix(field: FieldDesc, data, rank: int) -> KMat:
-    mat = KMat.from_json(field, data)
+    rows = [[KElem.from_json(field, a) for a in row] for row in data]
+    _at_most("the digits of seeds", _digits(q for row in rows for a in row for q in a.coords), MAX_DIGITS)
+    mat = KMat.from_rows(field, rows)
     if mat.nrows != rank or mat.ncols != rank:
         raise SeedShapeMismatch(
             f"seed matrix is {mat.nrows}x{mat.ncols}, expected {rank}x{rank}"
@@ -89,6 +88,11 @@ def _at_most(name: str, value: int, limit: int) -> int:
     return value
 
 
+def _digits(values) -> int:
+    """The most digits in a reduced numerator or denominator of the rationals."""
+    return max((len(str(n)) for q in values for n in (abs(q.numerator), q.denominator)), default=1)
+
+
 def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     """Validate a raw spec dict against the module preconditions."""
     data = dict(raw)
@@ -108,6 +112,7 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     with _parsing("E_coeffs"):
         e_coeffs = [Fraction(str(c)) for c in data["E_coeffs"]]
         _at_most("the degree of E_coeffs", len(e_coeffs) - 1, MAX_E)
+        _at_most("the digits of E_coeffs", _digits(e_coeffs), MAX_DIGITS)
     with _parsing("p"):
         field = field_init(data["p"], e_coeffs)
     with _parsing("rank"):
@@ -201,18 +206,22 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
         residual = cocycle_residual(assemble_epsilon(table, ctx), ctx)
         return {"command": "cocycle", "report": residual_report(residual)}
     if command == "closed-form":
+        from .closedform import h_table, verify_commutative
         m_max = opts.get("m_max", spec.trunc.t_order - 1)
         ht = h_table(spec.seeds, ctx, m_max)
         report = verify_commutative(ht, ctx, spec.trunc.pd_degree)
         return {"command": "closed-form", "verify": report, "h_tilde": ht.to_json()}
     if command == "h0":
+        from .cohomology import h0_solve
         table = generate_Amn(spec.seeds, ctx, spec.trunc.pd_degree)
         sol = h0_solve(table, ctx)
         return {"command": "h0", "solution": sol.to_json()}
     if command == "sen":
+        from .sen import sen_operator_matrix
         rep = sen_operator_matrix(spec.seeds, ctx, spec.prec, opts.get("n_phi_max", 24))
         return {"command": "sen", "report": rep.to_json()}
     if command == "conjecture":
+        from .closedform import conjecture_residual
         k_max = opts.get("k_max", 2)
         rep = conjecture_residual(spec.seeds, ctx, k_max)
         flagged = [k for k, r in rep["residuals"].items() if not r["zero"]]

@@ -30,9 +30,9 @@ exponent in g, which is easy to mis-transcribe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .cosimplicial import CosimpCtx
 from .errors import NonCommutingSeeds, ShapeMismatch
@@ -85,8 +85,7 @@ class FGTables:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class HTable:
+class HTable(NamedTuple):
     """h[m][j] for 1 <= j <= 2m (h[0][0] = I), as matrices over K.
 
     h_tilde merges in the A_{0,j-m} factor for j > m.
@@ -268,23 +267,20 @@ def ak_series(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> list[KMat]:
     return out
 
 
-def conjecture_residual(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> dict:
-    """Per-k residual of the invertible-function identity:
+def conjecture_difference(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> SRE:
+    """L - R for the invertible-function identity, cut at t^(k_max+1):
 
         sum_{i+s=k} (sum_n d_{i+a,s,n} X^[n]) a_i
-            = sum_{m+l=k} (sum_n A_{m,n} X^[n]) a_l,
+            = sum_{m+l=k} (sum_n A_{m,n} X^[n]) a_l
 
-    with d_{i+a,s,n} the X^[n] t^s coefficient of alpha^(i+a), a =
-    -A_{0,1}/beta, and alpha^M the binomial series sum_j C(M, j) (alpha-1)^j.
+    is its t^k slice, with d_{i+a,s,n} the X^[n] t^s coefficient of
+    alpha^(i+a), a = -A_{0,1}/beta, and alpha^M = sum_j C(M, j) (alpha-1)^j.
     C(M + i, j) obeys Vandermonde's identity, so alpha^(i+a) = alpha^a alpha^i
-    exactly in the truncated ring, and the two sides summed against t^k are
+    exactly in the truncated ring, and summed against t^k the sides are
 
         L = alpha^a * sum_i (alpha t)^i a_i,    R = U(X, t) * sum_l a_l t^l:
 
-    one matrix power, the context's integer powers alpha^i and two ring
-    products, cut at t^(k_max+1).  The residual at k is the t^k slice of
-    L - R.  k = 0, 1, 2 admit a short hand verification; higher k is
-    reported as a finding.
+    one matrix power, the context's integer powers and two ring products.
     """
     a_list = ak_series(seeds, ctx, k_max)
     field, l, deg = ctx.field, seeds.l, ctx.trunc.pd_degree
@@ -298,14 +294,21 @@ def conjecture_residual(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> dict:
     lhs = SRE(field, 1, tr, l, alpha_a.coeffs) * alpha_t_a
     a_t = SRE(field, 1, tr, l, {(i, (0,)): a_i for i, a_i in enumerate(a_list)})
     rhs = SRE(field, 1, tr, l, assemble_epsilon(table, ctx).coeffs) * a_t
-    diff = (lhs - rhs).coeffs
+    return lhs - rhs
+
+
+def conjecture_residual(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> dict:
+    """Per-k report of conjecture_difference: the residual at k is its t^k
+    slice, reported by its nonzero X-degrees.  k = 0, 1, 2 admit a short
+    hand verification; higher k is reported as a finding."""
+    diff = conjecture_difference(seeds, ctx, k_max).coeffs
     residuals = {}
     for k in range(k_max + 1):
         nonzero = sorted(idx[0] for (m, idx) in diff if m == k)
         residuals[str(k)] = {"zero": not nonzero, "nonzero_degrees": nonzero}
     return {
         "k_max": k_max,
-        "pd_degree": deg,
+        "pd_degree": ctx.trunc.pd_degree,
         "residuals": residuals,
         "low_k_zero": all(residuals[str(k)]["zero"] for k in range(min(k_max, 2) + 1)),
     }

@@ -21,8 +21,8 @@ Everything is exact linear algebra over K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .cosimplicial import CDTable, CosimpCtx, cd_table
 from .errors import ShapeMismatch
@@ -30,8 +30,7 @@ from .matrix import KMat, blocks, kernel_basis, rank, submatrix, sum_products
 from .stratification import StratTable
 
 
-@dataclass(frozen=True, slots=True)
-class H0Solution:
+class H0Solution(NamedTuple):
     """Basis of truncated global sections, with the dimension diagnostics.
 
     Each basis element is a tuple (B_0, ..., B_{T-1}) of l x 1 columns.

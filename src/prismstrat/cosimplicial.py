@@ -4,19 +4,22 @@ Carries the series u0(t) with E(u0) = t (Hensel lift of pi), the
 coefficients theta_{n,i} of E^{(n)}(u0), the unit alpha = E(u1)/E(u0)
 expanded in (X_1, t), the divided-power coefficient tables c_{p,s} and
 d_{p,s,k} of its powers, and the face maps delta_i into the
-1- and 2-simplex rings.  delta_0 groups the terms of its argument by the
-shift s = p - q of alpha's exponent and takes one ring product per shift.
+1- and 2-simplex rings.  The context builds every integer power of alpha
+it is asked for in one kernel product and caches it.  face_map is the
+reference route of the cocycle residual, which stratification computes in
+the basis X_1^[a] (X_2 - X_1)^[b] without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import comb
+from typing import NamedTuple
 
 from .errors import IndexOutOfRange, ShapeMismatch
 from .field import FieldDesc, KElem
-from .matrix import KMat
+from .matrix import KMat, submatrix
 from .series import SimplexRingElem as SRE
-from .series import Trunc, binomial_power
+from .series import Trunc, binomial_power, key_sums
 
 
 def eval_poly_at_series(field: FieldDesc, coeffs, s: SRE) -> SRE:
@@ -80,9 +83,29 @@ class CosimpCtx:
         """
         if isinstance(k, KMat):
             return binomial_power(self._n_pow, k)
-        if k not in self._alpha_pows:
-            self._alpha_pows[k] = binomial_power(self._n_pow, k)
-        return self._alpha_pows[k]
+        return self.alpha_pows([k])[0]
+
+    def alpha_pows(self, ks) -> list[SRE]:
+        """alpha^k for each integer k in ks.  The powers not cached yet take
+        one kernel product together: the N^j coefficient of each key times
+        the integer binomials C(k, j), with C(k, j) = (-1)^j C(j - k - 1, j)
+        for k < 0.  N^j has pd degree >= j, so j <= pd_degree suffices."""
+        ks = list(ks)
+        new = [k for k in dict.fromkeys(ks) if k not in self._alpha_pows]
+        if new:
+            field, n_pow, zero = self.field, self._n_pow, KMat.zero(self.field, 1)
+            pad = (0,) * (field.e - 1)
+            top = self.trunc.pd_degree if min(new) < 0 else min(max(new), self.trunc.pd_degree)
+            while len(n_pow) <= top:
+                n_pow.append(n_pow[-1] * n_pow[1])
+            rows = [[comb(k, j) if k >= 0 else (-1) ** j * comb(j - k - 1, j) for k in new] for j in range(top + 1)]
+            binoms = [KMat(field, 1, len(new), 1, tuple(c for b in row for c in (b, *pad))) for row in rows]
+            keys = dict.fromkeys(key for nj in n_pow[: top + 1] for key in nj.coeffs)
+            sums = key_sums({key: [nj.coeffs.get(key, zero) for nj in n_pow[: top + 1]] for key in keys}, binoms)
+            for col, k in enumerate(new):
+                coeffs = {key: submatrix(row, [0], [col]) for key, row in sums.items()}
+                self._alpha_pows[k] = SRE(field, 1, self.trunc, 1, coeffs)
+        return [self._alpha_pows[k] for k in ks]
 
     def alpha_pow_2v(self, k: int) -> SRE:
         """alpha^k embedded into the 2-variable ring (X_1 in place)."""
@@ -120,8 +143,7 @@ def alpha_series(field: FieldDesc, theta, trunc: Trunc) -> SRE:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class CDTable:
+class CDTable(NamedTuple):
     """c_{p,s} as pd polynomials and their coefficients d_{p,s,k}.
 
     c[(p, s)] maps k -> d_{p,s,k} in K; missing keys are zero.
@@ -146,8 +168,7 @@ def theta_report(ctx: CosimpCtx) -> dict:
 def cd_table(ctx: CosimpCtx, p_range) -> CDTable:
     """Extract c_{p,s} = (t^s coefficient of alpha^p) for each p in p_range."""
     c: dict = {}
-    for p in p_range:
-        pow_p = ctx.alpha_pow(p)
+    for p, pow_p in zip(p_range, ctx.alpha_pows(p_range)):
         for s in range(ctx.trunc.t_order):
             poly = {}
             for idx, mat in pow_p.t_slice(s).items():
@@ -164,9 +185,8 @@ def face_map(ctx: CosimpCtx, i: int, x: SRE) -> SRE:
 
         X_1^[q] t^p  |->  (X_2 - X_1)^[q] alpha^(p-q) t^p   (n = 1, i = 0).
 
-    delta_0 takes one ring product per shift s = p - q:
-    sum_s alpha^s * V_s with V_s = sum_{p-q=s} A_{p,q} (X_2 - X_1)^[q] t^p,
-    whose terms (-1)^(q-k) A_{p,q} X_1^[q-k] X_2^[k] t^p are placed directly.
+    delta_0 takes one ring product per shift s = p - q: sum_s alpha^s V_s,
+    with the terms of V_s = sum_{p-q=s} A_{p,q} (X_2 - X_1)^[q] t^p placed.
     """
     if x.trunc.t_order != ctx.trunc.t_order:
         raise ShapeMismatch("element t-order differs from the context truncation")

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import DivisionByZero, NotEisenstein, NumberTooLarge, PrimeTooSmall
 
@@ -223,8 +222,7 @@ def field_init(p: int, E_coeffs: Sequence[Rat]) -> FieldDesc:
     return FieldDesc(p, E_coeffs)
 
 
-@dataclass(frozen=True, slots=True)
-class KElem:
+class KElem(NamedTuple):
     """Element of K in the power basis, always reduced (len(coords) == e)."""
 
     field: FieldDesc
@@ -359,8 +357,7 @@ class KElem:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True, slots=True)
-class PadicApprox:
+class PadicApprox(NamedTuple):
     """A KElem known modulo p^prec (absolute p-adic precision).
 
     prec is a Fraction (valuations of K-elements live in (1/e)Z) or INF

@@ -12,16 +12,15 @@ assemble the integer storage directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
+from typing import NamedTuple
 
 from .errors import NonUnit, ShapeMismatch
 from .field import INF, FieldDesc, KElem, poly_divmod, vp_rational
 
 
-@dataclass(frozen=True, slots=True)
-class KMat:
+class KMat(NamedTuple):
     """An nrows x ncols matrix over K: entry (r, c) has the coordinates
     nums[(r * ncols + c) * e + i] / den, i < e.  The form is canonical,
     den >= 1 and gcd(den, *nums) == 1, so == and hash are structural."""
@@ -104,9 +103,6 @@ class KMat:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     def trace(self) -> KElem:
         e, nums = self.field.e, self.nums
         diag = range(0, min(self.nrows, self.ncols) * (self.ncols + 1) * e, (self.ncols + 1) * e)
@@ -125,10 +121,6 @@ class KMat:
 
     def to_json(self):
         return [[a.to_json() for a in r] for r in self.rows]
-
-    @staticmethod
-    def from_json(field: FieldDesc, data) -> KMat:
-        return KMat.from_rows(field, [[KElem.from_json(field, a) for a in row] for row in data])
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(repr(a) for a in r) + "]" for r in self.rows)
@@ -272,7 +264,7 @@ def rank(m: KMat) -> int:
 
 def charpoly(m: KMat) -> list[KElem]:
     """Coefficients of det(x I - m), low-to-high, via Faddeev-LeVerrier."""
-    if not m.is_square():
+    if m.nrows != m.ncols:
         raise ShapeMismatch("characteristic polynomial needs a square matrix")
     field = m.field
     n = m.nrows

@@ -17,9 +17,9 @@ Sen operator -A_{0,1}/beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from typing import NamedTuple
 
 from .cosimplicial import CosimpCtx, eval_poly_at_series
 from .errors import ProductNotSettled, SeedShapeMismatch
@@ -29,8 +29,7 @@ from .series import SimplexRingElem as SRE
 from .stratification import Seeds, check_near_HT, check_weights_near_HT
 
 
-@dataclass(frozen=True, slots=True)
-class Lambda1:
+class Lambda1(NamedTuple):
     """Partial product for lambda1 with precision metadata.
 
     coeffs[m] approximates the t^m coefficient; every stated precision is
@@ -99,8 +98,7 @@ def lambda1_series(ctx: CosimpCtx, prec: int, n_phi_max: int = 24) -> Lambda1:
     return Lambda1(tuple(coeffs), n_used, prec)
 
 
-@dataclass(frozen=True, slots=True)
-class SenReport:
+class SenReport(NamedTuple):
     """Operator matrix, fiber normalization, and classification data."""
 
     l: int

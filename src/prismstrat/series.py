@@ -19,9 +19,9 @@ sliced back per key with submatrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .errors import BadConstantTerm, NonUnit, ShapeMismatch
 from .field import FieldDesc, KElem
@@ -31,16 +31,15 @@ MultiIndex = tuple[int, ...]
 Key = tuple[int, MultiIndex]
 
 
-@dataclass(frozen=True, slots=True)
-class Trunc:
+class Trunc(NamedTuple("Trunc", [("t_order", int), ("pd_degree", int)])):
     """Work modulo t^t_order, dropping pd monomials of total degree > pd_degree."""
 
-    t_order: int
-    pd_degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t_order < 1 or self.pd_degree < 0:
+    def __new__(cls, t_order: int, pd_degree: int):
+        if t_order < 1 or pd_degree < 0:
             raise ShapeMismatch("need t_order >= 1 and pd_degree >= 0")
+        return super().__new__(cls, t_order, pd_degree)
 
     def contains(self, m: int, idx: MultiIndex) -> bool:
         return m < self.t_order and sum(idx) <= self.pd_degree
@@ -324,31 +323,43 @@ class SimplexRingElem:
 def _ring_product(x: SimplexRingElem, y: SimplexRingElem) -> SimplexRingElem:
     """x * y on the integer forms of matrix.py, one denominator per operand:
     every kept term pair is accumulated into its output key's unreduced
-    pi-polynomials.  y's terms are sorted by key, so by t-order first, and
-    each scan stops at the first pair past t_order."""
+    pi-polynomials.  y's terms are grouped by t-order and sorted by total
+    degree, so each scan stops at the first pair past t_order or past
+    pd_degree."""
     field, trunc, l = x.field, x.trunc, x.size
     dx, x_forms = int_form(x.coeffs.values())
     dy, y_forms = int_form(y.coeffs.values())
-    y_terms = sorted(zip(y.coeffs, y_forms))
+    y_groups: list[list] = [[] for _ in range(trunc.t_order)]
+    for (m2, i2), b in sorted(zip(y.coeffs, y_forms), key=lambda term: sum(term[0][1])):
+        y_groups[m2].append((sum(i2), i2, b))
     acc: dict[Key, list[list[int]]] = {}
     for (m1, i1), a in zip(x.coeffs, x_forms):
-        for (m2, i2), b in y_terms:
-            m = m1 + m2
-            if m >= trunc.t_order:
-                break
-            idx = tuple(u + v for u, v in zip(i1, i2))
-            if sum(idx) > trunc.pd_degree:
-                continue
-            scale = 1
-            for u, v in zip(i1, i2):
-                if u and v:
-                    scale *= comb(u + v, u)
-            polys = acc.get((m, idx))
-            if polys is None:
-                polys = acc[(m, idx)] = [[0] * (2 * field.e - 1) for _ in range(l * l)]
-            accumulate(polys, a, b, l, scale)
+        room = trunc.pd_degree - sum(i1)
+        for m2 in range(trunc.t_order - m1):
+            for d2, i2, b in y_groups[m2]:
+                if d2 > room:
+                    break
+                idx = tuple(u + v for u, v in zip(i1, i2))
+                scale = 1
+                for u, v in zip(i1, i2):
+                    if u and v:
+                        scale *= comb(u + v, u)
+                polys = acc.get((m1 + m2, idx))
+                if polys is None:
+                    polys = acc[(m1 + m2, idx)] = [[0] * (2 * field.e - 1) for _ in range(l * l)]
+                accumulate(polys, a, b, l, scale)
     out = {key: from_polys(field, polys, l, l, dx * dy) for key, polys in acc.items()}
     return SimplexRingElem(field, x.n_vars, trunc, l, out)
+
+
+def key_sums(table: dict, mats: list[KMat]) -> dict[Key, KMat]:
+    """{key: sum_j table[key][j] mats[j]} for 1 x 1 entries table[key][j]
+    and r x c matrices mats[j], in one kernel product: the table's rows
+    times the stacked rows vec mats[j], sliced back per key."""
+    field, r, c = mats[0].field, mats[0].nrows, mats[0].ncols
+    prod = blocks(list(table.values())) * blocks([[KMat(field, 1, r * c, m.den, m.nums)] for m in mats])
+    rows = (submatrix(prod, [i], range(r * c)) for i in range(len(table)))
+    return {key: KMat(field, r, c, row.den, row.nums) for key, row in zip(table, rows)}
 
 
 def binomial_power(n_pow: list[SimplexRingElem], exponent) -> SimplexRingElem:
@@ -368,30 +379,20 @@ def binomial_power(n_pow: list[SimplexRingElem], exponent) -> SimplexRingElem:
         exponent = KMat.scalar(field, 1, field.from_rational(exponent))
     size = exponent.nrows
     ident = KMat.identity(field, size)
-    binom, vec_binoms = ident, []
+    binom, binoms = ident, []
     while not binom.is_zero():
-        j = len(vec_binoms)
+        j = len(binoms)
         if j == len(n_pow):
             n_pow.append(n_pow[-1] * n)
         if n_pow[j].is_zero():
             break
-        vec_binoms.append(KMat(field, 1, size * size, binom.den, binom.nums))
+        binoms.append(binom)
         if j + 1 < len(n_pow) and n_pow[j + 1].is_zero():
             break  # C(M, j + 1) is not needed
         binom = binom * (exponent - ident * j) * Fraction(1, j + 1)
     # one product: (the N^j coefficient of each key) x (the rows vec C(M, j))
-    n_pows = n_pow[: len(vec_binoms)]
-    keys = list(dict.fromkeys(key for nj in n_pows for key in nj.coeffs))
+    n_pows = n_pow[: len(binoms)]
     zero = KMat.zero(field, 1)
-    coeffs = blocks([[nj.coeffs.get(key, zero) for nj in n_pows] for key in keys])
-    prod = coeffs * blocks([[b] for b in vec_binoms])
-    rows = [submatrix(prod, [r], range(size * size)) for r in range(len(keys))]
-    out = {key: KMat(field, size, size, row.den, row.nums) for key, row in zip(keys, rows)}
-    return SimplexRingElem(field, one.n_vars, one.trunc, size, out)
-
-
-__all__ = [
-    "Trunc",
-    "SimplexRingElem",
-    "binomial_power",
-]
+    keys = dict.fromkeys(key for nj in n_pows for key in nj.coeffs)
+    table = {key: [nj.coeffs.get(key, zero) for nj in n_pows] for key in keys}
+    return SimplexRingElem(field, one.n_vars, one.trunc, size, key_sums(table, binoms))

@@ -7,24 +7,26 @@ A table is generated from seeds {A_{m,1}} by the inductive formula
 
 with A_{0,0} = I and A_{i,0} = 0 for i > 0.  The cocycle residual is
 computed by honest ring arithmetic on the 2-simplex (assemble U, push it
-through the face maps, multiply, subtract).  The re-indexed coefficient
+through the face maps in the basis X_1^[a] (X_2 - X_1)^[b], where two of
+them are placements, multiply, subtract).  The re-indexed coefficient
 formula, an independent cross-check of that residual, lives in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from typing import NamedTuple
 
-from .cosimplicial import CosimpCtx, face_map
-from .errors import SeedShapeMismatch
+from .cosimplicial import CosimpCtx
+from .errors import SeedShapeMismatch, ShapeMismatch
 from .field import INF, KElem
 from .matrix import KMat, sum_products
 from .series import SimplexRingElem as SRE
+from .series import key_sums
 
 
-@dataclass(frozen=True, slots=True)
-class Seeds:
+class Seeds(NamedTuple):
     """The free data {A_{m,1}}: square matrices of one size l."""
 
     l: int
@@ -50,8 +52,7 @@ class Seeds:
         return all(self.a01.commutes_with(m) for m in self.A1[1:])
 
 
-@dataclass(frozen=True, slots=True)
-class StratTable:
+class StratTable(NamedTuple):
     """A[(m, n)] for 0 <= m < t_order, 0 <= n <= n_max."""
 
     l: int
@@ -111,10 +112,45 @@ def assemble_epsilon(table: StratTable, ctx: CosimpCtx) -> SRE:
 
 
 def cocycle_residual(U: SRE, ctx: CosimpCtx) -> SRE:
-    """R = delta_1(U) - delta_2(U) * delta_0(U) on the 2-simplex ring."""
-    lhs = face_map(ctx, 1, U)
-    rhs = face_map(ctx, 2, U) * face_map(ctx, 0, U)
-    return lhs - rhs
+    """R = delta_1(U) - delta_2(U) * delta_0(U) on the 2-simplex ring.
+
+    It runs in the basis X_1^[a] Z^[b] t^m, Z = X_2 - X_1: a unimodular
+    change of basis that keeps the pd degree, so the truncation and the
+    product rule are the same.  (X_1 + Z)^[n] = sum_{a+b=n} X_1^[a] Z^[b]
+    makes delta_1 and delta_2 placements, and delta_0(U) = sum_q Z^[q]
+    sum_p alpha^(p-q) t^p A_{p,q} is one kernel product per q.  One ring
+    product remains; R's nonzero terms go back by X_1^[a] Z^[b] =
+    sum_k (-1)^(b-k) C(a+b-k, a) X_1^[a+b-k] X_2^[k].
+    """
+    if U.n_vars != 1 or U.trunc != ctx.trunc:
+        raise ShapeMismatch("U must live in the 1-simplex ring of the context truncation")
+    field, trunc, l = ctx.field, ctx.trunc, U.size
+    delta1, delta2, columns = {}, {}, {}
+    for (p, (n,)), mat in U.coeffs.items():
+        delta2[(p, (n, 0))] = mat
+        for b in range(n + 1):
+            delta1[(p, (n - b, b))] = mat
+        columns.setdefault(n, []).append((p, mat))
+    shifts = sorted({p - n for (p, (n,)) in U.coeffs})
+    pows = dict(zip(shifts, ctx.alpha_pows(shifts)))
+    delta0, zero = {}, KMat.zero(field, 1)
+    for q, cols in columns.items():
+        # rows: the keys of sum_p alpha^(p-q) t^p; columns: p
+        table: dict = {}
+        for col, (p, _) in enumerate(cols):
+            for (m, (a,)), c in pows[p - q].coeffs.items():
+                if trunc.contains(m + p, (a, q)):
+                    table.setdefault((m + p, (a, q)), [zero] * len(cols))[col] = c
+        if table:
+            delta0.update(key_sums(table, [mat for _, mat in cols]))
+    diff = SRE(field, 2, trunc, l, delta1) - SRE(field, 2, trunc, l, delta2) * SRE(field, 2, trunc, l, delta0)
+    out: dict = {}
+    for (m, (a, b)), mat in diff.coeffs.items():
+        for k in range(b + 1):
+            term = mat * ((-1) ** (b - k) * comb(a + b - k, a))
+            key = (m, (a + b - k, k))
+            out[key] = out[key] + term if key in out else term
+    return SRE(field, 2, trunc, l, out)
 
 
 def residual_report(residual: SRE) -> dict:

@@ -63,12 +63,13 @@ def pd_binomial(field: FieldDesc, trunc: Trunc, q: int) -> SRE:
     return out
 
 
-def conjecture_residual_per_k(seeds, ctx, k_max: int) -> dict:
+def conjecture_residual_per_k(seeds, ctx, k_max: int) -> tuple[dict, dict]:
     """closedform.conjecture_residual built one k at a time: the t^(k-i)
     slice of alpha^(i+a), one matrix power per i, times a_i, against
     sum_m (sum_n A_{m,n} X^[n]) a_{k-m}.  The a_i come from
     closedform.ak_series, looked up at call time so that a test can
-    perturb them in both."""
+    perturb them in both.  Returns the report and, per k, the coefficients
+    {n: X^[n] coefficient} of the residual at t^k."""
     field, l, deg = ctx.field, seeds.l, ctx.trunc.pd_degree
     tr1 = Trunc(1, deg)
     a_list = closedform.ak_series(seeds, ctx, k_max)
@@ -78,7 +79,7 @@ def conjecture_residual_per_k(seeds, ctx, k_max: int) -> dict:
         ctx.alpha_pow(exponent + KMat.scalar(field, l, field.from_rational(i)))
         for i in range(k_max + 1)
     ]
-    residuals = {}
+    residuals, coeffs = {}, {}
     for k in range(k_max + 1):
         diff = SRE.zero(field, 1, tr1, l)
         for i in range(k + 1):
@@ -87,12 +88,14 @@ def conjecture_residual_per_k(seeds, ctx, k_max: int) -> dict:
             diff = diff - row_series(table, k - i, field, deg) * a_list[i]
         nonzero = sorted(idx[0] for (_, idx) in diff.coeffs)
         residuals[str(k)] = {"zero": not nonzero, "nonzero_degrees": nonzero}
-    return {
+        coeffs[k] = {idx[0]: mat for (_, idx), mat in diff.coeffs.items()}
+    report = {
         "k_max": k_max,
         "pd_degree": deg,
         "residuals": residuals,
         "low_k_zero": all(residuals[str(k)]["zero"] for k in range(min(k_max, 2) + 1)),
     }
+    return report, coeffs
 
 
 # -- the scalar tables f and g by induction -------------------------------------

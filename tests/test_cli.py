@@ -121,12 +121,15 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("rank", cli.MAX_RANK + 1),
         ("E_coeffs", ["-3"] + ["0"] * cli.MAX_E + ["1"]),
         ("padic_prec", cli.MAX_PREC + 1),
+        ("E_coeffs", ["-3" + "0" * cli.MAX_DIGITS, "0", "1"]),
+        ("seeds", [[["1/" + "7" * (cli.MAX_DIGITS + 1)]], [["0"]], [["0"]]]),
         *(("options", {name: floor - 1}) for name, (floor, _) in cli.INT_OPTIONS.items()),
     ],
     ids=[
         "rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff",
         "options_n_max", "options_list", "n_probe_limit", "trunc_t_limit", "trunc_x_limit",
         "t_x_rank_limit", "rank_limit", "E_degree_limit", "padic_prec_limit",
+        "E_coeff_digits_limit", "seed_digits_limit",
         *(f"{name}_floor" for name in cli.INT_OPTIONS),
     ],
 )
@@ -176,15 +179,24 @@ def test_prec_option_above_limit_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["gen", "h0", "sen"])
-def test_oversized_report_number_exits_3(tmp_path, command):
-    # E_0 = -3 (10^4000 + 1) is a legal 4001-digit input, but the reports
-    # hold rationals with more digits than Python converts to a string
+def test_oversized_input_number_exits_2(tmp_path, command):
+    # E_0 = -3 (10^4000 + 1) has 4001 digits: it used to pass validation and
+    # fail as a report rational too long to print (NumberTooLarge, exit 3)
     data = json.loads((SPECS / "sen_ramified.json").read_text())
     data["E_coeffs"][0] = str(-3 * (10**4000 + 1))
     spec = write_spec(tmp_path, data)
     out = str(tmp_path / "out.json")
-    assert run(command, spec, out) == 3
-    assert json.loads(open(out).read())["error"]["type"] == "NumberTooLarge"
+    assert run(command, spec, out) == 2
+    error = json.loads(open(out).read())["error"]
+    assert error["type"] == "ValidationError" and "E_coeffs" in error["message"]
+
+
+def test_inputs_at_the_digit_limit_run(tmp_path):
+    big = "9" * cli.MAX_DIGITS
+    data = {**BASE_SPEC, "E_coeffs": ["-3", "1"], "seeds": [[[f"-{big}/{big[:-1]}8"]], [["0"]], [["0"]]]}
+    out = str(tmp_path / "out.json")
+    assert run("cocycle", write_spec(tmp_path, data), out) == 0
+    assert json.loads(open(out).read())["report"]["verdict"] == "ZERO_RESIDUAL"
 
 
 def test_oversized_json_integer_exits_2(tmp_path):

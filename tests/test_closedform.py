@@ -13,6 +13,7 @@ from prismstrat.closedform import (
     FGTables,
     ak_series,
     closedform_series,
+    conjecture_difference,
     conjecture_residual,
     exponential_sum_series,
     h_table,
@@ -355,12 +356,19 @@ def _draw_instance(data, field, min_k=0, min_pd=0):
     return _draw_commuting_seeds(data, field, t_order), _ctx(field, t_order, pd_degree), k_max
 
 
+def _slices(diff: SRE, k_max: int) -> dict:
+    """{k: {n: X^[n] coefficient}} of the t^k slices of a 1-variable series."""
+    return {k: {idx[0]: mat for idx, mat in diff.t_slice(k).items()} for k in range(k_max + 1)}
+
+
 @pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_conjecture_residual_matches_per_k_oracle(field, data):
     seeds, ctx, k_max = _draw_instance(data, field)
-    assert conjecture_residual(seeds, ctx, k_max) == conjecture_residual_per_k(seeds, ctx, k_max)
+    report, coeffs = conjecture_residual_per_k(seeds, ctx, k_max)
+    assert conjecture_residual(seeds, ctx, k_max) == report
+    assert _slices(conjecture_difference(seeds, ctx, k_max), k_max) == coeffs
 
 
 @pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
@@ -368,13 +376,21 @@ def test_conjecture_residual_matches_per_k_oracle(field, data):
 @given(data=st.data())
 def test_conjecture_residual_matches_oracle_on_perturbed_a_k(field, data):
     # every unperturbed residual is zero; adding D to a_j (j >= 1) leaves
-    # -j beta D at X^[1] t^j, so both sides must report a nonzero residual
-    seeds, ctx, k_max = _draw_instance(data, field, min_k=1, min_pd=1)
+    # -j beta D at X^[1] t^j.  D does not commute with A_{0,1}, so a factor
+    # on the wrong side of a product (D A_{0,1} for A_{0,1} D) shows there
+    sizes = [(t, d, k) for t in range(2, 6) for d in range(1, 5) for k in range(1, t)]
+    t_order, pd_degree, k_max = data.draw(st.sampled_from(sizes))
+    ctx = _ctx(field, t_order, pd_degree)
+
+    def q(low=-6):
+        return field.from_rational(Fraction(data.draw(st.integers(low, 6)), data.draw(st.integers(1, 4))))
+
+    # A_{m,1} = c_m I + d_m M with M[0][1] and d_0 nonzero: A_{0,1} is not scalar
+    m = KMat.from_rows(field, [[q(), q(1)], [q(), q()]])
+    seeds = Seeds.of([KMat.scalar(field, 2, q()) + m * q(1 if i == 0 else -6) for i in range(t_order)])
+    delta = KMat.from_rows(field, [[field.zero, field.zero], [q(1), field.zero]])
+    assert not delta.commutes_with(seeds.a01)
     j = data.draw(st.integers(1, k_max))
-    rows = [[field.from_rational(data.draw(st.integers(-3, 3))) for _ in range(seeds.l)] for _ in range(seeds.l)]
-    delta = KMat.from_rows(field, rows)
-    if delta.is_zero():
-        delta = KMat.identity(field, seeds.l)
     ak_series = closedform.ak_series
 
     def perturbed(*args):
@@ -385,8 +401,11 @@ def test_conjecture_residual_matches_oracle_on_perturbed_a_k(field, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(closedform, "ak_series", perturbed)
         got = conjecture_residual(seeds, ctx, k_max)
-        expect = conjecture_residual_per_k(seeds, ctx, k_max)
+        diff = conjecture_difference(seeds, ctx, k_max)
+        expect, coeffs = conjecture_residual_per_k(seeds, ctx, k_max)
     assert got == expect
+    assert _slices(diff, k_max) == coeffs
+    assert diff.coeff(j, (1,)) == delta * (field.beta * -j)
     assert not got["residuals"][str(j)]["zero"]
 
 

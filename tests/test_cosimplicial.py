@@ -15,7 +15,7 @@ from prismstrat.errors import IndexOutOfRange
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
-from prismstrat.series import Trunc
+from prismstrat.series import Trunc, binomial_power
 
 from oracles import c_poly, pd_binomial
 
@@ -111,6 +111,16 @@ def test_alpha_pow_matrix_exponent_matches_exp_log(field):
         got = ctx.alpha_pow(mi)
         assert got.size == 2
         assert got == ctx.alpha.exp_pow(mi)
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+def test_batched_alpha_powers_match_binomial_power(field):
+    ctx = CosimpCtx(field, Trunc(4, 12))
+    one = SRE.one(field, 1, ctx.trunc)
+    ks = range(-12, 6)
+    for k, got in zip(ks, ctx.alpha_pows(ks)):
+        assert got == binomial_power([one, ctx.alpha - one], k), k
+    assert sorted(ctx._alpha_pows) == list(ks)
 
 
 def test_alpha_pow_stores_nothing_for_matrix_exponents():

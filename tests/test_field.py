@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prismstrat.errors import DivisionByZero, NotEisenstein, PrimeTooSmall
-from prismstrat.field import INF, PadicApprox, field_init
+from prismstrat.errors import DivisionByZero, NotEisenstein, NumberTooLarge, PrimeTooSmall
+from prismstrat.field import INF, PadicApprox, field_init, rat_str
 
 from oracles import agrees_mod
 
@@ -179,3 +179,10 @@ def test_serialization_round_trip():
     a = F_QUAD.from_coords([Fraction(-3, 7), Fraction(2)])
     assert a.to_json() == ["-3/7", "2"]
     assert KElem.from_json(F_QUAD, a.to_json()) == a
+
+
+def test_rat_str_refuses_a_number_too_long_to_print():
+    # the input digit limit keeps reports far below this; rat_str still names it
+    assert rat_str(Fraction(-7, 10**20)) == "-7/1" + "0" * 20
+    with pytest.raises(NumberTooLarge, match="digit limit"):
+        rat_str(Fraction(1, 10**5000 + 1))

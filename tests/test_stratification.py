@@ -4,8 +4,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prismstrat.cosimplicial import CosimpCtx, cd_table
+from prismstrat import series
+from prismstrat.cosimplicial import CosimpCtx, cd_table, face_map
 from prismstrat.errors import SeedShapeMismatch
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat
@@ -26,6 +29,7 @@ from oracles import c_poly
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
+F3 = field_init(3, [-3, 0, 0, 1])
 
 
 def scalar_seeds(field, values):
@@ -205,6 +209,54 @@ def test_coefficient_formula_matches_ring_residual():
     perturbed[(1, 2)] = perturbed[(1, 2)] + mat([[[1], [0, 1]], [[0], [Fraction(2, 3)]]])
     table = StratTable(table.l, table.t_order, table.n_max, perturbed)
     assert _formula_matches_ring_residual(table, ctx) == 14
+
+
+def face_map_residual(U: SRE, ctx: CosimpCtx) -> SRE:
+    """The residual in the basis X_1^[a] X_2^[b] through the face maps of
+    cosimplicial: delta_0 takes one 2-variable ring product per shift p - q."""
+    return face_map(ctx, 1, U) - face_map(ctx, 2, U) * face_map(ctx, 0, U)
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cocycle_residual_matches_face_maps(field, data):
+    # generated tables have zero residuals; one perturbed entry makes them nonzero
+    t_order, pd_degree, rank = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 6)), data.draw(st.integers(1, 2))
+    ctx = CosimpCtx(field, Trunc(t_order, pd_degree))
+
+    def entry():
+        n_coords = data.draw(st.integers(1, field.e))
+        return field.from_coords(
+            [Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 4))) for _ in range(n_coords)]
+        )
+
+    def mat():
+        return KMat.from_rows(field, [[entry() for _ in range(rank)] for _ in range(rank)])
+
+    table = generate_Amn(Seeds.of([mat() for _ in range(t_order)]), ctx, pd_degree)
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(table.A)))
+        perturbed = {**table.A, key: table.A[key] + mat()}
+        table = StratTable(table.l, table.t_order, table.n_max, perturbed)
+    U = assemble_epsilon(table, ctx)
+    assert cocycle_residual(U, ctx) == face_map_residual(U, ctx)
+
+
+def test_cocycle_residual_takes_one_two_variable_ring_product(monkeypatch):
+    # the face-map route takes one product per shift p - q, 17 at T=5, D=12
+    ring_product, n_vars = series._ring_product, []
+
+    def counting(x, y):
+        n_vars.append(x.n_vars)
+        return ring_product(x, y)
+
+    monkeypatch.setattr(series, "_ring_product", counting)
+    ctx = CosimpCtx(F2, Trunc(5, 12))
+    seeds = scalar_seeds(F2, [Fraction(2, 3), -1, Fraction(1, 2), 3, -2])
+    U = assemble_epsilon(generate_Amn(seeds, ctx, 12), ctx)
+    assert cocycle_residual(U, ctx).is_zero()
+    assert n_vars.count(2) == 1
 
 
 def test_near_HT_probe_exact_zero():
