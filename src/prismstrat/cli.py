@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -43,9 +44,11 @@ COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep",
 # Largest accepted sizes, so that every spec runs in bounded work: the
 # t-order T, the pd degree D, the rank l, T * D * l, the degree e of E, the
 # p-adic precision, the digits of the reduced numerator and denominator of
-# each input rational and each integer option.  An option also has a floor,
-# below which its command would check nothing or fail as a computation.
+# each input rational and each integer option, and the length plus decimal
+# exponent of each number string (they bound the digits Fraction builds).
+# Below the floor of an option, its command would check nothing or fail.
 MAX_T, MAX_D, MAX_RANK, MAX_TDL, MAX_E, MAX_PREC, MAX_DIGITS = 16, 64, 8, 512, 8, 1024, 20
+MAX_TEXT = 4 * MAX_DIGITS
 INT_OPTIONS = {  # name: (floor, limit)
     "n_max": (0, MAX_D), "m_max": (0, MAX_T), "k_max": (0, MAX_T),
     "n_probe": (0, 256), "threshold": (0, 1024), "n_phi_max": (1, 1024),
@@ -62,6 +65,9 @@ class ProblemSpec(NamedTuple):
 
 
 def _parse_matrix(field: FieldDesc, data, rank: int) -> KMat:
+    for entry in (a for row in data for a in row):
+        for value in entry if isinstance(entry, list) else [entry]:
+            _written_size("seeds", value)
     rows = [[KElem.from_json(field, a) for a in row] for row in data]
     _at_most("the digits of seeds", _digits(q for row in rows for a in row for q in a.coords), MAX_DIGITS)
     mat = KMat.from_rows(field, rows)
@@ -88,6 +94,15 @@ def _at_most(name: str, value: int, limit: int) -> int:
     return value
 
 
+def _written_size(name: str, value) -> str:
+    """str(value), refused before Fraction reads it if its length plus its
+    decimal exponent is above MAX_TEXT: "1e9000000" took seconds to parse."""
+    text = str(value)
+    match = re.search(r"[eE]([-+]?[\d_]+)\s*$", text)
+    _at_most(f"the written size of {name}", len(text) + (abs(int(match[1])) if match else 0), MAX_TEXT)
+    return text
+
+
 def _digits(values) -> int:
     """The most digits in a reduced numerator or denominator of the rationals."""
     return max((len(str(n)) for q in values for n in (abs(q.numerator), q.denominator)), default=1)
@@ -95,22 +110,18 @@ def _digits(values) -> int:
 
 def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     """Validate a raw spec dict against the module preconditions."""
-    data = dict(raw)
-    if overrides:
-        with _parsing("trunc"):
-            trunc = dict(data.get("trunc", {}))
-        if overrides.get("trunc_t") is not None:
-            trunc["t"] = overrides["trunc_t"]
-        if overrides.get("trunc_x") is not None:
-            trunc["x"] = overrides["trunc_x"]
-        data["trunc"] = trunc
-        if overrides.get("prec") is not None:
-            data["padic_prec"] = overrides["prec"]
+    data, overrides = dict(raw), overrides or {}
+    for key, name in (("trunc_t", "t"), ("trunc_x", "x")):
+        if overrides.get(key) is not None:
+            with _parsing("trunc"):
+                data["trunc"] = {**data.get("trunc", {}), name: overrides[key]}
+    if overrides.get("prec") is not None:
+        data["padic_prec"] = overrides["prec"]
     for key in ("p", "E_coeffs", "rank", "seeds", "trunc"):
         if key not in data:
             raise ValidationError(f"spec is missing the {key!r} field")
     with _parsing("E_coeffs"):
-        e_coeffs = [Fraction(str(c)) for c in data["E_coeffs"]]
+        e_coeffs = [Fraction(_written_size("E_coeffs", c)) for c in data["E_coeffs"]]
         _at_most("the degree of E_coeffs", len(e_coeffs) - 1, MAX_E)
         _at_most("the digits of E_coeffs", _digits(e_coeffs), MAX_DIGITS)
     with _parsing("p"):
@@ -147,7 +158,7 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     return ProblemSpec(field, seeds, trunc, prec, options, data)
 
 
-def validate_spec(raw: dict) -> dict:
+def validate_spec(raw: dict, overrides: dict | None = None) -> dict:
     """List all violated preconditions without computing anything."""
     diagnostics = []
 
@@ -163,7 +174,7 @@ def validate_spec(raw: dict) -> dict:
     spec_holder = {}
 
     def parse():
-        spec_holder["spec"] = load_problem(raw)
+        spec_holder["spec"] = load_problem(raw, overrides)
 
     check("parse", parse)
     spec = spec_holder.get("spec")
@@ -296,9 +307,9 @@ def run_sweep(raw: dict, jobs: int) -> dict:
     }
 
 
-def run(command: str, spec_path: str, out_path: str | None = None, **overrides) -> int:
-    """File-level entry point; returns the process exit code."""
-    jobs = overrides.pop("jobs", None)
+def run(command: str, spec_path: str, out_path: str | None = None, jobs: int = 1, **overrides) -> int:
+    """File-level entry point; returns the process exit code.  jobs is read
+    by sweep, the overrides trunc_t, trunc_x and prec by the other commands."""
     try:
         with open(spec_path) as fh:
             raw = json.load(fh)
@@ -309,11 +320,8 @@ def run(command: str, spec_path: str, out_path: str | None = None, **overrides) 
         if not isinstance(raw, dict):
             raise ValidationError(f"spec must be a JSON object, got {type(raw).__name__}")
         if command == "validate":
-            report = validate_spec(raw)
+            report = validate_spec(raw, overrides)
         elif command == "sweep":
-            if jobs is None:
-                with _parsing("PRISMSTRAT_JOBS"):
-                    jobs = int(os.environ.get("PRISMSTRAT_JOBS", "1"))
             report = run_sweep(raw, jobs)
         else:
             spec = load_problem(raw, overrides)
@@ -347,20 +355,14 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--spec", required=True, help="problem spec JSON")
         sp.add_argument("--out", default=None, help="report path (default stdout)")
-        sp.add_argument("--jobs", type=int, default=None, help="sweep parallelism")
-        sp.add_argument("--trunc-t", type=int, default=None, help="override t-order")
-        sp.add_argument("--trunc-x", type=int, default=None, help="override pd degree")
-        sp.add_argument("--prec", type=int, default=None, help="override p-adic precision")
-    args = parser.parse_args(argv)
-    return run(
-        args.command,
-        args.spec,
-        args.out,
-        jobs=args.jobs,
-        trunc_t=args.trunc_t,
-        trunc_x=args.trunc_x,
-        prec=args.prec,
-    )
+        if name == "sweep":
+            sp.add_argument("--jobs", type=int, default=1, help="sweep parallelism")
+        else:
+            sp.add_argument("--trunc-t", type=int, default=None, help="override t-order")
+            sp.add_argument("--trunc-x", type=int, default=None, help="override pd degree")
+            sp.add_argument("--prec", type=int, default=None, help="override p-adic precision")
+    args = vars(parser.parse_args(argv))
+    return run(args.pop("command"), args.pop("spec"), args.pop("out"), **args)
 
 
 if __name__ == "__main__":

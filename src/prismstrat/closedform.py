@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .cosimplicial import CosimpCtx
+from .cosimplicial import CosimpCtx, alpha_sum
 from .errors import NonCommutingSeeds, ShapeMismatch
 from .field import FieldDesc, KElem
 from .matrix import KMat, sum_products
@@ -280,16 +280,14 @@ def conjecture_difference(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> SRE:
 
         L = alpha^a * sum_i (alpha t)^i a_i,    R = U(X, t) * sum_l a_l t^l:
 
-    one matrix power, the context's integer powers and two ring products.
+    one matrix power, one alpha_sum (delta_0 of sum a_i t^i) and two ring
+    products.
     """
     a_list = ak_series(seeds, ctx, k_max)
     field, l, deg = ctx.field, seeds.l, ctx.trunc.pd_degree
     table = generate_Amn(seeds, ctx, deg)
     tr = Trunc(k_max + 1, deg)
-    alpha_t_a = SRE.zero(field, 1, tr, l)
-    for i, a_i in enumerate(a_list):
-        alpha_t = {(m + i, idx): c for (m, idx), c in ctx.alpha_pow(i).coeffs.items()}
-        alpha_t_a = alpha_t_a + SRE(field, 1, tr, 1, alpha_t).map_size(l) * a_i
+    alpha_t_a = alpha_sum(ctx, [(i, i, a_i) for i, a_i in enumerate(a_list)], tr)
     alpha_a = ctx.alpha_pow(seeds.a01 * field.beta.inverse() * -1)
     lhs = SRE(field, 1, tr, l, alpha_a.coeffs) * alpha_t_a
     a_t = SRE(field, 1, tr, l, {(i, (0,)): a_i for i, a_i in enumerate(a_list)})

@@ -1,12 +1,12 @@
 """H^0 of a de Rham crystal from its stratification data.
 
-A global section v = e . sum B_m t^m is fixed by the degree-0 Cech-
-Alexander differential iff for every t-order m the pd polynomial
-
-    sum_{i+j=m} (sum_s A_{i,s} X^[s]) (sum_{p<=j} c_{p,j-p} B_p)
-
-equals B_m.  The constant term is automatic; the X^[1] coefficients give
-the triangular stage-1 system
+A global section v = e . sum B_p t^p is fixed by the degree-0 Cech-
+Alexander differential iff U * delta_0(v) = v, where delta_0(v) =
+sum_p alpha^p t^p B_p.  With R_p = U * alpha^p t^p (one alpha_sum and one
+ring product each) this reads sum_p R_p B_p = v, and the X^[k] t^m
+coefficient of R_p is the block of B_p in the X^[k] condition at order m.
+The constant term is automatic; the X^[1] coefficients give the
+triangular stage-1 system
 
     (A_{0,1} - m beta) B_m = sum_{p<m} (p theta_{1,m-p} - A_{m-p,1}) B_p,
 
@@ -21,13 +21,13 @@ Everything is exact linear algebra over K.
 
 from __future__ import annotations
 
-from math import comb
 from typing import NamedTuple
 
-from .cosimplicial import CDTable, CosimpCtx, cd_table
+from .cosimplicial import CosimpCtx, alpha_sum
 from .errors import ShapeMismatch
 from .matrix import KMat, blocks, kernel_basis, rank, submatrix, sum_products
-from .stratification import StratTable
+from .series import SimplexRingElem as SRE
+from .stratification import StratTable, assemble_epsilon
 
 
 class H0Solution(NamedTuple):
@@ -74,49 +74,31 @@ def h0_dim_bound(a01: KMat, m_probe: int) -> int:
     return q
 
 
-def condition_block(
-    table: StratTable, ctx: CosimpCtx, cd: CDTable, m: int, k: int, p: int
-) -> KMat:
-    """Coefficient of B_p (p <= m) in the X^[k] condition at t-order m:
-    sum_{j=p}^{m} sum_s C(k, s) d_{p,j-p,k-s} A_{m-j,s}."""
-    field, l = ctx.field, table.l
-    pairs = []
-    for j in range(p, m + 1):
-        for s in range(min(k, table.n_max) + 1):
-            a_is, d = table.at(m - j, s), cd.d(p, j - p, k - s)
-            if not (a_is.is_zero() or d.is_zero()):
-                pairs.append((a_is, KMat.scalar(field, l, d * comb(k, s))))
-    return sum_products(pairs) if pairs else KMat.zero(field, l)
+def _condition_series(table: StratTable, ctx: CosimpCtx, t_order: int) -> list[SRE]:
+    """R_p = U * alpha^p t^p for p < t_order.  U * delta_0(v) = sum_p R_p B_p,
+    so the X^[k] t^m coefficient of R_p is the coefficient of B_p in the
+    X^[k] condition at t-order m (zero for m < p)."""
+    U, ident = assemble_epsilon(table, ctx), KMat.identity(ctx.field, table.l)
+    ctx.alpha_pows(range(t_order))  # one kernel product for every power
+    return [U * alpha_sum(ctx, [(p, p, ident)], ctx.trunc) for p in range(t_order)]
 
 
-def full_condition_rows(
-    table: StratTable, ctx: CosimpCtx, cd: CDTable, t_order: int, k_range
-) -> list[list]:
+def full_condition_rows(table: StratTable, ctx: CosimpCtx, t_order: int, k_range) -> list[list]:
     """X^[k] conditions of the global-section equation for k in k_range:
     one block row per (m, k), m-major, with zero blocks right of p = m."""
-    zero = KMat.zero(ctx.field, table.l)
-    return [
-        [
-            condition_block(table, ctx, cd, m, k, p) if p <= m else zero
-            for p in range(t_order)
-        ]
-        for m in range(t_order)
-        for k in k_range
-    ]
+    R = _condition_series(table, ctx, t_order)
+    return [[R[p].coeff(m, (k,)) for p in range(t_order)] for m in range(t_order) for k in k_range]
 
 
 def stage1_rows(table: StratTable, ctx: CosimpCtx, t_order: int) -> list[list]:
     """The triangular X^[1] conditions as a T x T block matrix."""
-    cd = cd_table(ctx, range(0, t_order))
-    return full_condition_rows(table, ctx, cd, t_order, (1,))
+    return full_condition_rows(table, ctx, t_order, (1,))
 
 
-def _extend_kernel(
-    table: StratTable, ctx: CosimpCtx, cd: CDTable, k_range, basis: KMat, t: int
-) -> KMat:
+def _extend_kernel(R: list[SRE], k_range, basis: KMat, t: int) -> KMat:
     """The order-(t+1) kernel from the order-t one, both as KMats whose
-    columns are the basis; R_p is formed only against a nonzero block
-    K[p] of `basis`.
+    columns are the basis; the block of R_p is formed only against a
+    nonzero block K[p] of `basis`.
 
     kernel_basis gives each column a 1 at its last nonzero position, a free
     column, and 0 at the other free columns.  If `basis` has that form, so
@@ -124,14 +106,12 @@ def _extend_kernel(
     0) over z-pivots j < i, and one for a free y-column has z only at
     pivots j, where K_j is 0 at every other column's free column.
     """
-    field, l, d = ctx.field, table.l, basis.ncols
+    field, l, d = R[0].field, R[0].size, basis.ncols
     # R_p acts on [K[p] | 0] for p < t (the old unknowns z), R_t on [0 | I] (the new y)
     lifts = [(p, submatrix(basis, range(p * l, (p + 1) * l), range(d))) for p in range(t)]
     lifts = [(p, blocks([[kp, KMat.zero(field, l)]])) for p, kp in lifts if not kp.is_zero()]
     lifts.append((t, blocks([[KMat.zero(field, l, d), KMat.identity(field, l)]])))
-    system = blocks(
-        [[sum_products([(condition_block(table, ctx, cd, t, k, p), kp) for p, kp in lifts])] for k in k_range]
-    )
+    system = blocks([[sum_products([(R[p].coeff(t, (k,)), kp) for p, kp in lifts])] for k in k_range])
     lift = blocks([[basis, KMat.zero(field, l * t, l)], [KMat.zero(field, l, d), KMat.identity(field, l)]])
     return lift * kernel_basis(system)
 
@@ -143,13 +123,12 @@ def h0_solve(table: StratTable, ctx: CosimpCtx) -> H0Solution:
         raise ShapeMismatch(f"h0 needs pd degree >= 1 for the X^[1] condition, got {D}")
     if table.n_max < D:
         raise ShapeMismatch("table must be generated up to n = pd_degree")
-    l = table.l
-    cd = cd_table(ctx, range(0, T))
+    l, R = table.l, _condition_series(table, ctx, T)
     stage1 = kernel = KMat.zero(ctx.field, 0)
     dims = []
     for t in range(T):
-        stage1 = _extend_kernel(table, ctx, cd, (1,), stage1, t)
-        kernel = _extend_kernel(table, ctx, cd, range(1, D + 1), kernel, t)
+        stage1 = _extend_kernel(R, (1,), stage1, t)
+        kernel = _extend_kernel(R, range(1, D + 1), kernel, t)
         dims.append(kernel.ncols)
     basis = tuple(
         tuple(submatrix(kernel, range(m * l, (m + 1) * l), [j]) for m in range(T))

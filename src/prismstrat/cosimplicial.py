@@ -2,10 +2,11 @@
 
 Carries the series u0(t) with E(u0) = t (Hensel lift of pi), the
 coefficients theta_{n,i} of E^{(n)}(u0), the unit alpha = E(u1)/E(u0)
-expanded in (X_1, t), the divided-power coefficient tables c_{p,s} and
-d_{p,s,k} of its powers, and the face maps delta_i into the
-1- and 2-simplex rings.  The context builds every integer power of alpha
-it is asked for in one kernel product and caches it.  face_map is the
+expanded in (X_1, t), and the face maps delta_i into the 1- and
+2-simplex rings.  The context builds every integer power of alpha it is
+asked for in one kernel product and caches it.  alpha_sum is the engine's
+one delta_0: the cocycle residual, the H^0 conditions and the conjecture
+identity all take their alpha^s t^p terms from it.  face_map is the
 reference route of the cocycle residual, which stratification computes in
 the basis X_1^[a] (X_2 - X_1)^[b] without it.
 """
@@ -13,7 +14,6 @@ the basis X_1^[a] (X_2 - X_1)^[b] without it.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
 
 from .errors import IndexOutOfRange, ShapeMismatch
 from .field import FieldDesc, KElem
@@ -143,19 +143,6 @@ def alpha_series(field: FieldDesc, theta, trunc: Trunc) -> SRE:
     return out
 
 
-class CDTable(NamedTuple):
-    """c_{p,s} as pd polynomials and their coefficients d_{p,s,k}.
-
-    c[(p, s)] maps k -> d_{p,s,k} in K; missing keys are zero.
-    """
-
-    field: FieldDesc
-    c: dict
-
-    def d(self, p: int, s: int, k: int) -> KElem:
-        return self.c.get((p, s), {}).get(k, self.field.zero)
-
-
 def theta_report(ctx: CosimpCtx) -> dict:
     """theta_{n,i} keyed by "n,i", JSON-ready."""
     return {
@@ -165,16 +152,28 @@ def theta_report(ctx: CosimpCtx) -> dict:
     }
 
 
-def cd_table(ctx: CosimpCtx, p_range) -> CDTable:
-    """Extract c_{p,s} = (t^s coefficient of alpha^p) for each p in p_range."""
-    c: dict = {}
-    for p, pow_p in zip(p_range, ctx.alpha_pows(p_range)):
-        for s in range(ctx.trunc.t_order):
-            poly = {}
-            for idx, mat in pow_p.t_slice(s).items():
-                poly[idx[0]] = mat.rows[0][0]
-            c[(p, s)] = poly
-    return CDTable(ctx.field, c)
+def cd_table(ctx: CosimpCtx, p_range) -> dict[int, SRE]:
+    """{p: alpha^p} for p in p_range: c_{p,s} is the t^s coefficient of alpha^p."""
+    return dict(zip(p_range, ctx.alpha_pows(p_range)))
+
+
+def alpha_sum(ctx: CosimpCtx, terms, trunc: Trunc) -> SRE:
+    """sum alpha^s t^p M over the (s, p, M) in terms, cut to trunc, in one
+    kernel product: the coefficient table of the alpha^s t^p, keys by term,
+    times the stacked rows vec M.  delta_0 sends M X_1^[q] t^p to
+    (X_2 - X_1)^[q] alpha^(p-q) t^p M; the caller places the X^[q] part.
+    A caller with several sums builds all their powers in one alpha_pows
+    call first."""
+    terms = list(terms)
+    pows, zero = ctx.alpha_pows([s for s, _, _ in terms]), KMat.zero(ctx.field, 1)
+    table: dict = {}
+    for col, (pow_s, (_, p, _)) in enumerate(zip(pows, terms)):
+        for (m, idx), c in pow_s.coeffs.items():
+            if trunc.contains(m + p, idx):
+                table.setdefault((m + p, idx), [zero] * len(terms))[col] = c
+    size = terms[0][2].nrows
+    coeffs = key_sums(table, [mat for _, _, mat in terms]) if table else None
+    return SRE(ctx.field, 1, trunc, size, coeffs)
 
 
 def face_map(ctx: CosimpCtx, i: int, x: SRE) -> SRE:

@@ -115,10 +115,6 @@ class SimplexRingElem:
     def constant_term(self) -> KMat:
         return self.coeff(0, (0,) * self.n_vars)
 
-    def t_slice(self, m: int) -> dict[MultiIndex, KMat]:
-        """The pd-polynomial coefficient of t^m."""
-        return {idx: mat for (mm, idx), mat in self.coeffs.items() if mm == m}
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

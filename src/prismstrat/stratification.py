@@ -18,12 +18,12 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .cosimplicial import CosimpCtx
+from .cosimplicial import CosimpCtx, alpha_sum
 from .errors import SeedShapeMismatch, ShapeMismatch
 from .field import INF, KElem
 from .matrix import KMat, sum_products
 from .series import SimplexRingElem as SRE
-from .series import key_sums
+from .series import Trunc
 
 
 class Seeds(NamedTuple):
@@ -118,7 +118,7 @@ def cocycle_residual(U: SRE, ctx: CosimpCtx) -> SRE:
     change of basis that keeps the pd degree, so the truncation and the
     product rule are the same.  (X_1 + Z)^[n] = sum_{a+b=n} X_1^[a] Z^[b]
     makes delta_1 and delta_2 placements, and delta_0(U) = sum_q Z^[q]
-    sum_p alpha^(p-q) t^p A_{p,q} is one kernel product per q.  One ring
+    sum_p alpha^(p-q) t^p A_{p,q} takes one alpha_sum per q.  One ring
     product remains; R's nonzero terms go back by X_1^[a] Z^[b] =
     sum_k (-1)^(b-k) C(a+b-k, a) X_1^[a+b-k] X_2^[k].
     """
@@ -130,19 +130,12 @@ def cocycle_residual(U: SRE, ctx: CosimpCtx) -> SRE:
         delta2[(p, (n, 0))] = mat
         for b in range(n + 1):
             delta1[(p, (n - b, b))] = mat
-        columns.setdefault(n, []).append((p, mat))
-    shifts = sorted({p - n for (p, (n,)) in U.coeffs})
-    pows = dict(zip(shifts, ctx.alpha_pows(shifts)))
-    delta0, zero = {}, KMat.zero(field, 1)
+        columns.setdefault(n, []).append((p - n, p, mat))
+    ctx.alpha_pows(sorted({p - q for (p, (q,)) in U.coeffs}))  # one kernel product for every shift
+    delta0 = {}
     for q, cols in columns.items():
-        # rows: the keys of sum_p alpha^(p-q) t^p; columns: p
-        table: dict = {}
-        for col, (p, _) in enumerate(cols):
-            for (m, (a,)), c in pows[p - q].coeffs.items():
-                if trunc.contains(m + p, (a, q)):
-                    table.setdefault((m + p, (a, q)), [zero] * len(cols))[col] = c
-        if table:
-            delta0.update(key_sums(table, [mat for _, mat in cols]))
+        z_q = alpha_sum(ctx, cols, Trunc(trunc.t_order, trunc.pd_degree - q))
+        delta0.update({(m, (a, q)): mat for (m, (a,)), mat in z_q.coeffs.items()})
     diff = SRE(field, 2, trunc, l, delta1) - SRE(field, 2, trunc, l, delta2) * SRE(field, 2, trunc, l, delta0)
     out: dict = {}
     for (m, (a, b)), mat in diff.coeffs.items():

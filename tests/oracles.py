@@ -3,6 +3,7 @@ against.  None of them runs on a CLI path; each is an independent
 derivation of something the engine computes another way."""
 
 from fractions import Fraction
+from math import comb
 
 from prismstrat import closedform
 from prismstrat.closedform import FGTables, _linear_product, row_series
@@ -44,9 +45,28 @@ def truncate(x: SRE, trunc: Trunc) -> SRE:
     return SRE(x.field, x.n_vars, trunc, x.size, x.coeffs)
 
 
-def c_poly(cd, p: int, s: int) -> dict[int, KElem]:
-    """c_{p,s} of a CDTable as {k: d_{p,s,k}}, zeros omitted."""
-    return cd.c.get((p, s), {})
+def t_slice(x: SRE, m: int) -> dict[int, KMat]:
+    """The t^m coefficient of a 1-variable series as {n: X^[n] coefficient}."""
+    return {idx[0]: mat for (mm, idx), mat in x.coeffs.items() if mm == m}
+
+
+def c_poly(ctx, p: int, s: int) -> dict[int, KElem]:
+    """c_{p,s}, the t^s coefficient of alpha^p, as {k: d_{p,s,k}}, zeros omitted."""
+    return {k: mat.rows[0][0] for k, mat in t_slice(ctx.alpha_pow(p), s).items()}
+
+
+def condition_block(table, ctx, m: int, k: int, p: int) -> KMat:
+    """Coefficient of B_p (p <= m) in the X^[k] condition of the H^0
+    equation at t-order m, by the divided-power product rule:
+    sum_{j=p}^{m} sum_s C(k, s) d_{p,j-p,k-s} A_{m-j,s}."""
+    field, l = ctx.field, table.l
+    out = KMat.zero(field, l)
+    for j in range(p, m + 1):
+        c = c_poly(ctx, p, j - p)
+        for s in range(min(k, table.n_max) + 1):
+            d = c.get(k - s, field.zero)
+            out = out + table.at(m - j, s) * KMat.scalar(field, l, d * comb(k, s))
+    return out
 
 
 def pd_binomial(field: FieldDesc, trunc: Trunc, q: int) -> SRE:
@@ -83,7 +103,7 @@ def conjecture_residual_per_k(seeds, ctx, k_max: int) -> tuple[dict, dict]:
     for k in range(k_max + 1):
         diff = SRE.zero(field, 1, tr1, l)
         for i in range(k + 1):
-            d_slice = {(0, idx): mat for idx, mat in alpha_ia[i].t_slice(k - i).items()}
+            d_slice = {(0, (n,)): mat for n, mat in t_slice(alpha_ia[i], k - i).items()}
             diff = diff + SRE(field, 1, tr1, l, d_slice) * a_list[i]
             diff = diff - row_series(table, k - i, field, deg) * a_list[i]
         nonzero = sorted(idx[0] for (_, idx) in diff.coeffs)

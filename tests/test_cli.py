@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -123,26 +124,37 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("padic_prec", cli.MAX_PREC + 1),
         ("E_coeffs", ["-3" + "0" * cli.MAX_DIGITS, "0", "1"]),
         ("seeds", [[["1/" + "7" * (cli.MAX_DIGITS + 1)]], [["0"]], [["0"]]]),
+        ("seeds", [[["1e9000000"]], [["0"]], [["0"]]]),
+        ("seeds", [[[["1", "-1e-9000000"]]], [["0"]], [["0"]]]),
+        ("E_coeffs", ["-3", "1e9000000", "1"]),
+        ("E_coeffs", ["-3", "0." + "1" * 3_000_000, "1"]),
         *(("options", {name: floor - 1}) for name, (floor, _) in cli.INT_OPTIONS.items()),
     ],
     ids=[
         "rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff",
         "options_n_max", "options_list", "n_probe_limit", "trunc_t_limit", "trunc_x_limit",
         "t_x_rank_limit", "rank_limit", "E_degree_limit", "padic_prec_limit",
-        "E_coeff_digits_limit", "seed_digits_limit",
+        "E_coeff_digits_limit", "seed_digits_limit", "seed_exponent", "seed_coord_exponent",
+        "E_coeff_exponent", "E_coeff_long_decimal",
         *(f"{name}_floor" for name in cli.INT_OPTIONS),
     ],
 )
 def test_malformed_number_exits_2(tmp_path, field, value):
+    # each run is bounded: "1e9000000" or a 3-million-digit decimal used to
+    # take seconds in Fraction before the digit limit could refuse it
     data = dict(BASE_SPEC)
     data[field] = value
     spec = write_spec(tmp_path, data)
     out = str(tmp_path / "out.json")
+    started = time.monotonic()
     assert run("gen", spec, out) == 2
+    assert time.monotonic() - started < 1
     error = json.loads(open(out).read())["error"]
     assert error["type"] == "ValidationError"
     assert field in error["message"]
+    started = time.monotonic()
     assert run("validate", spec, out) == 0
+    assert time.monotonic() - started < 1
     parse = json.loads(open(out).read())["diagnostics"][0]
     assert parse == {"check": "parse", "ok": False, "error": "ValidationError", "message": error["message"]}
 
@@ -272,6 +284,36 @@ def test_cli_trunc_override(tmp_path):
     assert report["table"]["t_order"] == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--trunc-t", "99", "trunc.t"), ("--trunc-x", "99", "trunc.x"), ("--prec", "0", "padic_prec")],
+)
+def test_validate_applies_overrides(tmp_path, flag, value, field):
+    # gen refuses the override; validate must report the same failure
+    spec = write_spec(tmp_path, BASE_SPEC)
+    out = str(tmp_path / "out.json")
+    assert main(["gen", "--spec", spec, "--out", out, flag, value]) == 2
+    error = json.loads(open(out).read())["error"]
+    assert field in error["message"]
+    assert main(["validate", "--spec", spec, "--out", out, flag, value]) == 0
+    report = json.loads(open(out).read())
+    assert not report["ok"]
+    assert report["diagnostics"][0] == {"check": "parse", "ok": False, "error": "ValidationError", "message": error["message"]}
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [("sweep", ["--trunc-t", "9"]), ("sweep", ["--trunc-x", "9"]), ("sweep", ["--prec", "0"])]
+    + [(command, ["--jobs", "2"]) for command in SINGLE_SPEC_COMMANDS],
+)
+def test_flags_exist_only_on_the_commands_that_read_them(tmp_path, capsys, command, argv):
+    spec = write_spec(tmp_path, BASE_SPEC)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", spec, *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     sweep = {
         "command": "cocycle",
@@ -366,18 +408,9 @@ def test_sweep_without_instances_exits_2(tmp_path):
 def test_non_object_spec_exits_2(tmp_path, command, data):
     spec = write_spec(tmp_path, data)
     out = str(tmp_path / "out.json")
-    assert main([command, "--spec", spec, "--out", out, "--jobs", "1"]) == 2
+    jobs = ["--jobs", "1"] if command == "sweep" else []
+    assert main([command, "--spec", spec, "--out", out, *jobs]) == 2
     assert json.loads(open(out).read())["error"]["type"] == "ValidationError"
-
-
-def test_bad_jobs_env_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("PRISMSTRAT_JOBS", "x")
-    spec = write_spec(tmp_path, {"command": "cocycle", "base": BASE_SPEC, "instances": [{}]})
-    out = str(tmp_path / "out.json")
-    assert run("sweep", spec, out) == 2
-    error = json.loads(open(out).read())["error"]
-    assert error["type"] == "ValidationError"
-    assert "PRISMSTRAT_JOBS" in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
 from prismstrat.stratification import Seeds, generate_Amn
 
-from oracles import conjecture_residual_per_k, fg_dual_check, lemma_identity_check
+from oracles import conjecture_residual_per_k, fg_dual_check, lemma_identity_check, t_slice
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
@@ -358,7 +358,7 @@ def _draw_instance(data, field, min_k=0, min_pd=0):
 
 def _slices(diff: SRE, k_max: int) -> dict:
     """{k: {n: X^[n] coefficient}} of the t^k slices of a 1-variable series."""
-    return {k: {idx[0]: mat for idx, mat in diff.t_slice(k).items()} for k in range(k_max + 1)}
+    return {k: t_slice(diff, k) for k in range(k_max + 1)}
 
 
 @pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])

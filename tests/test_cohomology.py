@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prismstrat.cohomology import full_condition_rows, h0_dim_bound, h0_solve, stage1_rows
-from prismstrat.cosimplicial import CosimpCtx, cd_table
+from prismstrat.cosimplicial import CosimpCtx
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat, kernel_basis
 from prismstrat.series import Trunc
 from prismstrat.stratification import Seeds, StratTable, generate_Amn
+
+from oracles import condition_block
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
@@ -76,8 +80,7 @@ def test_stage1_matches_general_machinery_at_k1():
     ctx = CosimpCtx(F2, Trunc(3, 4))
     seeds = scalar_seeds(F2, [Fraction(1, 2), 2, Fraction(-1, 3)])
     table = generate_Amn(seeds, ctx, 4)
-    cd = cd_table(ctx, range(0, 3))
-    k1 = full_condition_rows(table, ctx, cd, 3, [1])
+    k1 = full_condition_rows(table, ctx, 3, [1])
     assert stage1_rows(table, ctx, 3) == k1
     for m, row in enumerate(k1):
         for p, block in enumerate(row):
@@ -88,6 +91,34 @@ def test_stage1_matches_general_machinery_at_k1():
             else:
                 want = KMat.zero(F2, 1)
             assert block == want, (m, p)
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_condition_rows_match_product_rule_oracle(field, data):
+    # every X^[k] t^m coefficient of R_p = U * alpha^p t^p, k = 0..D, against
+    # the divided-power product rule, for commuting and non-commuting seeds
+    T, D, rank = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 2))
+
+    def q():
+        return field.from_rational(Fraction(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 4))))
+
+    def mat():
+        return KMat.from_rows(field, [[q() for _ in range(rank)] for _ in range(rank)])
+
+    if data.draw(st.booleans()):
+        m = mat()
+        seeds = Seeds.of([KMat.scalar(field, rank, q()) + m * q() for _ in range(T)])
+    else:
+        seeds = Seeds.of([mat() for _ in range(T)])
+    ctx = CosimpCtx(field, Trunc(T, D))
+    table = generate_Amn(seeds, ctx, D)
+    rows = full_condition_rows(table, ctx, T, range(D + 1))
+    for m in range(T):
+        for k in range(D + 1):
+            for p in range(T):
+                assert rows[m * (D + 1) + k][p] == condition_block(table, ctx, m, k, p), (m, k, p)
 
 
 def test_solver_dim_bounded_by_q_random():
@@ -202,12 +233,11 @@ def test_dim_per_order_matches_solves_from_scratch(field, build, dims, stage1_di
     assert list(sol.dim_per_order) == dims
     assert sol.stage1_dim == stage1_dim
     ks = range(2, D + 1)
-    cd = cd_table(ctx, range(0, T))
-    s1, s2 = stage1_rows(table, ctx, T), full_condition_rows(table, ctx, cd, T, ks)
+    s1, s2 = stage1_rows(table, ctx, T), full_condition_rows(table, ctx, T, ks)
     for t in range(1, T + 1):
         for rows, whole in (
             (stage1_rows(table, ctx, t), s1[:t]),
-            (full_condition_rows(table, ctx, cd, t, ks), s2[: t * len(ks)]),
+            (full_condition_rows(table, ctx, t, ks), s2[: t * len(ks)]),
         ):
             assert [row[:t] for row in whole] == rows
             assert all(b.is_zero() for row in whole for b in row[t:])

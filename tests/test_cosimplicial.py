@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prismstrat.cosimplicial import (
     CosimpCtx,
+    alpha_sum,
     cd_table,
     eval_poly_at_series,
     face_map,
@@ -123,6 +126,34 @@ def test_batched_alpha_powers_match_binomial_power(field):
     assert sorted(ctx._alpha_pows) == list(ks)
 
 
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_alpha_sum_matches_term_by_term_products(field, data):
+    # sum alpha^s t^p M against alpha_pow(s), shifted by t^p, as scalar
+    # matrices times M; the first shift is negative and the sum is cut at
+    # pd degree D - q, as for the X^[q] block of a cocycle residual
+    T, D, rank = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 5)), data.draw(st.integers(1, 2))
+    ctx = CosimpCtx(field, Trunc(T, D))
+    trunc = Trunc(T, D - data.draw(st.integers(0, D)))
+
+    def mat():
+        def q():
+            return field.from_coords(
+                [Fraction(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 4))) for _ in range(field.e)]
+            )
+
+        return KMat.from_rows(field, [[q() for _ in range(rank)] for _ in range(rank)])
+
+    shifts = [data.draw(st.integers(-D - 3, -1))] + data.draw(st.lists(st.integers(-D - 3, 4), max_size=3))
+    terms = [(s, data.draw(st.integers(0, T - 1)), mat()) for s in shifts]
+    want = SRE.zero(field, 1, trunc, rank)
+    for s, p, m in terms:
+        shifted = {(i + p, idx): c for (i, idx), c in ctx.alpha_pow(s).coeffs.items()}
+        want = want + SRE(field, 1, trunc, 1, shifted).map_size(rank) * m
+    assert alpha_sum(ctx, terms, trunc) == want
+
+
 def test_alpha_pow_stores_nothing_for_matrix_exponents():
     # a context shared by a sweep must not grow with its number of instances
     ctx = CosimpCtx(F2, Trunc(3, 4))
@@ -140,7 +171,11 @@ def test_alpha_pow_stores_nothing_for_matrix_exponents():
 
 def test_cd_basic_structure():
     ctx = CosimpCtx(F2, Trunc(4, 4))
-    table = cd_table(ctx, range(-3, 4))
+    assert cd_table(ctx, range(-3, 4)) == {p: ctx.alpha_pow(p) for p in range(-3, 4)}
+
+    def d(p, s, k):
+        return c_poly(ctx, p, s).get(k, F2.zero)
+
     beta = F2.beta
     one_minus_bx = SRE.one(F2, 1, ctx.trunc) + SRE.monomial(
         F2, 1, ctx.trunc, 0, (1,), KMat.scalar(F2, 1, -beta)
@@ -149,22 +184,21 @@ def test_cd_basic_structure():
         # c_{p,0} = (1 - beta X_1)^p
         expect = one_minus_bx**p
         for k in range(ctx.trunc.pd_degree + 1):
-            assert table.d(p, 0, k) == expect.coeff(0, (k,)).rows[0][0]
+            assert d(p, 0, k) == expect.coeff(0, (k,)).rows[0][0]
         # d_{p,0,0} = 1 and d_{p,s,0} = 0 for s > 0
-        assert table.d(p, 0, 0) == F2.one
+        assert d(p, 0, 0) == F2.one
         for s in range(1, 4):
-            assert table.d(p, s, 0).is_zero()
+            assert d(p, s, 0).is_zero()
         # the calculate-c identity, small range (acceptance sweeps it wide)
         for s in range(4):
-            assert table.d(p, s, 1) == ctx.theta_at(1, s) * (-p)
+            assert d(p, s, 1) == ctx.theta_at(1, s) * (-p)
 
 
 def test_cd_e1_has_no_t_terms():
     ctx = CosimpCtx(F1, Trunc(4, 4))
-    table = cd_table(ctx, range(-2, 3))
     for p in range(-2, 3):
         for s in range(1, 4):
-            assert c_poly(table, p, s) == {}
+            assert c_poly(ctx, p, s) == {}
 
 
 def test_face_identity_embedding():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismstrat import series
-from prismstrat.cosimplicial import CosimpCtx, cd_table, face_map
+from prismstrat.cosimplicial import CosimpCtx, face_map
 from prismstrat.errors import SeedShapeMismatch
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat
@@ -119,7 +119,7 @@ def test_zero_column_forced():
             assert R.coeff(m, (0, k)).is_zero()
 
 
-def cocycle_coefficient_residual(table: StratTable, ctx: CosimpCtx, cd, m: int, k: int) -> SRE:
+def cocycle_coefficient_residual(table: StratTable, ctx: CosimpCtx, m: int, k: int) -> SRE:
     """The re-indexed residual for (t^m, X_2^[k]):
 
         A_{m,k} - sum_{i+j=m} (sum_s A_{j,s} X_1^[s])
@@ -151,7 +151,7 @@ def cocycle_coefficient_residual(table: StratTable, ctx: CosimpCtx, cd, m: int, 
                 apk = table.at(p, k + v)
                 if apk.is_zero():
                     continue
-                cpoly = c_poly(cd, p - (k + v), i - p)
+                cpoly = c_poly(ctx, p - (k + v), i - p)
                 if not cpoly:
                     continue
                 sign = Fraction(-1) ** v
@@ -171,11 +171,10 @@ def _formula_matches_ring_residual(table, ctx) -> int:
     """Compare the ring residual with the re-indexed coefficient formula
     coefficient for coefficient; returns the number of nonzero coefficients."""
     R = cocycle_residual(assemble_epsilon(table, ctx), ctx)
-    cd = cd_table(ctx, range(-(ctx.trunc.pd_degree + 3), ctx.trunc.t_order))
     nonzero = 0
     for m in range(ctx.trunc.t_order):
         for k in range(ctx.trunc.pd_degree + 1):
-            formula = cocycle_coefficient_residual(table, ctx, cd, m, k)
+            formula = cocycle_coefficient_residual(table, ctx, m, k)
             for v in range(ctx.trunc.pd_degree - k + 1):
                 assert R.coeff(m, (v, k)) == formula.coeff(0, (v,)), (m, k, v)
                 nonzero += not R.coeff(m, (v, k)).is_zero()
