@@ -1,10 +1,12 @@
 """Batch front end: JSON problem specs in, JSON reports out.
 
 Commands: gen, cocycle, closed-form, h0, sen, conjecture, sweep, validate.
-Exit codes: 0 success, 2 validation failure, 3 computation error; failures
-emit a structured {"error": {...}} object.  Reports are byte-deterministic
-(sorted keys, canonical rationals), and sweep results are independent of
-the worker count.
+Exit codes: 0 success, 2 validation failure (a bad command line too), 3
+computation error; failures emit a structured {"error": {...}} object.
+Reports are byte-deterministic (sorted keys, canonical rationals).  A sweep
+runs its first instance in this process, then forks workers - 1 children,
+which inherit the warm process and its contexts; every worker runs a strided
+share, and results come back in instance order, independent of --jobs.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import argparse
 import json
 import os
 import re
+import signal
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .cosimplicial import CosimpCtx, theta_report
 from .errors import (
@@ -72,9 +75,7 @@ def _parse_matrix(field: FieldDesc, data, rank: int) -> KMat:
     _at_most("the digits of seeds", _digits(q for row in rows for a in row for q in a.coords), MAX_DIGITS)
     mat = KMat.from_rows(field, rows)
     if mat.nrows != rank or mat.ncols != rank:
-        raise SeedShapeMismatch(
-            f"seed matrix is {mat.nrows}x{mat.ncols}, expected {rank}x{rank}"
-        )
+        raise SeedShapeMismatch(f"seed matrix is {mat.nrows}x{mat.ncols}, expected {rank}x{rank}")
     return mat
 
 
@@ -160,42 +161,21 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
 
 def validate_spec(raw: dict, overrides: dict | None = None) -> dict:
     """List all violated preconditions without computing anything."""
-    diagnostics = []
+    try:
+        spec = load_problem(raw, overrides)
+    except EngineError as exc:
+        return {"ok": False, "diagnostics": [_diagnostic("parse", exc)]}
+    t_order, n_seeds = spec.trunc.t_order, len(spec.seeds.A1)
+    cover = None if n_seeds >= t_order else SeedShapeMismatch(f"need {t_order} seed matrices, got {n_seeds}")
+    commuting = None if spec.seeds.commutative() else NonCommutingSeeds("A_{0,1} does not commute with all seeds")
+    checks = {"parse": None, "seeds_cover_t_order": cover, "commuting_seeds": commuting}
+    return {"ok": cover is None, "diagnostics": [_diagnostic(name, exc) for name, exc in checks.items()]}
 
-    def check(name, fn):
-        try:
-            fn()
-            diagnostics.append({"check": name, "ok": True})
-        except EngineError as exc:
-            diagnostics.append(
-                {"check": name, "ok": False, "error": type(exc).__name__, "message": str(exc)}
-            )
 
-    spec_holder = {}
-
-    def parse():
-        spec_holder["spec"] = load_problem(raw, overrides)
-
-    check("parse", parse)
-    spec = spec_holder.get("spec")
-    if spec is None:
-        return {"ok": False, "diagnostics": diagnostics}
-
-    def seeds_cover():
-        if len(spec.seeds.A1) < spec.trunc.t_order:
-            raise SeedShapeMismatch(
-                f"need {spec.trunc.t_order} seed matrices, got {len(spec.seeds.A1)}"
-            )
-
-    check("seeds_cover_t_order", seeds_cover)
-
-    def commuting():
-        if not spec.seeds.commutative():
-            raise NonCommutingSeeds("A_{0,1} does not commute with all seeds")
-
-    check("commuting_seeds", commuting)
-    ok = all(d["ok"] for d in diagnostics if d["check"] != "commuting_seeds")
-    return {"ok": ok, "diagnostics": diagnostics}
+def _diagnostic(check: str, exc: EngineError | None) -> dict:
+    if exc is None:
+        return {"check": check, "ok": True}
+    return {"check": check, "ok": False, "error": type(exc).__name__, "message": str(exc)}
 
 
 def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
@@ -208,9 +188,7 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
             "table": table.to_json(),
             "theta": theta_report(ctx),
             "valuation_profile": valuation_profile(table),
-            "near_HT": check_near_HT(
-                spec.seeds.a01, opts.get("n_probe", 64), opts.get("threshold", 40)
-            ),
+            "near_HT": check_near_HT(spec.seeds.a01, opts.get("n_probe", 64), opts.get("threshold", 40)),
         }
     if command == "cocycle":
         table = generate_Amn(spec.seeds, ctx, spec.trunc.pd_degree)
@@ -251,7 +229,7 @@ _sweep_ctx = cache(CosimpCtx)
 
 
 def _run_worker(payload):
-    """Sweep worker: parse and run one instance; must stay picklable."""
+    """Sweep worker: parse and run one instance."""
     idx, command, raw = payload
     instance_id = raw.get("id", idx)
     try:
@@ -259,14 +237,32 @@ def _run_worker(payload):
         report = _dispatch(command, spec, _sweep_ctx(spec.field, spec.trunc))
         return {"id": instance_id, "ok": True, "report": report}
     except EngineError as exc:
-        return {
-            "id": instance_id,
-            "ok": False,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
+        return {"id": instance_id, "ok": False, "error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
+def _fork(share: list) -> tuple[int, TextIO]:
+    """Run share in a forked child; its pid, and a pipe that carries its results
+    as one JSON list (exit 0) or the non-engine error that stopped it (exit 1)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read)
+    code = 1
+    try:  # the child leaves only by os._exit
+        try:
+            text, code = json.dumps([_run_worker(p) for p in share]), 0
+        except Exception as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        with os.fdopen(write, "w") as pipe:
+            pipe.write(text)
+    finally:
+        os._exit(code)
 
 
 def run_sweep(raw: dict, jobs: int) -> dict:
+    if jobs < 1:
+        raise ValidationError(f"--jobs = {jobs} is below the floor 1")
     command = raw.get("command")
     if command not in COMMANDS or command in ("sweep", "validate"):
         raise ValidationError(f"sweep needs a concrete engine command, got {command!r}")
@@ -277,16 +273,27 @@ def run_sweep(raw: dict, jobs: int) -> dict:
     if not isinstance(base, dict) or not all(isinstance(inst, dict) for inst in instances):
         raise ValidationError("sweep 'base' and every instance must be JSON objects")
     payloads = [(idx, command, {**base, **inst}) for idx, inst in enumerate(instances)]
-    # ProcessPoolExecutor forks all max_workers processes at once
-    workers = min(jobs, os.cpu_count() or 1, len(payloads))
+    workers = min(jobs, os.cpu_count() or 1, len(payloads)) if hasattr(os, "fork") else 1
+    # after the warm-up instance, share k is payloads[1 + k :: workers]; share 0 runs here
+    results, children = [None] * len(payloads), {}
     try:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_worker, payloads))
-        else:
-            results = [_run_worker(p) for p in payloads]
+        results[0] = _run_worker(payloads[0])
+        for k in range(1, workers):
+            pid, pipe = _fork(payloads[1 + k :: workers])
+            children[pid] = (k, pipe)
+        results[1::workers] = [_run_worker(p) for p in payloads[1::workers]]
+        for pid, (k, pipe) in list(children.items()):
+            with pipe:
+                text, code = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code:
+                raise ComputationError(f"sweep worker {k} failed: {text or f'exit status {code}'}")
+            results[1 + k :: workers] = json.loads(text)
     finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         _sweep_ctx.cache_clear()
     flagged = []
     for res in results:
@@ -327,13 +334,16 @@ def run(command: str, spec_path: str, out_path: str | None = None, jobs: int = 1
             spec = load_problem(raw, overrides)
             report = _dispatch(command, spec, CosimpCtx(spec.field, spec.trunc))
     except ValidationError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, out_path)
-        return 2
+        return _fail(exc, out_path, 2)
     except ComputationError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, out_path)
-        return 3
+        return _fail(exc, out_path, 3)
     _emit(report, out_path)
     return 0
+
+
+def _fail(exc: EngineError, out_path: str | None, code: int) -> int:
+    _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, out_path)
+    return code
 
 
 def _emit(report: dict, out_path: str | None):
@@ -343,6 +353,10 @@ def _emit(report: dict, out_path: str | None):
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _argument_error(message: str):
+    raise ValidationError(message)
 
 
 def main(argv=None) -> int:
@@ -361,7 +375,12 @@ def main(argv=None) -> int:
             sp.add_argument("--trunc-t", type=int, default=None, help="override t-order")
             sp.add_argument("--trunc-x", type=int, default=None, help="override pd degree")
             sp.add_argument("--prec", type=int, default=None, help="override p-adic precision")
-    args = vars(parser.parse_args(argv))
+    for p in (parser, *sub.choices.values()):  # a bad command line raises, not prints usage
+        p.error = _argument_error
+    try:
+        args = vars(parser.parse_args(argv))
+    except ValidationError as exc:
+        return _fail(exc, None, 2)
     return run(args.pop("command"), args.pop("spec"), args.pop("out"), **args)
 
 

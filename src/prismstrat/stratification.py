@@ -5,11 +5,13 @@ A table is generated from seeds {A_{m,1}} by the inductive formula
     A_{m,n+1} = (beta(n-m) + A_{0,1}) A_{m,n}
                 + sum_{i+j=m, i<=m-1} (A_{j,1} + (n-i) theta_{1,j}) A_{i,n},
 
-with A_{0,0} = I and A_{i,0} = 0 for i > 0.  The cocycle residual is
-computed by honest ring arithmetic on the 2-simplex (assemble U, push it
-through the face maps in the basis X_1^[a] (X_2 - X_1)^[b], where two of
-them are placements, multiply, subtract).  The re-indexed coefficient
-formula, an independent cross-check of that residual, lives in the tests.
+with A_{0,0} = I and A_{i,0} = 0 for i > 0, one block matrix product per
+n (generate_Amn; the entry-by-entry induction lives in the tests).  The
+cocycle residual is computed by honest ring arithmetic on the 2-simplex
+(assemble U, push it through the face maps in the basis X_1^[a]
+(X_2 - X_1)^[b], where two of them are placements, multiply, subtract).
+The re-indexed coefficient formula, an independent cross-check of that
+residual, lives in the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple
 from .cosimplicial import CosimpCtx, alpha_sum
 from .errors import SeedShapeMismatch, ShapeMismatch
 from .field import INF, KElem
-from .matrix import KMat, sum_products
+from .matrix import KMat, accumulate, blocks, from_polys, int_form, submatrix
 from .series import SimplexRingElem as SRE
 from .series import Trunc
 
@@ -73,31 +75,30 @@ class StratTable(NamedTuple):
 
 
 def generate_Amn(seeds: Seeds, ctx: CosimpCtx, n_max: int) -> StratTable:
-    """Fill the table from the seeds by the inductive formula."""
-    field = ctx.field
-    t_order = ctx.trunc.t_order
+    """Fill the table by the inductive formula, one kernel product per pd degree.
+    With theta_{1,0} = beta, col_n = (A_{m,n})_m stacked into a (T l) x l
+    matrix satisfies col_{n+1} = M_n col_n, M_n = P + n Q: block (m, i) of P is
+    A_{m-i,1} - i theta_{1,m-i}, of Q theta_{1,m-i} I, both 0 for i > m.
+    P and Q take their integer form once; col_0 = (I, 0, ..., 0)."""
+    field, t_order = ctx.field, ctx.trunc.t_order
     if len(seeds.A1) < t_order:
-        raise SeedShapeMismatch(
-            f"need seeds A_(m,1) for all m < {t_order}, got {len(seeds.A1)}"
-        )
-    l = seeds.l
-    beta = field.beta
-    a01 = seeds.a01
+        raise SeedShapeMismatch(f"need seeds A_(m,1) for all m < {t_order}, got {len(seeds.A1)}")
+    l, zero, span = seeds.l, KMat.zero(field, seeds.l), range(t_order)
+    theta = [KMat.scalar(field, l, ctx.theta_at(1, j)) for j in span]
+    P = blocks([[seeds.A1[m - i] - theta[m - i] * i if i <= m else zero for i in span] for m in span])
+    Q = blocks([[theta[m - i] if i <= m else zero for i in span] for m in span])
+    col = blocks([[KMat.identity(field, l)]] + [[zero]] * (t_order - 1))
+    dpq, (p_rows, q_rows) = int_form([P, Q])
     A: dict = {}
-    ident = KMat.identity(field, l)
-    zero = KMat.zero(field, l)
-    for m in range(t_order):
-        A[(m, 0)] = ident if m == 0 else zero
-        if n_max >= 1:
-            A[(m, 1)] = seeds.A1[m]
-    for n in range(1, n_max):
-        for m in range(t_order):
-            pairs = [(KMat.scalar(field, l, beta * (n - m)) + a01, A[(m, n)])]
-            for i in range(m):
-                j = m - i
-                coeff = seeds.A1[j] + KMat.scalar(field, l, ctx.theta_at(1, j) * (n - i))
-                pairs.append((coeff, A[(i, n)]))
-            A[(m, n + 1)] = sum_products(pairs)
+    for n in range(n_max + 1):
+        if n:
+            dc, (c_rows,) = int_form([col])
+            polys = [[0] * (2 * field.e - 1) for _ in range(t_order * l * l)]
+            accumulate(polys, p_rows, c_rows, l, 1)
+            accumulate(polys, q_rows, c_rows, l, n - 1)
+            col = from_polys(field, polys, t_order * l, l, dpq * dc)
+        for m in span:
+            A[(m, n)] = submatrix(col, range(m * l, (m + 1) * l), range(l))
     return StratTable(l, t_order, n_max, A)
 
 

@@ -12,7 +12,7 @@ from prismstrat.field import INF, FieldDesc, KElem, PadicApprox
 from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
-from prismstrat.stratification import generate_Amn
+from prismstrat.stratification import StratTable, generate_Amn
 
 # -- p-adic approximations ----------------------------------------------------
 
@@ -33,6 +33,30 @@ def known_nonzero(a: PadicApprox) -> bool:
     """Nonzero at the stated precision: v_p(value) < prec."""
     v = _vp(a.value)
     return v is not INF and v < a.prec
+
+
+# -- stratification tables -----------------------------------------------------
+
+
+def generate_Amn_inductive(seeds, ctx, n_max: int) -> StratTable:
+    """The table entry by entry, by the inductive formula
+    A_{m,n+1} = (beta(n-m) + A_{0,1}) A_{m,n}
+                + sum_{i<m} (A_{m-i,1} + (n-i) theta_{1,m-i}) A_{i,n},
+    with A_{0,0} = I, A_{m,0} = 0 for m > 0 and A_{m,1} the seeds."""
+    field, l, t_order = ctx.field, seeds.l, ctx.trunc.t_order
+    A = {}
+    for m in range(t_order):
+        A[(m, 0)] = KMat.identity(field, l) if m == 0 else KMat.zero(field, l)
+        if n_max >= 1:
+            A[(m, 1)] = seeds.A1[m]
+    for n in range(1, n_max):
+        for m in range(t_order):
+            out = (KMat.scalar(field, l, field.beta * (n - m)) + seeds.a01) * A[(m, n)]
+            for i in range(m):
+                coeff = seeds.A1[m - i] + KMat.scalar(field, l, ctx.theta_at(1, m - i) * (n - i))
+                out = out + coeff * A[(i, n)]
+            A[(m, n + 1)] = out
+    return StratTable(l, t_order, n_max, A)
 
 
 # -- series and the cosimplicial tables ---------------------------------------

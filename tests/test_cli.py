@@ -1,6 +1,5 @@
 """CLI: dispatch, validation, exit codes, determinism, sweeps."""
 
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -308,10 +307,36 @@ def test_validate_applies_overrides(tmp_path, flag, value, field):
 )
 def test_flags_exist_only_on_the_commands_that_read_them(tmp_path, capsys, command, argv):
     spec = write_spec(tmp_path, BASE_SPEC)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--spec", spec, *argv])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main([command, "--spec", spec, *argv]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValidationError"
+    assert "unrecognized arguments" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--spec", "s.json", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+        (["sweep", "--spec", "s.json", "--bogus"], "unrecognized arguments: --bogus"),
+        (["gen"], "the following arguments are required: --spec"),
+    ],
+    ids=["bad_jobs", "unknown_flag", "missing_spec"],
+)
+def test_argument_errors_print_error_object(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": {"type": "ValidationError", "message": message}}
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_floor_exits_2(tmp_path, jobs):
+    spec = write_spec(tmp_path, {"command": "cocycle", "base": BASE_SPEC, "instances": [{"id": "a"}]})
+    out = str(tmp_path / "out.json")
+    assert main(["sweep", "--spec", spec, "--out", out, "--jobs", jobs]) == 2
+    assert json.loads(Path(out).read_text())["error"] == {
+        "type": "ValidationError", "message": f"--jobs = {jobs} is below the floor 1"
+    }
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -413,29 +438,31 @@ def test_non_object_spec_exits_2(tmp_path, command, data):
     assert json.loads(open(out).read())["error"]["type"] == "ValidationError"
 
 
+def _fake_fork(shares):
+    """A stand-in for cli._fork that runs each share in this process and
+    records the payload indices of every share it is given."""
+
+    def fork(share):
+        shares.append([idx for idx, _, _ in share])
+        read, write = os.pipe()
+        with os.fdopen(write, "w") as pipe:
+            pipe.write(json.dumps([cli._run_worker(p) for p in share]))
+        return -len(shares), os.fdopen(read)
+
+    return fork
+
+
 @pytest.mark.parametrize(
     "jobs, cpus, n_instances, expected",
     [(64, 8, 3, 3), (64, 2, 5, 2), (3, 8, 5, 3), (4, None, 5, None), (2, 8, 1, None)],
 )
 def test_sweep_caps_workers(tmp_path, monkeypatch, jobs, cpus, n_instances, expected):
-    """The pool gets min(jobs, cpu_count, instances) workers, and none when
-    that is 1; the fake pool runs the instances in this process."""
-    started = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    """A sweep uses min(jobs, cpu_count, instances) workers and forks all but
+    one of them, none when that is 1; worker k > 0 gets the strided share
+    payloads[1 + k :: workers]."""
+    shares = []
+    monkeypatch.setattr(cli, "_fork", _fake_fork(shares))
+    monkeypatch.setattr(cli.os, "waitpid", lambda pid, options: (pid, 0))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     sweep = {
         "command": "cocycle",
@@ -444,7 +471,116 @@ def test_sweep_caps_workers(tmp_path, monkeypatch, jobs, cpus, n_instances, expe
     }
     spec = write_spec(tmp_path, sweep)
     assert run("sweep", spec, str(tmp_path / "out.json"), jobs=jobs) == 0
-    assert started == ([] if expected is None else [expected])
+    workers = expected or 1
+    assert shares == [list(range(1 + k, n_instances, workers)) for k in range(1, workers)]
+
+
+def test_sweep_without_fork_runs_serially(tmp_path, monkeypatch):
+    shares = []
+    monkeypatch.setattr(cli, "_fork", _fake_fork(shares))
+    monkeypatch.delattr(cli.os, "fork")
+    spec = write_spec(tmp_path, _sharing_sweep("conjecture"))
+    out1, out2 = str(tmp_path / "serial.json"), str(tmp_path / "par.json")
+    assert run("sweep", spec, out1, jobs=1) == 0
+    assert run("sweep", spec, out2, jobs=2) == 0
+    assert shares == []
+    assert Path(out1).read_text() == Path(out2).read_text()
+
+
+def _mixed_sweep(command="cocycle"):
+    """Ten instances whose ids sort against their order; five have a
+    malformed seed, so that every share of a sweep with 2 or 3 workers holds
+    an error."""
+    bad = {"seeds": [[["1/0"]], [["0"]], [["0"]]]}
+    instances = [{"id": f"i{9 - idx}"} for idx in range(10)]
+    for idx in (2, 3, 4, 5, 6):
+        instances[idx].update(bad)
+    return {"command": command, "base": dict(BASE_SPEC), "instances": instances}
+
+
+@pytest.mark.parametrize("command", ["gen", "cocycle", "closed-form", "h0", "sen", "conjecture"])
+def test_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch, command):
+    # forked shares return their reports through JSON; the bytes must not change
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    spec = write_spec(tmp_path, _mixed_sweep(command))
+    outputs = []
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"out{jobs}.json"
+        assert run("sweep", spec, str(out), jobs=jobs) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    flagged = json.loads(outputs[0])["flagged"]
+    # in payload order, not in id order
+    assert flagged == [{"id": f"i{9 - idx}", "reason": "error"} for idx in (2, 3, 4, 5, 6)]
+
+
+def _failing_worker(monkeypatch, bad_id, failure):
+    """Make cli._run_worker fail on the instance bad_id, and return the list
+    the pids of forked children are recorded in."""
+    run_worker, fork, pids = cli._run_worker, cli._fork, []
+
+    def worker(payload):
+        if payload[2].get("id") == bad_id:
+            failure()
+        return run_worker(payload)
+
+    def spy(share):
+        pid, pipe = fork(share)
+        pids.append(pid)
+        return pid, pipe
+
+    monkeypatch.setattr(cli, "_run_worker", worker)
+    monkeypatch.setattr(cli, "_fork", spy)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    return pids
+
+
+def _boom():
+    raise RuntimeError("boom")
+
+
+def _assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [(_boom, "sweep worker 1 failed: RuntimeError: boom"), (lambda: os._exit(7), "sweep worker 1 failed: exit status 7")],
+    ids=["raises", "dies"],
+)
+def test_failing_child_exits_3(tmp_path, monkeypatch, failure, message):
+    # at --jobs 2, instance 2 ("i7") belongs to the forked child's share
+    pids = _failing_worker(monkeypatch, "i7", failure)
+    spec = write_spec(tmp_path, _mixed_sweep())
+    out = str(tmp_path / "out.json")
+    assert run("sweep", spec, out, jobs=2) == 3
+    assert json.loads(Path(out).read_text()) == {"error": {"type": "ComputationError", "message": message}}
+    _assert_reaped(pids)
+
+
+def test_failing_parent_share_reaps_children(tmp_path, monkeypatch):
+    # at --jobs 2, instance 1 ("i8") belongs to the share this process runs
+    pids = _failing_worker(monkeypatch, "i8", _boom)
+    spec = write_spec(tmp_path, _mixed_sweep())
+    with pytest.raises(RuntimeError, match="boom"):
+        run("sweep", spec, str(tmp_path / "out.json"), jobs=2)
+    _assert_reaped(pids)
+
+
+def test_sweep_does_not_import_concurrent_futures(tmp_path):
+    spec = write_spec(tmp_path, _sharing_sweep("conjecture"))
+    code = (
+        "import sys; from prismstrat.cli import main; "
+        f"main(['sweep', '--spec', {spec!r}, '--out', {str(tmp_path / 'out.json')!r}, '--jobs', '2']); "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _mutated(spec: dict, path: tuple, value):

@@ -25,7 +25,7 @@ from prismstrat.stratification import (
     residual_report,
 )
 
-from oracles import c_poly
+from oracles import c_poly, generate_Amn_inductive
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
@@ -214,6 +214,32 @@ def face_map_residual(U: SRE, ctx: CosimpCtx) -> SRE:
     """The residual in the basis X_1^[a] X_2^[b] through the face maps of
     cosimplicial: delta_0 takes one 2-variable ring product per shift p - q."""
     return face_map(ctx, 1, U) - face_map(ctx, 2, U) * face_map(ctx, 0, U)
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generate_Amn_matches_entrywise_induction(field, data):
+    # commuting seeds are c A_{0,1} + d I; the others are drawn entry by entry
+    t_order, n_max, rank = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 8)), data.draw(st.integers(1, 3))
+    ctx = CosimpCtx(field, Trunc(t_order, n_max))
+
+    def entry():
+        n_coords = data.draw(st.integers(1, field.e))
+        return field.from_coords(
+            [Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 4))) for _ in range(n_coords)]
+        )
+
+    def mat():
+        return KMat.from_rows(field, [[entry() for _ in range(rank)] for _ in range(rank)])
+
+    a01 = mat()
+    if data.draw(st.booleans()):
+        seeds = Seeds.of([a01] + [a01 * entry() + KMat.scalar(field, rank, entry()) for _ in range(t_order - 1)])
+        assert seeds.commutative()
+    else:
+        seeds = Seeds.of([a01] + [mat() for _ in range(t_order - 1)])
+    assert generate_Amn(seeds, ctx, n_max) == generate_Amn_inductive(seeds, ctx, n_max)
 
 
 @pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
