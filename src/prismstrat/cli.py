@@ -202,9 +202,7 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
         return {"command": "closed-form", "verify": report, "h_tilde": ht.to_json()}
     if command == "h0":
         from .cohomology import h0_solve
-        table = generate_Amn(spec.seeds, ctx, spec.trunc.pd_degree)
-        sol = h0_solve(table, ctx)
-        return {"command": "h0", "solution": sol.to_json()}
+        return {"command": "h0", "solution": h0_solve(spec.seeds, ctx).to_json()}
     if command == "sen":
         from .sen import sen_operator_matrix
         rep = sen_operator_matrix(spec.seeds, ctx, spec.prec, opts.get("n_phi_max", 24))
@@ -260,6 +258,14 @@ def _fork(share: list) -> tuple[int, TextIO]:
         os._exit(code)
 
 
+def _run_share_0(share: list) -> list:
+    """Run part of share 0 here; a non-engine error fails it as a forked share's does."""
+    try:
+        return [_run_worker(p) for p in share]
+    except Exception as exc:
+        raise ComputationError(f"sweep worker 0 failed: {type(exc).__name__}: {exc}") from exc
+
+
 def run_sweep(raw: dict, jobs: int) -> dict:
     if jobs < 1:
         raise ValidationError(f"--jobs = {jobs} is below the floor 1")
@@ -277,11 +283,11 @@ def run_sweep(raw: dict, jobs: int) -> dict:
     # after the warm-up instance, share k is payloads[1 + k :: workers]; share 0 runs here
     results, children = [None] * len(payloads), {}
     try:
-        results[0] = _run_worker(payloads[0])
+        results[:1] = _run_share_0(payloads[:1])
         for k in range(1, workers):
             pid, pipe = _fork(payloads[1 + k :: workers])
             children[pid] = (k, pipe)
-        results[1::workers] = [_run_worker(p) for p in payloads[1::workers]]
+        results[1::workers] = _run_share_0(payloads[1::workers])
         for pid, (k, pipe) in list(children.items()):
             with pipe:
                 text, code = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

@@ -5,10 +5,10 @@ coefficients theta_{n,i} of E^{(n)}(u0), the unit alpha = E(u1)/E(u0)
 expanded in (X_1, t), and the face maps delta_i into the 1- and
 2-simplex rings.  The context builds every integer power of alpha it is
 asked for in one kernel product and caches it.  alpha_sum is the engine's
-one delta_0: the cocycle residual, the H^0 conditions and the conjecture
-identity all take their alpha^s t^p terms from it.  face_map is the
-reference route of the cocycle residual, which stratification computes in
-the basis X_1^[a] (X_2 - X_1)^[b] without it.
+one delta_0: the cocycle residual, the conjecture identity and the
+reference H^0 conditions take their alpha^s t^p terms from it.  face_map
+is the reference route of the cocycle residual, which stratification
+computes in the basis X_1^[a] (X_2 - X_1)^[b] without it.
 """
 
 from __future__ import annotations

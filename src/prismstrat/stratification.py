@@ -74,21 +74,29 @@ class StratTable(NamedTuple):
         }
 
 
-def generate_Amn(seeds: Seeds, ctx: CosimpCtx, n_max: int) -> StratTable:
-    """Fill the table by the inductive formula, one kernel product per pd degree.
-    With theta_{1,0} = beta, col_n = (A_{m,n})_m stacked into a (T l) x l
-    matrix satisfies col_{n+1} = M_n col_n, M_n = P + n Q: block (m, i) of P is
-    A_{m-i,1} - i theta_{1,m-i}, of Q theta_{1,m-i} I, both 0 for i > m.
-    P and Q take their integer form once; col_0 = (I, 0, ..., 0)."""
+def first_order_grids(seeds: Seeds, ctx: CosimpCtx) -> tuple[list, list]:
+    """The T x T block grids of the first-order matrices P and Q: block
+    (m, i) of P is A_{m-i,1} - i theta_{1,m-i}, of Q theta_{1,m-i} I, both 0
+    for i > m (theta_{1,0} = beta).  Needs a seed A_{m,1} for every m < T."""
     field, t_order = ctx.field, ctx.trunc.t_order
     if len(seeds.A1) < t_order:
         raise SeedShapeMismatch(f"need seeds A_(m,1) for all m < {t_order}, got {len(seeds.A1)}")
     l, zero, span = seeds.l, KMat.zero(field, seeds.l), range(t_order)
     theta = [KMat.scalar(field, l, ctx.theta_at(1, j)) for j in span]
-    P = blocks([[seeds.A1[m - i] - theta[m - i] * i if i <= m else zero for i in span] for m in span])
-    Q = blocks([[theta[m - i] if i <= m else zero for i in span] for m in span])
-    col = blocks([[KMat.identity(field, l)]] + [[zero]] * (t_order - 1))
-    dpq, (p_rows, q_rows) = int_form([P, Q])
+    P = [[seeds.A1[m - i] - theta[m - i] * i if i <= m else zero for i in span] for m in span]
+    Q = [[theta[m - i] if i <= m else zero for i in span] for m in span]
+    return P, Q
+
+
+def generate_Amn(seeds: Seeds, ctx: CosimpCtx, n_max: int) -> StratTable:
+    """Fill the table by the inductive formula, one kernel product per pd degree:
+    col_n = (A_{m,n})_m stacked into a (T l) x l matrix satisfies
+    col_{n+1} = (P + n Q) col_n with P and Q from first_order_grids.
+    P and Q take their integer form once; col_0 = (I, 0, ..., 0)."""
+    field, t_order, l = ctx.field, ctx.trunc.t_order, seeds.l
+    P, Q = first_order_grids(seeds, ctx)
+    col = blocks([[KMat.identity(field, l)]] + [[KMat.zero(field, l)]] * (t_order - 1))
+    dpq, (p_rows, q_rows) = int_form([blocks(P), blocks(Q)])
     A: dict = {}
     for n in range(n_max + 1):
         if n:
@@ -97,7 +105,7 @@ def generate_Amn(seeds: Seeds, ctx: CosimpCtx, n_max: int) -> StratTable:
             accumulate(polys, p_rows, c_rows, l, 1)
             accumulate(polys, q_rows, c_rows, l, n - 1)
             col = from_polys(field, polys, t_order * l, l, dpq * dc)
-        for m in span:
+        for m in range(t_order):
             A[(m, n)] = submatrix(col, range(m * l, (m + 1) * l), range(l))
     return StratTable(l, t_order, n_max, A)
 

@@ -7,9 +7,10 @@ from math import comb
 
 from prismstrat import closedform
 from prismstrat.closedform import FGTables, _linear_product, row_series
+from prismstrat.cohomology import full_condition_rows
 from prismstrat.errors import ShapeMismatch
 from prismstrat.field import INF, FieldDesc, KElem, PadicApprox
-from prismstrat.matrix import KMat
+from prismstrat.matrix import KMat, blocks, kernel_basis, submatrix
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
 from prismstrat.stratification import StratTable, generate_Amn
@@ -91,6 +92,24 @@ def condition_block(table, ctx, m: int, k: int, p: int) -> KMat:
             d = c.get(k - s, field.zero)
             out = out + table.at(m - j, s) * KMat.scalar(field, l, d * comb(k, s))
     return out
+
+
+def h0_full_system(table, ctx) -> tuple[tuple, tuple[int, ...], int]:
+    """H^0 by the U-route: at each t-order t, the kernel_basis of the X^[k]
+    conditions for 1 <= k <= D on B_0, ..., B_{t-1}, read off U * alpha^p t^p
+    (full_condition_rows, flattened).  Returns the basis at t-order T in
+    h0_solve's form, the dimension per t-order, and the dimension of the
+    X^[1] kernel at t-order T."""
+    T, D, l = ctx.trunc.t_order, ctx.trunc.pd_degree, table.l
+    dims = []
+    for t in range(1, T + 1):
+        rows = full_condition_rows(table, ctx, t, range(1, D + 1))
+        kernel = kernel_basis(blocks(rows))
+        dims.append(kernel.ncols)
+    basis = tuple(
+        tuple(submatrix(kernel, range(m * l, (m + 1) * l), [j]) for m in range(T)) for j in range(kernel.ncols)
+    )
+    return basis, tuple(dims), kernel_basis(blocks(rows[::D])).ncols
 
 
 def pd_binomial(field: FieldDesc, trunc: Trunc, q: int) -> SRE:

@@ -215,15 +215,13 @@ def test_criterion_6_h0():
     started = time.monotonic()
     # (a) identity crystal: dim 1, B_0 free, B_m = 0 for m >= 1
     ctx = CosimpCtx(F2, Trunc(4, 5))
-    table = generate_Amn(scalar_seeds(F2, [0, 0, 0, 0]), ctx, 5)
-    sol = h0_solve(table, ctx)
+    sol = h0_solve(scalar_seeds(F2, [0, 0, 0, 0]), ctx)
     assert sol.dim == 1
     assert not sol.basis[0][0].is_zero()
     assert all(sol.basis[0][m].is_zero() for m in range(1, 4))
     # (b) no eigenvalue in beta Z_{>=0}: dim 0
     ctx = CosimpCtx(F1, Trunc(4, 5))
-    table = generate_Amn(scalar_seeds(F1, [-1, 1, Fraction(1, 2), 0]), ctx, 5)
-    sol = h0_solve(table, ctx)
+    sol = h0_solve(scalar_seeds(F1, [-1, 1, Fraction(1, 2), 0]), ctx)
     assert sol.dim == 0 and sol.q == 0
     # (c) dim <= q on 10 random instances
     rng = random.Random(606)
@@ -240,8 +238,7 @@ def test_criterion_6_h0():
                 field,
                 [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)],
             )
-        table = generate_Amn(seeds, ctx, 4)
-        sol = h0_solve(table, ctx)
+        sol = h0_solve(seeds, ctx)
         q = h0_dim_bound(seeds.a01, ctx.trunc.t_order - 1 + seeds.l)
         assert sol.dim <= q, (trial, sol.dim, q)
     _budget("6 (H^0 solver)", started, 60)

@@ -561,13 +561,29 @@ def test_failing_child_exits_3(tmp_path, monkeypatch, failure, message):
     _assert_reaped(pids)
 
 
+SHARE_0_FAILED = {"error": {"type": "ComputationError", "message": "sweep worker 0 failed: RuntimeError: boom"}}
+
+
 def test_failing_parent_share_reaps_children(tmp_path, monkeypatch):
-    # at --jobs 2, instance 1 ("i8") belongs to the share this process runs
+    # at --jobs 2, instance 1 ("i8") belongs to the share this process runs;
+    # it fails as a forked share does
     pids = _failing_worker(monkeypatch, "i8", _boom)
     spec = write_spec(tmp_path, _mixed_sweep())
-    with pytest.raises(RuntimeError, match="boom"):
-        run("sweep", spec, str(tmp_path / "out.json"), jobs=2)
+    out = tmp_path / "out.json"
+    assert main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "2"]) == 3
+    assert json.loads(out.read_text()) == SHARE_0_FAILED
     _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("bad_id", ["i9", "i8"], ids=["warm_up", "share"])
+def test_failing_serial_sweep_exits_3(tmp_path, monkeypatch, bad_id):
+    # at --jobs 1 every instance, the warm-up one ("i9") too, runs in this process
+    pids = _failing_worker(monkeypatch, bad_id, _boom)
+    spec = write_spec(tmp_path, _mixed_sweep())
+    out = tmp_path / "out.json"
+    assert main(["sweep", "--spec", spec, "--out", str(out), "--jobs", "1"]) == 3
+    assert json.loads(out.read_text()) == SHARE_0_FAILED
+    assert pids == []
 
 
 def test_sweep_does_not_import_concurrent_futures(tmp_path):
@@ -667,6 +683,15 @@ def test_ragged_seed_rows_exit_2(tmp_path, row):
     assert run("validate", spec, out) == 0
     parse = json.loads(open(out).read())["diagnostics"][0]
     assert (parse["check"], parse["ok"], parse["error"]) == ("parse", False, "ShapeMismatch")
+
+
+def test_h0_checks_seeds_before_pd_degree(tmp_path):
+    # too few seeds and pd degree 0: the seed count is checked first
+    data = {**BASE_SPEC, "seeds": [[["0"]], [["0"]]], "trunc": {"t": 3, "x": 0}}
+    out = str(tmp_path / "out.json")
+    assert run("h0", write_spec(tmp_path, data), out) == 2
+    error = json.loads(open(out).read())["error"]
+    assert error == {"type": "SeedShapeMismatch", "message": "need seeds A_(m,1) for all m < 3, got 2"}
 
 
 def test_pd_degree_zero(tmp_path):

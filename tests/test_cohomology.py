@@ -1,21 +1,25 @@
-"""H^0 solver: identity crystal, forced-zero cases, dimension bounds."""
+"""H^0 solver: identity crystal, forced-zero cases, dimension bounds, and
+the kernel of P against the full X^[k] system."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prismstrat import cli, series, stratification
 from prismstrat.cohomology import full_condition_rows, h0_dim_bound, h0_solve, stage1_rows
 from prismstrat.cosimplicial import CosimpCtx
 from prismstrat.field import field_init
-from prismstrat.matrix import KMat, kernel_basis
+from prismstrat.matrix import KMat
 from prismstrat.series import Trunc
-from prismstrat.stratification import Seeds, StratTable, generate_Amn
+from prismstrat.stratification import Seeds, StratTable, first_order_grids, generate_Amn
 
-from oracles import condition_block
+from oracles import condition_block, h0_full_system
 
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
 F3 = field_init(3, [-3, 0, 0, 1])
@@ -27,8 +31,7 @@ def scalar_seeds(field, values):
 
 def test_identity_crystal_has_dim_one():
     ctx = CosimpCtx(F2, Trunc(4, 5))
-    table = generate_Amn(scalar_seeds(F2, [0, 0, 0, 0]), ctx, 5)
-    sol = h0_solve(table, ctx)
+    sol = h0_solve(scalar_seeds(F2, [0, 0, 0, 0]), ctx)
     assert sol.dim == 1
     b = sol.basis[0]
     assert not b[0].is_zero()
@@ -41,8 +44,7 @@ def test_invertible_spectrum_kills_h0():
     # A_{0,1} = -beta: product hits zero (genuine crystal), but
     # A_{0,1} - m beta is invertible for every m >= 0, so H^0 = 0
     ctx = CosimpCtx(F1, Trunc(4, 5))
-    table = generate_Amn(scalar_seeds(F1, [-1, 0, 0, 0]), ctx, 5)
-    sol = h0_solve(table, ctx)
+    sol = h0_solve(scalar_seeds(F1, [-1, 0, 0, 0]), ctx)
     assert sol.dim == 0
     assert sol.q == 0
 
@@ -51,8 +53,7 @@ def test_twisted_crystal_stage1_relation():
     # l=1, A_{0,1} = 0, A_{1,1} = a: B_1 = a B_0 / beta from the m=1 equation
     ctx = CosimpCtx(F1, Trunc(3, 6))
     a = Fraction(5, 7)
-    table = generate_Amn(scalar_seeds(F1, [0, a, 0]), ctx, 6)
-    sol = h0_solve(table, ctx)
+    sol = h0_solve(scalar_seeds(F1, [0, a, 0]), ctx)
     assert sol.dim == 1
     b = sol.basis[0]
     beta = F1.beta
@@ -74,23 +75,22 @@ def test_dim_bound_examples():
     assert h0_dim_bound(a01, 8) == 2
 
 
+def rational_matrix(field, rows):
+    return KMat.from_rows(field, [[field.from_rational(v) for v in row] for row in rows])
+
+
 def test_stage1_matches_general_machinery_at_k1():
-    # the X^[1] conditions in closed form: A_{0,1} - m beta on the diagonal
-    # and A_{m-p,1} - p theta_{1,m-p} left of it
-    ctx = CosimpCtx(F2, Trunc(3, 4))
-    seeds = scalar_seeds(F2, [Fraction(1, 2), 2, Fraction(-1, 3)])
-    table = generate_Amn(seeds, ctx, 4)
-    k1 = full_condition_rows(table, ctx, 3, [1])
-    assert stage1_rows(table, ctx, 3) == k1
-    for m, row in enumerate(k1):
-        for p, block in enumerate(row):
-            if p == m:
-                want = table.at(0, 1) - KMat.scalar(F2, 1, F2.beta * m)
-            elif p < m:
-                want = table.at(m - p, 1) - KMat.scalar(F2, 1, ctx.theta_at(1, m - p) * p)
-            else:
-                want = KMat.zero(F2, 1)
-            assert block == want, (m, p)
+    # the X^[1] conditions read off U * alpha^p t^p are the block grid P:
+    # A_{0,1} - m beta on the diagonal, A_{m-p,1} - p theta_{1,m-p} left of it
+    rows = (((Fraction(1, 2), 1), (0, 2)), ((2, 0), (Fraction(-1, 3), 1)), ((0, 5), (Fraction(3, 4), -1)))
+    for field in (F1, F2, F3):
+        ctx = CosimpCtx(field, Trunc(3, 4))
+        seeds = Seeds.of([rational_matrix(field, r) for r in rows])
+        assert not seeds.commutative()
+        P, _ = first_order_grids(seeds, ctx)
+        assert stage1_rows(generate_Amn(seeds, ctx, 4), ctx, 3) == P, field.e
+        assert P[2][1] == seeds.A1[1] - KMat.scalar(field, 2, ctx.theta_at(1, 1)), field.e
+        assert P[2][2] == seeds.a01 - KMat.scalar(field, 2, field.beta * 2), field.e
 
 
 @pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
@@ -150,10 +150,8 @@ def test_solver_dim_bounded_by_q_random():
                         ],
                     )
                 )
-        table = generate_Amn(Seeds.of(seeds), ctx, 4)
-        sol = h0_solve(table, ctx)
+        sol = h0_solve(Seeds.of(seeds), ctx)
         assert sol.dim <= sol.q
-        assert sol.dim <= sol.stage1_dim  # filtering never adds solutions
 
 
 def commuting_seeds(field, d0=Fraction(1, 2)):
@@ -166,11 +164,13 @@ def commuting_seeds(field, d0=Fraction(1, 2)):
 
 def commuting_case(field, d0):
     seeds = commuting_seeds(field, d0)
-    return lambda ctx: generate_Amn(seeds, ctx, ctx.trunc.pd_degree)
+    return lambda ctx: (seeds, generate_Amn(seeds, ctx, ctx.trunc.pd_degree))
 
 
-# zero rank-2 seeds with A_{m,n} += delta, and the dims this gives: the
-# stage-2 rows then cut the stage-1 kernel, of dimension 2 at t-order T
+# zero rank-2 seeds with A_{m,n} += delta (n >= 2), and the dims of the full
+# X^[k] system this gives: the X^[k >= 2] rows then cut the X^[1] kernel, of
+# dimension 2 at t-order T.  The table is no longer a stratification, and
+# the kernel of P, computed from the seeds alone, stays (2, 2, 2, 2).
 PERTURBED = {
     "A12": ((1, 2), ((1, 0), (0, 0)), [2, 1, 1, 1]),
     "A02": ((0, 2), ((0, 0), (0, Fraction(2, 3))), [1, 1, 1, 1]),
@@ -183,29 +183,16 @@ PERTURBED = {
 
 def perturbed_case(field, name):
     (m, n), delta, _ = PERTURBED[name]
-    moved = KMat.from_rows(field, [[field.from_rational(v) for v in row] for row in delta])
+    moved = rational_matrix(field, delta)
 
     def build(ctx):
         zero = Seeds.of([KMat.zero(field, 2)] * ctx.trunc.t_order)
         table = generate_Amn(zero, ctx, ctx.trunc.pd_degree)
-        if m >= ctx.trunc.t_order:
-            return table
         A = dict(table.A)
         A[(m, n)] = A[(m, n)] + moved
-        return StratTable(table.l, table.t_order, table.n_max, A)
+        return zero, StratTable(table.l, table.t_order, table.n_max, A)
 
     return build
-
-
-def columns(m):
-    """The columns of a KMat as tuples of KElems."""
-    return list(zip(*m.rows)) if m.nrows else [()] * m.ncols
-
-
-def flatten(blocks, t):
-    """Block rows restricted to their first t block columns, as one KMat."""
-    rows = [[a for b in row[:t] for a in b.rows[r]] for row in blocks for r in range(row[0].nrows)]
-    return KMat.from_rows(blocks[0][0].field, rows)
 
 
 @pytest.mark.parametrize(
@@ -224,36 +211,108 @@ def flatten(blocks, t):
     ids=["e2", "e1_weight2"] + [f"e{e}_{name}" for e in (1, 2, 3) for name in PERTURBED],
 )
 def test_dim_per_order_matches_solves_from_scratch(field, build, dims, stage1_dim):
-    # the order-t system is a slice of the order-T system; a solve truncated
-    # at t from the start must report the kernel_basis of that slice
+    # the full X^[k] system, solved from scratch at every t-order, has the
+    # dims given.  On a generated table h0_solve (ker P) agrees with it at
+    # every truncation; on a perturbed one it must not, which shows that the
+    # comparison can fail
     T, D = 4, 5
     ctx = CosimpCtx(field, Trunc(T, D))
-    table = build(ctx)
-    sol = h0_solve(table, ctx)
-    assert list(sol.dim_per_order) == dims
-    assert sol.stage1_dim == stage1_dim
-    ks = range(2, D + 1)
-    s1, s2 = stage1_rows(table, ctx, T), full_condition_rows(table, ctx, T, ks)
+    seeds, table = build(ctx)
+    basis, full_dims, full_stage1 = h0_full_system(table, ctx)
+    assert (list(full_dims), full_stage1) == (dims, stage1_dim)
+    sol = h0_solve(seeds, ctx)
+    if table != generate_Amn(seeds, ctx, D):
+        assert sol.dim_per_order == (2, 2, 2, 2) != full_dims
+        return
+    assert (sol.basis, sol.dim_per_order, sol.to_json()["stage1_dim"]) == (basis, full_dims, full_stage1)
     for t in range(1, T + 1):
-        for rows, whole in (
-            (stage1_rows(table, ctx, t), s1[:t]),
-            (full_condition_rows(table, ctx, t, ks), s2[: t * len(ks)]),
-        ):
-            assert [row[:t] for row in whole] == rows
-            assert all(b.is_zero() for row in whole for b in row[t:])
         ctx_t = CosimpCtx(field, Trunc(t, D))
-        alone = h0_solve(build(ctx_t), ctx_t)
-        assert alone.dim == sol.dim_per_order[t - 1], t
-        assert alone.stage1_dim == kernel_basis(flatten(s1[:t], t)).ncols, t
-        got = [tuple(row[0] for col in elem for row in col.rows) for elem in alone.basis]
-        assert got == columns(kernel_basis(flatten(s1[:t] + s2[: t * len(ks)], t))), t
+        alone = h0_solve(seeds, ctx_t)
+        assert alone.dim_per_order == full_dims[:t], t
+        assert alone.basis == h0_full_system(build(ctx_t)[1], ctx_t)[0], t
     assert alone.basis == sol.basis
+
+
+RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def h0_cases(draw):
+    """(T, D, seeds as rational rows, weights, unipotent): commuting seeds
+    c_m I + d_m M; free seeds; or free seeds whose A_{0,1} is made upper
+    triangular with diagonal m_i beta, m_i in [0, T], so that H^0 is nonzero.
+    A unipotent I + N (N strictly lower triangular), when drawn, conjugates
+    every seed."""
+    T, D, rank = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    square = st.lists(st.lists(RATIONAL, min_size=rank, max_size=rank), min_size=rank, max_size=rank)
+    kind, weights = draw(st.sampled_from(("commuting", "free", "weights"))), None
+    if kind == "commuting":
+        m = draw(square)
+        cd = draw(st.lists(st.tuples(RATIONAL, RATIONAL), min_size=T, max_size=T))
+        mats = [[[c * (i == j) + d * m[i][j] for j in range(rank)] for i in range(rank)] for c, d in cd]
+    else:
+        mats = draw(st.lists(square, min_size=T, max_size=T))
+    if kind == "weights":
+        weights = draw(st.lists(st.integers(0, T), min_size=rank, max_size=rank))
+    lower = [[draw(st.integers(-2, 2)) if j < i else 0 for j in range(rank)] for i in range(rank)]
+    return T, D, mats, weights, lower if draw(st.booleans()) else None
+
+
+def h0_case_seeds(field, mats, weights, lower):
+    seeds = [rational_matrix(field, rows) for rows in mats]
+    if weights:
+        upper = [[v if j > i else 0 for j, v in enumerate(row)] for i, row in enumerate(mats[0])]
+        rank = len(weights)
+        beta_w = [[field.beta * w if i == j else field.zero for j in range(rank)] for i, w in enumerate(weights)]
+        seeds[0] = rational_matrix(field, upper) + KMat.from_rows(field, beta_w)
+    if lower:
+        ident, n = KMat.identity(field, len(lower)), rational_matrix(field, lower)
+        unipotent, inverse = ident + n, ident - n + n * n  # N^3 = 0 at rank <= 3
+        seeds = [unipotent * s * inverse for s in seeds]
+    return Seeds.of(seeds)
+
+
+PINNED_SEEDS = [[[0, Fraction(1, 2)], [0, 0]], [[1, 2], [3, 4]], [[0, 1], [1, 0]], [[2, 0], [1, -1]]]
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=h0_cases())
+# weights (0, 2) under non-commuting seeds, conjugated: dim_per_order (1, 1, 1, 1)
+@example(case=(4, 2, PINNED_SEEDS, [0, 2], [[0, 0], [1, 0]]))
+def test_h0_matches_full_system_oracle(field, case):
+    # ker P, built from the seeds, against the full X^[k] system of the
+    # generated table, solved from scratch at every t-order: same basis,
+    # dim_per_order and stage1_dim
+    T, D, mats, weights, lower = case
+    ctx = CosimpCtx(field, Trunc(T, D))
+    seeds = h0_case_seeds(field, mats, weights, lower)
+    basis, dims, stage1_dim = h0_full_system(generate_Amn(seeds, ctx, D), ctx)
+    sol = h0_solve(seeds, ctx)
+    assert (sol.basis, sol.dim_per_order, sol.to_json()["stage1_dim"]) == (basis, dims, stage1_dim)
+
+
+def test_h0_solve_builds_no_table_alpha_power_or_ring_product(monkeypatch, tmp_path):
+    # h0 takes the kernel of P from the seeds; it needs neither the table U
+    # nor a power of alpha nor a ring product, and the CLI builds no table
+    seeds = commuting_seeds(F1, Fraction(2, 5))
+    ctx = CosimpCtx(F1, Trunc(4, 6))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("h0 left the first-order system")
+
+    monkeypatch.setattr(cli, "generate_Amn", refuse)
+    monkeypatch.setattr(stratification, "generate_Amn", refuse)
+    monkeypatch.setattr(CosimpCtx, "alpha_pows", refuse)
+    assert cli.run("h0", str(SPECS / "cocycle_e1.json"), str(tmp_path / "out.json")) == 0
+    monkeypatch.setattr(series, "_ring_product", refuse)
+    assert h0_solve(seeds, ctx).dim_per_order == (1, 1, 2, 2)
 
 
 def test_report_shape():
     ctx = CosimpCtx(F1, Trunc(3, 4))
-    table = generate_Amn(scalar_seeds(F1, [0, 0, 0]), ctx, 4)
-    rep = h0_solve(table, ctx).to_json()
+    rep = h0_solve(scalar_seeds(F1, [0, 0, 0]), ctx).to_json()
     assert rep["dim"] == 1
     assert rep["dim_per_order"] == [1, 1, 1]
+    assert rep["stage1_dim"] == 1
     assert len(rep["basis"][0]) == 3
