@@ -68,9 +68,9 @@ class ProblemSpec(NamedTuple):
 
 
 def _parse_matrix(field: FieldDesc, data, rank: int) -> KMat:
-    for entry in (a for row in data for a in row):
+    for entry in (a for row in _typed(data, list) for a in _typed(row, list)):
         for value in entry if isinstance(entry, list) else [entry]:
-            _written_size("seeds", value)
+            _written_size("seeds", _typed(value, str, int))
     rows = [[KElem.from_json(field, a) for a in row] for row in data]
     _at_most("the digits of seeds", _digits(q for row in rows for a in row for q in a.coords), MAX_DIGITS)
     mat = KMat.from_rows(field, rows)
@@ -87,6 +87,15 @@ def _parsing(name: str):
         yield
     except (LookupError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad {name}: {type(exc).__name__}: {exc}") from exc
+
+
+def _typed(value, *types):
+    """value if its JSON type is one of types, where a bool is not an int:
+    3.0 would run as 3, true as 1, and the string "301" as a list."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        expected = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"expected a JSON {expected}, got {type(value).__name__}")
+    return value
 
 
 def _at_most(name: str, value: int, limit: int) -> int:
@@ -122,26 +131,29 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
         if key not in data:
             raise ValidationError(f"spec is missing the {key!r} field")
     with _parsing("E_coeffs"):
-        e_coeffs = [Fraction(_written_size("E_coeffs", c)) for c in data["E_coeffs"]]
+        e_coeffs = [
+            Fraction(_written_size("E_coeffs", _typed(c, str, int)))
+            for c in _typed(data["E_coeffs"], list)
+        ]
         _at_most("the degree of E_coeffs", len(e_coeffs) - 1, MAX_E)
         _at_most("the digits of E_coeffs", _digits(e_coeffs), MAX_DIGITS)
     with _parsing("p"):
-        field = field_init(data["p"], e_coeffs)
+        field = field_init(_typed(data["p"], int), e_coeffs)
     with _parsing("rank"):
-        rank = int(data["rank"])
+        rank = _typed(data["rank"], int)
     if rank < 1:
         raise ValidationError("rank must be >= 1")
     _at_most("rank", rank, MAX_RANK)
     with _parsing("trunc.t"):
-        t_order = _at_most("trunc.t", int(data["trunc"]["t"]), MAX_T)
+        t_order = _at_most("trunc.t", _typed(data["trunc"]["t"], int), MAX_T)
     with _parsing("trunc.x"):
-        pd_degree = _at_most("trunc.x", int(data["trunc"]["x"]), MAX_D)
+        pd_degree = _at_most("trunc.x", _typed(data["trunc"]["x"], int), MAX_D)
     trunc = Trunc(t_order, pd_degree)
     _at_most("trunc.t * trunc.x * rank", t_order * pd_degree * rank, MAX_TDL)
     with _parsing("seeds"):
-        seeds = Seeds.of([_parse_matrix(field, m, rank) for m in data["seeds"]])
+        seeds = Seeds.of([_parse_matrix(field, m, rank) for m in _typed(data["seeds"], list)])
     with _parsing("padic_prec"):
-        prec = int(data.get("padic_prec", 10))
+        prec = _typed(data.get("padic_prec", 10), int)
     if prec < 1:
         raise ValidationError("padic_prec must be >= 1")
     _at_most("padic_prec", prec, MAX_PREC)
@@ -152,7 +164,7 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     for name, (floor, limit) in INT_OPTIONS.items():
         if name in options:
             with _parsing(f"options.{name}"):
-                value = int(options[name])
+                value = _typed(options[name], int)
             if value < floor:
                 raise ValidationError(f"options.{name} = {value} is below the floor {floor}")
             options[name] = _at_most(f"options.{name}", value, limit)
@@ -327,8 +339,7 @@ def run(command: str, spec_path: str, out_path: str | None = None, jobs: int = 1
         with open(spec_path) as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:  # bad JSON, or an integer above the digit limit
-        _emit({"error": {"type": "BadSpecFile", "message": str(exc)}}, out_path)
-        return 2
+        return _emit({"error": {"type": "BadSpecFile", "message": str(exc)}}, out_path, 2)
     try:
         if not isinstance(raw, dict):
             raise ValidationError(f"spec must be a JSON object, got {type(raw).__name__}")
@@ -343,22 +354,26 @@ def run(command: str, spec_path: str, out_path: str | None = None, jobs: int = 1
         return _fail(exc, out_path, 2)
     except ComputationError as exc:
         return _fail(exc, out_path, 3)
-    _emit(report, out_path)
-    return 0
+    return _emit(report, out_path, 0)
 
 
 def _fail(exc: EngineError, out_path: str | None, code: int) -> int:
-    _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, out_path)
-    return code
+    return _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, out_path, code)
 
 
-def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2)
+def _emit(report: dict, out_path: str | None, code: int) -> int:
+    """Write report to out_path (stdout if None) and return code; if out_path
+    cannot be written, print a BadOutFile error on stdout and return 2."""
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:
+            return _emit({"error": {"type": "BadOutFile", "message": str(exc)}}, None, 2)
+    sys.stdout.write(text)
+    return code
 
 
 def _argument_error(message: str):

@@ -34,12 +34,12 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .cosimplicial import CosimpCtx, alpha_sum
+from .cosimplicial import CosimpCtx, alpha_sum, binom
 from .errors import NonCommutingSeeds, ShapeMismatch
 from .field import FieldDesc, KElem
 from .matrix import KMat, sum_products
 from .series import SimplexRingElem as SRE
-from .series import Trunc, binomial_power
+from .series import Trunc
 from .stratification import Seeds, StratTable, assemble_epsilon, generate_Amn
 
 
@@ -189,22 +189,19 @@ def closedform_series(htable: HTable, m: int, ctx: CosimpCtx, pd_degree: int | N
     growth = exponential_sum_series(field, htable.seeds.a01, tr)
     if m == 0:
         return growth
-    # (1 - beta X)^r = (1 + N)^r with N^i = (-beta X)^i = (-beta)^i i! X^[i],
-    # through N^(deg+1) = 0, so binomial_power never extends the list
-    n_pow = [
-        SRE.ordinary_monomial(field, 1, tr, 0, (i,), KMat.scalar(field, 1, (-field.beta) ** i))
-        for i in range(deg + 2)
-    ]
-    # sum_j h~_{m,j} (1 - beta X)^(m-j) X^j, then one product with the growth series
-    prefactor = SRE.zero(field, 1, tr, l)
-    for j in range(1, 2 * m + 1):
-        hj = htable.h_tilde(m, j)
-        if hj.is_zero():
-            continue
-        power = binomial_power(n_pow, m - j)
-        xj = SRE.monomial(field, 1, tr, 0, (j,), KMat.identity(field, 1) * factorial(j))
-        prefactor = prefactor + hj * (power * xj).map_size(l)
-    return prefactor * growth
+    # sum_j h~_{m,j} (1 - beta X)^(m-j) X^j, with X^i X^j = (i+j)! X^[i+j]: its
+    # X^[n] coefficient is sum_{j<=n} h~_{m,j} C(m-j, n-j) (-beta)^(n-j) n!
+    h = {j: hj for j in range(1, 2 * m + 1) if not (hj := htable.h_tilde(m, j)).is_zero()}
+    prefactor = {}
+    for n in range(1, deg + 1):
+        pairs = [
+            (hj, KMat.scalar(field, l, (-field.beta) ** (n - j) * (binom(m - j, n - j) * factorial(n))))
+            for j, hj in h.items()
+            if j <= n
+        ]
+        if pairs:
+            prefactor[(0, (n,))] = sum_products(pairs)
+    return SRE(field, 1, tr, l, prefactor) * growth
 
 
 def row_series(table: StratTable, m: int, field: FieldDesc, pd_degree: int) -> SRE:

@@ -3,23 +3,27 @@
 Carries the series u0(t) with E(u0) = t (Hensel lift of pi), the
 coefficients theta_{n,i} of E^{(n)}(u0), the unit alpha = E(u1)/E(u0)
 expanded in (X_1, t), and the face maps delta_i into the 1- and
-2-simplex rings.  The context builds every integer power of alpha it is
-asked for in one kernel product and caches it.  alpha_sum is the engine's
-one delta_0: the cocycle residual, the conjecture identity and the
-reference H^0 conditions take their alpha^s t^p terms from it.  face_map
-is the reference route of the cocycle residual, which stratification
-computes in the basis X_1^[a] (X_2 - X_1)^[b] without it.
+2-simplex rings.  alpha = 1 + N with N nilpotent, and the context owns
+the engine's one binomial series alpha^M = sum_j C(M, j) N^j: every
+power of alpha, integer or matrix, is one kernel product of the shared
+N^j coefficients with the binomials, and integer powers are cached.
+alpha_sum is the engine's one delta_0: the cocycle residual, the
+conjecture identity and the reference H^0 conditions take their
+alpha^s t^p terms from it.  face_map is the reference route of the
+cocycle residual, which stratification computes in the basis
+X_1^[a] (X_2 - X_1)^[b] without it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
 from .errors import IndexOutOfRange, ShapeMismatch
 from .field import FieldDesc, KElem
 from .matrix import KMat, submatrix
 from .series import SimplexRingElem as SRE
-from .series import Trunc, binomial_power, key_sums
+from .series import Trunc, key_sums
 
 
 def eval_poly_at_series(field: FieldDesc, coeffs, s: SRE) -> SRE:
@@ -65,7 +69,6 @@ class CosimpCtx:
         one = SRE.one(field, 1, trunc)
         self._n_pow = [one, self.alpha - one]
         self._alpha_pows: dict[int, SRE] = {}
-        self._alpha_pows_2v: dict[int, SRE] = {}
 
     def theta_at(self, n: int, i: int) -> KElem:
         if i < 0:
@@ -74,44 +77,55 @@ class CosimpCtx:
 
     def alpha_pow(self, k) -> SRE:
         """alpha^k in the 1-variable ring; k an integer of either sign, or a
-        square KMat exponent (then the result is matrix valued).
-
-        alpha = 1 + N with N nilpotent, so alpha^k = sum_j C(k, j) N^j; the
-        powers N^j are shared by every exponent and built on demand.  Only
-        integer exponents are cached, so a context shared by many problems
-        does not grow with their number.
-        """
+        square KMat exponent (then the result is matrix valued, with
+        C(M, j) = C(M, j-1)(M - (j-1))/j).  Only integer exponents are
+        cached, so a context shared by many problems does not grow with
+        their number."""
         if isinstance(k, KMat):
-            return binomial_power(self._n_pow, k)
+            ident = KMat.identity(self.field, k.nrows)
+            binoms = [ident]
+            for j in range(1, self.trunc.pd_degree + 1):
+                binoms.append(binoms[-1] * (k - ident * (j - 1)) * Fraction(1, j))
+            return SRE(self.field, 1, self.trunc, k.nrows, self._binomial_sum(binoms))
         return self.alpha_pows([k])[0]
 
     def alpha_pows(self, ks) -> list[SRE]:
         """alpha^k for each integer k in ks.  The powers not cached yet take
-        one kernel product together: the N^j coefficient of each key times
-        the integer binomials C(k, j), with C(k, j) = (-1)^j C(j - k - 1, j)
-        for k < 0.  N^j has pd degree >= j, so j <= pd_degree suffices."""
+        one binomial sum together, with the 1 x len(ks) rows C(k, j)."""
         ks = list(ks)
         new = [k for k in dict.fromkeys(ks) if k not in self._alpha_pows]
         if new:
-            field, n_pow, zero = self.field, self._n_pow, KMat.zero(self.field, 1)
-            pad = (0,) * (field.e - 1)
-            top = self.trunc.pd_degree if min(new) < 0 else min(max(new), self.trunc.pd_degree)
-            while len(n_pow) <= top:
-                n_pow.append(n_pow[-1] * n_pow[1])
-            rows = [[comb(k, j) if k >= 0 else (-1) ** j * comb(j - k - 1, j) for k in new] for j in range(top + 1)]
-            binoms = [KMat(field, 1, len(new), 1, tuple(c for b in row for c in (b, *pad))) for row in rows]
-            keys = dict.fromkeys(key for nj in n_pow[: top + 1] for key in nj.coeffs)
-            sums = key_sums({key: [nj.coeffs.get(key, zero) for nj in n_pow[: top + 1]] for key in keys}, binoms)
+            pad = (0,) * (self.field.e - 1)
+            rows = ([binom(k, j) for k in new] for j in range(self.trunc.pd_degree + 1))
+            binoms = [KMat(self.field, 1, len(new), 1, tuple(c for b in row for c in (b, *pad))) for row in rows]
+            sums = self._binomial_sum(binoms)
             for col, k in enumerate(new):
                 coeffs = {key: submatrix(row, [0], [col]) for key, row in sums.items()}
-                self._alpha_pows[k] = SRE(field, 1, self.trunc, 1, coeffs)
+                self._alpha_pows[k] = SRE(self.field, 1, self.trunc, 1, coeffs)
         return [self._alpha_pows[k] for k in ks]
+
+    def _binomial_sum(self, binoms: list[KMat]) -> dict:
+        """{key: sum_j (N^j)[key] binoms[j]} with N = alpha - 1, in one kernel
+        product.  N^j has pd degree >= j, so the callers pass j <= pd_degree;
+        trailing zero binoms (C(k, j) for j > k >= 0) build no power N^j."""
+        while len(binoms) > 1 and binoms[-1].is_zero():
+            binoms.pop()
+        n_pow, zero = self._n_pow, KMat.zero(self.field, 1)
+        while len(n_pow) < len(binoms):
+            n_pow.append(n_pow[-1] * n_pow[1])
+        n_pows = n_pow[: len(binoms)]
+        keys = dict.fromkeys(key for nj in n_pows for key in nj.coeffs)
+        return key_sums({key: [nj.coeffs.get(key, zero) for nj in n_pows] for key in keys}, binoms)
 
     def alpha_pow_2v(self, k: int) -> SRE:
         """alpha^k embedded into the 2-variable ring (X_1 in place)."""
-        if k not in self._alpha_pows_2v:
-            self._alpha_pows_2v[k] = self.alpha_pow(k).embed(2)
-        return self._alpha_pows_2v[k]
+        return self.alpha_pow(k).embed(2)
+
+
+def binom(r: int, i: int) -> int:
+    """C(r, i) = r(r-1)...(r-i+1)/i! for an integer r of either sign:
+    (-1)^i C(i - r - 1, i) for r < 0."""
+    return comb(r, i) if r >= 0 else (-1) ** i * comb(i - r - 1, i)
 
 
 def theta_table(field: FieldDesc, u0: SRE, t_order: int) -> dict[tuple[int, int], KElem]:

@@ -12,7 +12,7 @@ The ring x ring product runs on the integer kernel of matrix.py, after
 FLINT's fmpq_poly: each operand is scaled to integer coordinates over one
 denominator, every output entry accumulates an unreduced pi-polynomial
 across all term pairs, and that is reduced mod E and divided once.
-binomial_power and the product by a matrix each take one kernel call: the
+key_sums and the product by a matrix each take one kernel call: the
 coefficients are stacked into one matrix with blocks and the product is
 sliced back per key with submatrix.
 """
@@ -20,7 +20,7 @@ sliced back per key with submatrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from .errors import BadConstantTerm, NonUnit, ShapeMismatch
@@ -93,16 +93,6 @@ class SimplexRingElem:
         if trunc.contains(m, tuple(idx)) and not coeff.is_zero():
             out.coeffs[(m, tuple(idx))] = coeff
         return out
-
-    @staticmethod
-    def ordinary_monomial(field, n_vars, trunc, m: int, powers: MultiIndex, coeff: KMat) -> SimplexRingElem:
-        """coeff * X^powers t^m with ordinary powers, rewritten via X^n = n! X^[n]."""
-        scale = 1
-        for a in powers:
-            scale *= factorial(a)
-        return SimplexRingElem.monomial(
-            field, n_vars, trunc, m, tuple(powers), coeff * Fraction(scale)
-        )
 
     # -- helpers -----------------------------------------------------------
 
@@ -357,38 +347,3 @@ def key_sums(table: dict, mats: list[KMat]) -> dict[Key, KMat]:
     rows = (submatrix(prod, [i], range(r * c)) for i in range(len(table)))
     return {key: KMat(field, r, c, row.den, row.nums) for key, row in zip(table, rows)}
 
-
-def binomial_power(n_pow: list[SimplexRingElem], exponent) -> SimplexRingElem:
-    """(1 + N)^M = sum_j C(M, j) N^j for a nilpotent scalar series N.
-
-    n_pow = [1, N, N^2, ...] is extended in place as needed.  M is an l x l
-    KMat or an int k (the 1 x 1 matrix k), and C(M, j) = M(M-1)...(M-j+1)/j!.
-    The sum stops at the first zero N^j or zero C(M, j) (j = k+1 for k >= 0).
-    """
-    one, n = n_pow[0], n_pow[1]
-    if n.size != 1:
-        raise ShapeMismatch("binomial_power needs a scalar-valued N")
-    if not n.constant_term().is_zero():
-        raise BadConstantTerm("binomial_power needs N with zero constant term")
-    field = one.field
-    if isinstance(exponent, int):
-        exponent = KMat.scalar(field, 1, field.from_rational(exponent))
-    size = exponent.nrows
-    ident = KMat.identity(field, size)
-    binom, binoms = ident, []
-    while not binom.is_zero():
-        j = len(binoms)
-        if j == len(n_pow):
-            n_pow.append(n_pow[-1] * n)
-        if n_pow[j].is_zero():
-            break
-        binoms.append(binom)
-        if j + 1 < len(n_pow) and n_pow[j + 1].is_zero():
-            break  # C(M, j + 1) is not needed
-        binom = binom * (exponent - ident * j) * Fraction(1, j + 1)
-    # one product: (the N^j coefficient of each key) x (the rows vec C(M, j))
-    n_pows = n_pow[: len(binoms)]
-    zero = KMat.zero(field, 1)
-    keys = dict.fromkeys(key for nj in n_pows for key in nj.coeffs)
-    table = {key: [nj.coeffs.get(key, zero) for nj in n_pows] for key in keys}
-    return SimplexRingElem(field, one.n_vars, one.trunc, size, key_sums(table, binoms))

@@ -10,7 +10,7 @@ from prismstrat.closedform import FGTables, _linear_product, row_series
 from prismstrat.cohomology import full_condition_rows
 from prismstrat.errors import ShapeMismatch
 from prismstrat.field import INF, FieldDesc, KElem, PadicApprox
-from prismstrat.matrix import KMat, blocks, kernel_basis, submatrix
+from prismstrat.matrix import KMat, blocks, kernel_basis, submatrix, sum_products
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
 from prismstrat.stratification import StratTable, generate_Amn
@@ -78,6 +78,33 @@ def t_slice(x: SRE, m: int) -> dict[int, KMat]:
 def c_poly(ctx, p: int, s: int) -> dict[int, KElem]:
     """c_{p,s}, the t^s coefficient of alpha^p, as {k: d_{p,s,k}}, zeros omitted."""
     return {k: mat.rows[0][0] for k, mat in t_slice(ctx.alpha_pow(p), s).items()}
+
+
+def binomial_power_per_key(n_pow: list, exponent) -> SRE:
+    """(1 + N)^M = sum_j C(M, j) N^j for n_pow = [1, N], with one sum_products
+    per key and its own stops (the first zero N^j or zero C(M, j)); M is an
+    l x l KMat or an int k.  The reference for CosimpCtx.alpha_pow and
+    alpha_pows, which take the whole sum in one kernel product."""
+    one, n = n_pow[0], n_pow[1]
+    field = one.field
+    if isinstance(exponent, int):
+        exponent = KMat.scalar(field, 1, field.from_rational(exponent))
+    size = exponent.nrows
+    ident = KMat.identity(field, size)
+    binom = ident
+    pairs = {}
+    j = 0
+    while not binom.is_zero():
+        if j == len(n_pow):
+            n_pow.append(n_pow[-1] * n)
+        if n_pow[j].is_zero():
+            break
+        for key, c in n_pow[j].coeffs.items():
+            pairs.setdefault(key, []).append((binom, KMat.scalar(field, size, c.rows[0][0])))
+        binom = binom * (exponent - ident * j) * Fraction(1, j + 1)
+        j += 1
+    out = {key: sum_products(terms) for key, terms in pairs.items()}
+    return SRE(field, one.n_vars, one.trunc, size, out)
 
 
 def condition_block(table, ctx, m: int, k: int, p: int) -> KMat:

@@ -128,6 +128,19 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("E_coeffs", ["-3", "1e9000000", "1"]),
         ("E_coeffs", ["-3", "0." + "1" * 3_000_000, "1"]),
         *(("options", {name: floor - 1}) for name, (floor, _) in cli.INT_OPTIONS.items()),
+        ("p", 3.0),
+        ("rank", True),
+        ("trunc", {"t": 3.9, "x": 4}),
+        ("trunc", {"t": 3, "x": 4.0}),
+        ("padic_prec", 8.0),
+        ("options", {"n_max": 2.0}),
+        ("options", {"k_max": True}),
+        ("E_coeffs", "301"),
+        ("E_coeffs", ["-3", 0.0, "1"]),
+        ("seeds", ["5", "7", "1"]),
+        ("seeds", [["5"], [["0"]], [["0"]]]),
+        ("seeds", [[[True]], [["0"]], [["0"]]]),
+        ("seeds", [[[["1", 0.5]]], [["0"]], [["0"]]]),
     ],
     ids=[
         "rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff",
@@ -136,6 +149,9 @@ def test_bad_seed_shape_exits_2(tmp_path):
         "E_coeff_digits_limit", "seed_digits_limit", "seed_exponent", "seed_coord_exponent",
         "E_coeff_exponent", "E_coeff_long_decimal",
         *(f"{name}_floor" for name in cli.INT_OPTIONS),
+        "p_float", "rank_bool", "trunc_t_float", "trunc_x_float", "padic_prec_float",
+        "n_max_float", "k_max_bool", "E_coeffs_string", "E_coeff_float", "seeds_strings",
+        "seed_row_string", "seed_entry_bool", "seed_coord_float",
     ],
 )
 def test_malformed_number_exits_2(tmp_path, field, value):
@@ -327,6 +343,20 @@ def test_argument_errors_print_error_object(capsys, argv, message):
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"error": {"type": "ValidationError", "message": message}}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["gen", "validate"])
+@pytest.mark.parametrize("out", ["missing/x.json", "."], ids=["missing_dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, out):
+    # the report cannot be written: a BadOutFile error object on stdout
+    argv = [command, "--spec", str(SPECS / "cocycle_e1.json"), "--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "BadOutFile"
+    assert str(tmp_path) in error["message"]
+    assert captured.err == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -609,7 +639,9 @@ def _mutated(spec: dict, path: tuple, value):
     return out
 
 
-_SCALAR = st.one_of(st.integers(-2, 8), st.sampled_from(["1/0", "x", "1/2", "-3", ""]), st.none())
+_SCALAR = st.one_of(
+    st.integers(-2, 8), st.sampled_from(["1/0", "x", "1/2", "-3", ""]), st.none(), st.booleans(), st.floats()
+)
 _KEY = st.sampled_from(["t", "x", "n_max"])
 _VALUE = st.one_of(
     st.integers(-2, 8),
@@ -625,6 +657,18 @@ _PATHS = [
     ("padic_prec",), ("options",), ("seeds", 0, 0), ("seeds", 0, -1), ("seeds", 2, 0),
     *(("options", name) for name in cli.INT_OPTIONS),
 ]
+_INT_PATHS = {("p",), ("rank",), ("trunc", "t"), ("trunc", "x"), ("padic_prec",)}
+_INT_PATHS |= {("options", name) for name in cli.INT_OPTIONS}
+_LIST_PATHS = {("E_coeffs",), ("seeds",), ("seeds", 0, 0), ("seeds", 0, -1), ("seeds", 2, 0)}
+
+
+def _ill_typed(path: tuple, value) -> bool:
+    """Whether the spec refuses value at path by its JSON type alone: an
+    integer field that is not an int (a bool is not one), or a list field
+    (E_coeffs, seeds, a seed row) that is not a list."""
+    if path in _INT_PATHS:
+        return isinstance(value, bool) or not isinstance(value, int)
+    return path in _LIST_PATHS and not isinstance(value, list)
 
 
 @settings(max_examples=40, deadline=5000, derandomize=True)
@@ -632,10 +676,13 @@ _PATHS = [
 @example(name="commuting_e3", path=("seeds", 0, -1), value=["3"])
 @example(name="commuting_e3", path=("seeds", 0, -1), value=["1", "2", 3])
 @example(name="cocycle_e1", path=("trunc", "x"), value=0)
+@example(name="cocycle_e1", path=("p",), value=3.0)
+@example(name="cocycle_e1", path=("E_coeffs",), value="301")
 def test_mutated_spec_keeps_cli_contract(tmp_path_factory, name, path, value):
     # every single-spec command exits 0, 2 or 3 with a JSON report, and an
-    # "error" object on failure; the explicit examples are ragged seed rows
-    # and pd degree 0
+    # "error" object on failure; a value of the wrong JSON type exits 2
+    # (validate: a failed parse check).  The explicit examples are ragged
+    # seed rows, pd degree 0, a float p and a string E_coeffs
     tmp = tmp_path_factory.mktemp("contract")
     spec = write_spec(tmp, _mutated(json.loads((SPECS / f"{name}.json").read_text()), path, value))
     out = tmp / "out.json"
@@ -644,6 +691,9 @@ def test_mutated_spec_keeps_cli_contract(tmp_path_factory, name, path, value):
         assert code in (0, 2, 3), command
         report = json.loads(out.read_text())
         assert (code != 0) == isinstance(report.get("error"), dict), command
+        if _ill_typed(path, value):
+            parse_ok = report["diagnostics"][0]["ok"] if command == "validate" else code != 2
+            assert not parse_ok, command
 
 
 @settings(max_examples=30, deadline=10000, derandomize=True)
@@ -656,10 +706,13 @@ def test_mutated_spec_keeps_cli_contract(tmp_path_factory, name, path, value):
 @example(where=("base",), path=("options", "n_probe"), value=-3)
 @example(where=("instances", 0), path=("options",), value={"n_max": -2})
 @example(where=("instances", 3), path=("options",), value={"m_max": -1, "n_phi_max": 0})
+@example(where=("base",), path=("p",), value=3.0)
+@example(where=("instances", 0), path=("rank",), value=True)
 def test_mutated_sweep_keeps_cli_contract(tmp_path_factory, where, path, value):
     # a sweep with a mutated base, instance or base option exits 0, 2 or 3
     # with a JSON report, an "error" object on failure, and a {"type",
-    # "message"} error on every failed instance
+    # "message"} error on every failed instance; an instance that reads a
+    # value of the wrong JSON type fails with a ValidationError
     tmp = tmp_path_factory.mktemp("sweep_contract")
     sweep = _mutated(json.loads((SPECS / "sweep_conjecture.json").read_text()), (*where, *path), value)
     out = tmp / "out.json"
@@ -669,6 +722,12 @@ def test_mutated_sweep_keeps_cli_contract(tmp_path_factory, where, path, value):
     assert (code != 0) == isinstance(report.get("error"), dict)
     for res in report.get("results", []):
         assert res["ok"] or set(res["error"]) == {"type", "message"}, res
+    if _ill_typed(path, value):
+        assert code == 0
+        results = {res["id"]: res for res in report["results"]}
+        for i, inst in enumerate(sweep["instances"]):
+            if where == ("instances", i) or (where == ("base",) and path[0] not in inst):
+                assert results[inst["id"]]["error"]["type"] == "ValidationError", inst["id"]
 
 
 @pytest.mark.parametrize("row", [["3"], ["3", "4", 5]], ids=["short", "long"])

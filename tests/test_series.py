@@ -3,20 +3,20 @@
 import functools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prismstrat.cosimplicial import CosimpCtx
+from prismstrat.cosimplicial import CosimpCtx, binom
 from prismstrat.errors import BadConstantTerm, NonUnit, ShapeMismatch
 from prismstrat.field import field_init
-from prismstrat.matrix import KMat, sum_products
+from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
-from prismstrat.series import Trunc, binomial_power
+from prismstrat.series import Trunc
 
-from oracles import truncate
+from oracles import binomial_power_per_key, truncate
 
 F = field_init(3, [-3, 1])
 FQ = field_init(3, [-3, 0, 1])
@@ -96,8 +96,6 @@ def test_log_requires_unit_constant():
         x.log()
     with pytest.raises(BadConstantTerm):
         (x + SRE.one(F, 1, tr) * 2).log()
-    with pytest.raises(BadConstantTerm):
-        binomial_power([SRE.one(F, 1, tr), x + SRE.one(F, 1, tr)], -1)
 
 
 @pytest.mark.parametrize("deg", [1, 2, 3, 4, 5, 6])
@@ -149,11 +147,12 @@ def test_exp_pow_integer_exponents_match_products(r):
     a = one - x * FQ.beta + t * FQ.pi
     got = a.exp_pow(KMat.identity(FQ, 1) * r)
     assert got == a**r
-    assert binomial_power([one, a - one], r) == a**r
-    # N = -beta X: the (1 - beta X)^r of the closed-form rows
+    assert binomial_power_per_key([one, a - one], r) == a**r
+    # the (1 - beta X)^r of the closed-form rows, by the scalar binomials
+    # C(r, i) that closedform_series reads: sum_i C(r, i) (-beta)^i i! X^[i]
     base = one - x * FQ.beta
-    assert binomial_power([one, base - one], r) == base**r
-    assert binomial_power([one, base - one], KMat.identity(FQ, 1) * r) == base**r
+    terms = {(0, (i,)): KMat.scalar(FQ, 1, (-FQ.beta) ** i * (binom(r, i) * factorial(i))) for i in range(6)}
+    assert SRE(FQ, 1, tr, 1, terms) == base**r
 
 
 def test_exp_pow_matrix_exponent_is_rising_factorial_series():
@@ -181,12 +180,6 @@ def test_exp_pow_matrix_exponent_is_rising_factorial_series():
         acc = step * acc
     # exp_pow result is 2x2 sized
     assert got.size == 2
-
-
-def test_ordinary_monomial_rewrites():
-    tr = Trunc(1, 5)
-    a = SRE.ordinary_monomial(F, 1, tr, 0, (3,), KMat.identity(F, 1))
-    assert a == SRE.monomial(F, 1, tr, 0, (3,), KMat.identity(F, 1) * 6)
 
 
 def test_shape_mismatch_rejected():
@@ -335,31 +328,6 @@ def _draw_series(data, field, n_vars, trunc, size, nilpotent=False):
     return SRE(field, n_vars, trunc, size, {key: _draw_kmat(data, field, size, size) for key in chosen})
 
 
-def _reference_binomial_power(n_pow, exponent):
-    """(1 + N)^M with one sum_products per key, as binomial_power was before
-    it became one product."""
-    one, n = n_pow[0], n_pow[1]
-    field = one.field
-    if isinstance(exponent, int):
-        exponent = KMat.scalar(field, 1, field.from_rational(exponent))
-    size = exponent.nrows
-    ident = KMat.identity(field, size)
-    binom = ident
-    pairs = {}
-    j = 0
-    while not binom.is_zero():
-        if j == len(n_pow):
-            n_pow.append(n_pow[-1] * n)
-        if n_pow[j].is_zero():
-            break
-        for key, c in n_pow[j].coeffs.items():
-            pairs.setdefault(key, []).append((binom, KMat.scalar(field, size, c.rows[0][0])))
-        binom = binom * (exponent - ident * j) * Fraction(1, j + 1)
-        j += 1
-    out = {key: sum_products(terms) for key, terms in pairs.items()}
-    return SRE(field, one.n_vars, one.trunc, size, out)
-
-
 def _reference_scaled(x, mat):
     """x * mat with one KMat product per key, as the product by a matrix was
     before it became one stacked product."""
@@ -393,38 +361,48 @@ def _draw_exponent(data, field, trunc):
 
 
 @functools.cache
-def _alpha_minus_one(field, trunc):
-    ctx = CosimpCtx(field, trunc)
-    return ctx.alpha - SRE.one(field, 1, trunc)
+def _ctx(field, trunc):
+    return CosimpCtx(field, trunc)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_binomial_power_matches_per_key_reference(field):
+    # CosimpCtx.alpha_pow (one binomial sum) against the per-key reference,
+    # for integer exponents in [-D-1, T+1] and square KMat exponents
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def inner(data):
         trunc = Trunc(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4)))
+        ctx = _ctx(field, trunc)
         one = SRE.one(field, 1, trunc)
-        if data.draw(st.booleans()):
-            n = _alpha_minus_one(field, trunc)
-        else:
-            n = _draw_series(data, field, 1, trunc, 1, nilpotent=True)
         exponent = _draw_exponent(data, field, trunc)
-        assert binomial_power([one, n], exponent) == _reference_binomial_power([one, n], exponent)
+        got = ctx.alpha_pow(exponent)
+        assert got == binomial_power_per_key([one, ctx.alpha - one], exponent)
+        if isinstance(exponent, int):
+            assert got == ctx.alpha**exponent
 
     inner()
 
 
 def test_binomial_power_drops_cancelled_keys():
-    # N = X - X^[2]: the X^[2] coefficient of (1 + N)^2 is 2(-1) + 2 = 0
-    tr = Trunc(1, 4)
-    one = SRE.one(FQ, 1, tr)
-    n = X(FQ, tr) - X(FQ, tr, 2)
-    got = binomial_power([one, n], 2)
-    assert got == _reference_binomial_power([one, n], 2) == (one + n) * (one + n)
-    assert (0, (2,)) not in got.coeffs
-    empty = SRE.zero(FQ, 1, tr)
-    assert binomial_power([one, empty], KMat.identity(FQ, 2) * 5) == SRE.one(FQ, 1, tr, 2)
+    # e = 2, E = u^2 - 3: N = alpha - 1 has 2 X^[2] t and N^2 has 8 X^[2] t,
+    # so the X^[2] t coefficient of alpha^(1/2) is 2/2 + 8 C(1/2, 2) = 0
+    ctx = CosimpCtx(FQ, Trunc(2, 4))
+    one = SRE.one(FQ, 1, ctx.trunc)
+    half = KMat.identity(FQ, 2) * Fraction(1, 2)
+    got = ctx.alpha_pow(half)
+    assert got == binomial_power_per_key([one, ctx.alpha - one], half)
+    assert got * got == ctx.alpha.map_size(2)
+    assert (1, (2,)) in (ctx.alpha - one).coeffs
+    assert (1, (2,)) not in got.coeffs
+    # M = kI with an integer k >= 0: C(M, j) = 0 for j > k, where the
+    # per-key reference stops early
+    for k in range(4):
+        assert ctx.alpha_pow(KMat.identity(FQ, 2) * k) == (ctx.alpha**k).map_size(2), k
+    # pd degree 0: alpha = 1 and N = 0, so every power is 1
+    flat = CosimpCtx(FQ, Trunc(3, 0))
+    assert flat.alpha_pow(KMat.identity(FQ, 2) * 5) == SRE.one(FQ, 1, flat.trunc, 2)
+    assert flat.alpha_pows(range(-2, 3)) == [SRE.one(FQ, 1, flat.trunc)] * 5
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)

@@ -1,5 +1,7 @@
 """Every function and method in src/ is called from src/: code that only
-the tests reach belongs in the tests."""
+the tests reach belongs in the tests.  The exceptions are the callables
+the benchmark tracer wraps by name, pinned so that no other function that
+loses its last caller can hide among them."""
 
 import ast
 import importlib.util
@@ -7,6 +9,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "prismstrat"
+# The traced callables no code in src/ calls: test references that stay
+# until the benchmark stops wrapping them.
+TRACED_ONLY = {"cd_table", "exp_pow", "face_map", "stage1_rows"}
 
 
 def _tracer_names() -> set[str]:
@@ -29,12 +34,12 @@ def test_every_function_in_src_is_referenced_in_src():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    exempt = _tracer_names()
-    unused = [
-        f"{where} {name}"
+    unreferenced = [
+        (name, where)
         for name, where in defined
-        if name not in referenced
-        and name not in exempt
-        and not (name.startswith("__") and name.endswith("__"))
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     ]
+    tracer = _tracer_names()
+    assert {name for name, _ in unreferenced if name in tracer} == TRACED_ONLY
+    unused = [f"{where} {name}" for name, where in unreferenced if name not in TRACED_ONLY]
     assert not unused, unused
