@@ -318,13 +318,10 @@ def _draw_kmat(data, field, nrows, ncols):
     return KMat.from_rows(field, [entries[r * ncols : (r + 1) * ncols] for r in range(nrows)])
 
 
-def _draw_series(data, field, n_vars, trunc, size, nilpotent=False):
-    """Up to four random terms (none at the constant key when nilpotent);
-    the series may be empty."""
+def _draw_series(data, field, n_vars, trunc, size):
+    """Up to four random terms; the series may be empty."""
     keys = [(m, idx) for m in range(trunc.t_order) for idx in _indices(n_vars, trunc.pd_degree)]
-    if nilpotent:
-        keys = keys[1:]
-    chosen = data.draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)) if keys else []
+    chosen = data.draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
     return SRE(field, n_vars, trunc, size, {key: _draw_kmat(data, field, size, size) for key in chosen})
 
 
