@@ -56,6 +56,7 @@ INT_OPTIONS = {  # name: (floor, limit)
     "n_max": (0, MAX_D), "m_max": (0, MAX_T), "k_max": (0, MAX_T),
     "n_probe": (0, 256), "threshold": (0, 1024), "n_phi_max": (1, 1024),
 }
+SPEC_KEYS = {"p", "E_coeffs", "rank", "seeds", "trunc", "padic_prec", "options", "id"}  # id: a sweep instance
 
 
 class ProblemSpec(NamedTuple):
@@ -113,6 +114,13 @@ def _written_size(name: str, value) -> str:
     return text
 
 
+def _known_keys(name: str, data: dict, keys):
+    """Refuse the first key of data outside keys: a misspelled option ran with its default."""
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r} in {name}")
+
+
 def _digits(values) -> int:
     """The most digits in a reduced numerator or denominator of the rationals."""
     return max((len(str(n)) for q in values for n in (abs(q.numerator), q.denominator)), default=1)
@@ -130,6 +138,7 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     for key in ("p", "E_coeffs", "rank", "seeds", "trunc"):
         if key not in data:
             raise ValidationError(f"spec is missing the {key!r} field")
+    _known_keys("the spec", data, SPEC_KEYS)
     with _parsing("E_coeffs"):
         e_coeffs = [
             Fraction(_written_size("E_coeffs", _typed(c, str, int)))
@@ -148,6 +157,7 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
         t_order = _at_most("trunc.t", _typed(data["trunc"]["t"], int), MAX_T)
     with _parsing("trunc.x"):
         pd_degree = _at_most("trunc.x", _typed(data["trunc"]["x"], int), MAX_D)
+    _known_keys("trunc", data["trunc"], {"t", "x"})
     trunc = Trunc(t_order, pd_degree)
     _at_most("trunc.t * trunc.x * rank", t_order * pd_degree * rank, MAX_TDL)
     with _parsing("seeds"):
@@ -160,6 +170,7 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError("options must be a JSON object")
+    _known_keys("options", options, INT_OPTIONS)
     options = dict(options)
     for name, (floor, limit) in INT_OPTIONS.items():
         if name in options:

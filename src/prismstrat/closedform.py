@@ -39,7 +39,7 @@ from .errors import NonCommutingSeeds, ShapeMismatch
 from .field import FieldDesc, KElem
 from .matrix import KMat, sum_products
 from .series import SimplexRingElem as SRE
-from .series import Trunc
+from .series import Trunc, ring_sum
 from .stratification import Seeds, StratTable, assemble_epsilon, generate_Amn
 
 
@@ -192,10 +192,13 @@ def closedform_series(htable: HTable, m: int, ctx: CosimpCtx, pd_degree: int | N
     # sum_j h~_{m,j} (1 - beta X)^(m-j) X^j, with X^i X^j = (i+j)! X^[i+j]: its
     # X^[n] coefficient is sum_{j<=n} h~_{m,j} C(m-j, n-j) (-beta)^(n-j) n!
     h = {j: hj for j in range(1, 2 * m + 1) if not (hj := htable.h_tilde(m, j)).is_zero()}
+    neg_beta_pows = [field.one]
+    for _ in range(deg):
+        neg_beta_pows.append(neg_beta_pows[-1] * -field.beta)
     prefactor = {}
     for n in range(1, deg + 1):
         pairs = [
-            (hj, KMat.scalar(field, l, (-field.beta) ** (n - j) * (binom(m - j, n - j) * factorial(n))))
+            (hj, KMat.scalar(field, l, neg_beta_pows[n - j] * (binom(m - j, n - j) * factorial(n))))
             for j, hj in h.items()
             if j <= n
         ]
@@ -253,14 +256,15 @@ def ak_series(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> list[KMat]:
         raise ShapeMismatch("need t_order > k_max")
     if len(seeds.A1) <= k_max:
         raise ShapeMismatch(f"need seeds up to A_({k_max},1)")
-    field, l = ctx.field, seeds.l
-    binv = field.beta.inverse()
-    # -(i I - A_{0,1}/beta), so that d_{i+a,s,1} = shifted[i] theta_{1,s}
-    shifted = [seeds.a01 * binv - KMat.scalar(field, l, field.from_rational(i)) for i in range(k_max)]
+    field, l, theta = ctx.field, seeds.l, [ctx.theta_at(1, s) for s in range(k_max + 1)]
+    # d_{i+a,s,1} - A_{s,1} = B_s - i theta_{1,s} with B_s = theta_{1,s} A_{0,1}/beta - A_{s,1}
+    a01_binv = seeds.a01 * field.beta_inv
+    B = {s: a01_binv * theta[s] - seeds.A1[s] for s in range(1, k_max + 1)}
     out = [KMat.identity(field, l)]
     for k in range(1, k_max + 1):
-        pairs = [(shifted[i] * ctx.theta_at(1, k - i) - seeds.A1[k - i], out[i]) for i in range(k)]
-        out.append(sum_products(pairs) * (binv * Fraction(1, k)))
+        pairs = [(B[k - i], out[i]) for i in range(k)]
+        pairs += [(KMat.scalar(field, l, theta[k - i] * -i), out[i]) for i in range(1, k)]
+        out.append(sum_products(pairs) * (field.beta_inv * Fraction(1, k)))
     return out
 
 
@@ -277,19 +281,18 @@ def conjecture_difference(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> SRE:
 
         L = alpha^a * sum_i (alpha t)^i a_i,    R = U(X, t) * sum_l a_l t^l:
 
-    one matrix power, one alpha_sum (delta_0 of sum a_i t^i) and two ring
-    products.
+    one matrix power, one alpha_sum (delta_0 of sum a_i t^i) and one
+    ring_sum of the two products, L + U * (-sum_l a_l t^l).
     """
     a_list = ak_series(seeds, ctx, k_max)
     field, l, deg = ctx.field, seeds.l, ctx.trunc.pd_degree
     table = generate_Amn(seeds, ctx, deg)
     tr = Trunc(k_max + 1, deg)
     alpha_t_a = alpha_sum(ctx, [(i, i, a_i) for i, a_i in enumerate(a_list)], tr)
-    alpha_a = ctx.alpha_pow(seeds.a01 * field.beta.inverse() * -1)
-    lhs = SRE(field, 1, tr, l, alpha_a.coeffs) * alpha_t_a
-    a_t = SRE(field, 1, tr, l, {(i, (0,)): a_i for i, a_i in enumerate(a_list)})
-    rhs = SRE(field, 1, tr, l, assemble_epsilon(table, ctx).coeffs) * a_t
-    return lhs - rhs
+    alpha_a = SRE(field, 1, tr, l, ctx.alpha_pow(seeds.a01 * -field.beta_inv).coeffs)
+    U = SRE(field, 1, tr, l, assemble_epsilon(table, ctx).coeffs)
+    minus_a_t = SRE(field, 1, tr, l, {(i, (0,)): -a_i for i, a_i in enumerate(a_list)})
+    return ring_sum([(alpha_a, alpha_t_a), (U, minus_a_t)])
 
 
 def conjecture_residual(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> dict:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .cosimplicial import CosimpCtx, alpha_sum
 from .errors import ShapeMismatch
-from .matrix import KMat, blocks, kernel_basis, rank, submatrix, sum_products
+from .matrix import KMat, blocks, kernel_basis, rank, row_blocks, submatrix, sum_products
 from .stratification import Seeds, StratTable, assemble_epsilon, first_order_grids
 
 
@@ -95,7 +95,7 @@ def _extend_kernel(row: list, basis: KMat, t: int) -> KMat:
     """
     field, l, d = basis.field, row[0].nrows, basis.ncols
     # P[t][p] acts on [K[p] | 0] for p < t (the old unknowns z), P[t][t] on [0 | I] (the new y)
-    lifts = [(p, submatrix(basis, range(p * l, (p + 1) * l), range(d))) for p in range(t)]
+    lifts = enumerate(row_blocks(basis, l))
     lifts = [(p, blocks([[kp, KMat.zero(field, l)]])) for p, kp in lifts if not kp.is_zero()]
     lifts.append((t, blocks([[KMat.zero(field, l, d), KMat.identity(field, l)]])))
     system = sum_products([(row[p], kp) for p, kp in lifts])

@@ -5,8 +5,8 @@ coefficients theta_{n,i} of E^{(n)}(u0), the unit alpha = E(u1)/E(u0)
 expanded in (X_1, t), and the face maps delta_i into the 1- and
 2-simplex rings.  alpha = 1 + N with N nilpotent, and the context owns
 the engine's one binomial series alpha^M = sum_j C(M, j) N^j: every
-power of alpha, integer or matrix, is one kernel product of the shared
-N^j coefficients with the binomials, and integer powers are cached.
+power of alpha, integer or matrix, is one key_sums of the shared N^j
+coefficients with the binomials, and integer powers are cached.
 alpha_sum is the engine's one delta_0: the cocycle residual, the
 conjecture identity and the reference H^0 conditions take their
 alpha^s t^p terms from it.  face_map is the reference route of the
@@ -105,8 +105,8 @@ class CosimpCtx:
         return [self._alpha_pows[k] for k in ks]
 
     def _binomial_sum(self, binoms: list[KMat]) -> dict:
-        """{key: sum_j (N^j)[key] binoms[j]} with N = alpha - 1, in one kernel
-        product.  N^j has pd degree >= j, so the callers pass j <= pd_degree;
+        """{key: sum_j (N^j)[key] binoms[j]} with N = alpha - 1, in one
+        key_sums.  N^j has pd degree >= j, so the callers pass j <= pd_degree;
         trailing zero binoms (C(k, j) for j > k >= 0) build no power N^j."""
         while len(binoms) > 1 and binoms[-1].is_zero():
             binoms.pop()
@@ -173,8 +173,8 @@ def cd_table(ctx: CosimpCtx, p_range) -> dict[int, SRE]:
 
 def alpha_sum(ctx: CosimpCtx, terms, trunc: Trunc) -> SRE:
     """sum alpha^s t^p M over the (s, p, M) in terms, cut to trunc, in one
-    kernel product: the coefficient table of the alpha^s t^p, keys by term,
-    times the stacked rows vec M.  delta_0 sends M X_1^[q] t^p to
+    key_sums: the coefficient table of the alpha^s t^p, keys by term, with
+    the row views vec M.  delta_0 sends M X_1^[q] t^p to
     (X_2 - X_1)^[q] alpha^(p-q) t^p M; the caller places the X^[q] part.
     A caller with several sums builds all their powers in one alpha_pows
     call first."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DivisionByZero, NotEisenstein, NumberTooLarge, PrimeTooSmall
@@ -110,15 +111,15 @@ def is_prime(n: int) -> bool:
 class FieldDesc:
     """The base field K = Q[pi]/(E(pi)), E Eisenstein at p.
 
-    Precomputes the reduction table pi^k mod E for k < 2e-1, its integer
-    copy _int_pow_table = _pow_den * _pow_table (cleared of denominators,
-    for the integer product kernel) and the element beta = E'(pi).  Immutable
-    after construction.
+    Precomputes the reduction table pi^k mod E for k < 2e-1, the columns
+    _pow_columns of its integer copy _pow_den * _pow_table (cleared of
+    denominators, for the integer product kernel), the element beta = E'(pi)
+    and its inverse.  Immutable after construction.
     """
 
     __slots__ = (
-        "p", "e", "E_coeffs", "_pow_table", "_pow_den", "_int_pow_table",
-        "pi", "beta", "one", "zero",
+        "p", "e", "E_coeffs", "_pow_table", "_pow_den", "_pow_columns",
+        "pi", "beta", "beta_inv", "one", "zero",
     )
 
     def __init__(self, p: int, E_coeffs: Sequence[Rat]):
@@ -160,9 +161,7 @@ class FieldDesc:
             table.append(tuple(cur))
         self._pow_table = tuple(table)
         self._pow_den = math.lcm(*(c.denominator for row in table for c in row))
-        self._int_pow_table = tuple(
-            tuple(int(c * self._pow_den) for c in row) for row in table
-        )
+        self._pow_columns = tuple(zip(*(tuple(int(c * self._pow_den) for c in row) for row in table)))
 
         self.zero = KElem(self, (Fraction(0),) * e)
         self.one = KElem(self, tuple([Fraction(1)] + [Fraction(0)] * (e - 1)))
@@ -173,6 +172,7 @@ class FieldDesc:
             pi_coords[1] = Fraction(1)
         self.pi = KElem(self, tuple(pi_coords))
         self.beta = self.eval_poly(self.E_derivative(1), self.pi)
+        self.beta_inv = self.beta.inverse()
 
     def E_derivative(self, n: int) -> tuple[Fraction, ...]:
         """Coefficients of the n-th formal derivative of E, low-to-high."""
@@ -218,8 +218,12 @@ class FieldDesc:
 
 
 def field_init(p: int, E_coeffs: Sequence[Rat]) -> FieldDesc:
-    """Validate and build the field description; precomputes beta = E'(pi)."""
-    return FieldDesc(p, E_coeffs)
+    """The field description of (p, E), validated and built once per process
+    while fewer than 128 fields are in use; a failure is never cached."""
+    return _field(p, tuple(_to_fraction(c) for c in E_coeffs))
+
+
+_field = lru_cache(maxsize=128)(FieldDesc)
 
 
 class KElem(NamedTuple):

@@ -4,10 +4,12 @@ Everything is dense and tiny (rank l <= a handful); exact Gaussian
 elimination needs no pivoting strategy beyond "first nonzero entry".
 A matrix stores integer pi-coordinates over one denominator, after FLINT's
 fmpq_mat; `rows` is the K-element view for parsing, to_json and 1 x 1 reads.
-Every matrix product, and the ring product in series, runs on one integer
-kernel: int_form, accumulate, from_polys.  The one elimination, echelon,
-runs its rank-1 updates on that kernel, and submatrix and blocks slice and
-assemble the integer storage directly.
+Every product accumulates unreduced integer pi-polynomials and reduces them
+with from_polys.  Operands used once (sum_products, so KMat * KMat, KMat *
+KElem by its column view, and key_sums in series) are read straight from
+their storage; an operand that meets many others (the ring product in
+series, generate_Amn) takes its sparse int_form once and goes through
+accumulate.  submatrix, row_blocks and blocks slice and assemble the storage.
 """
 
 from __future__ import annotations
@@ -91,7 +93,9 @@ class KMat(NamedTuple):
             nums = [a * q.numerator for a in self.nums]
             return _reduced(self.field, self.nrows, self.ncols, self.den * q.denominator, nums)
         if isinstance(other, KElem):
-            other = KMat.scalar(self.field, self.ncols, other)
+            # the (rows * cols) x 1 column view times the 1 x 1 matrix of other
+            col = self.reshaped(self.nrows * self.ncols, 1) * KMat.scalar(self.field, 1, other)
+            return col.reshaped(self.nrows, self.ncols)
         if not isinstance(other, KMat):
             return NotImplemented
         return sum_products([(self, other)])
@@ -99,6 +103,10 @@ class KMat(NamedTuple):
     def __rmul__(self, other):
         # scalar * matrix
         return self.__mul__(other)
+
+    def reshaped(self, nrows: int, ncols: int) -> KMat:
+        """The same entries, read row by row, as an nrows x ncols matrix."""
+        return KMat(self.field, nrows, ncols, self.den, self.nums)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -109,7 +117,7 @@ class KMat(NamedTuple):
         return KElem(self.field, tuple(Fraction(sum(nums[k + i] for k in diag), self.den) for i in range(e)))
 
     def commutes_with(self, other: KMat) -> bool:
-        return (self * other - other * self).is_zero()
+        return sum_products([(self, other), (-other, self)]).is_zero()
 
     def min_valuation(self):
         """Minimum entry valuation (v(pi)=1 units); INF for the zero matrix.
@@ -135,59 +143,68 @@ def _reduced(field: FieldDesc, nrows: int, ncols: int, den: int, nums) -> KMat:
     return KMat(field, nrows, ncols, den, tuple(nums))
 
 
-def int_form(mats) -> tuple[int, list]:
-    """(d, forms): d is the lcm of the denominators of all of mats, and
-    forms[n][r] lists (c, ((i, d * coord_i), ...)) over the nonzero entries
-    (r, c) of mats[n] and their nonzero coordinates i."""
-    den = lcm(*(m.den for m in mats))
-    forms = []
+def int_form(mats, out_ncols: int | None = None) -> tuple[int, list]:
+    """(d, forms), all coordinates scaled to d, the lcm of the denominators of
+    mats.  A product keeps entry (r, c) at (r ncols + c) w of one flat list of
+    pi-polynomials of w = 2e - 1 coefficients.  As a right factor, forms[n][k]
+    lists (c w + j, v) over the nonzero coordinates v of pi^j of the entries
+    (k, c) of mats[n]; as the left factor of a product with out_ncols columns,
+    forms[n] lists (k, r out_ncols w + i, v) over those of its entries (r, k)."""
+    den, forms = lcm(*[m.den for m in mats]), []
     for m in mats:
         e, s, nums = m.field.e, den // m.den, m.nums
-        ints = [tuple((i, a * s) for i, a in enumerate(nums[k : k + e]) if a) for k in range(0, len(nums), e)]
-        rows = (ints[r * m.ncols : (r + 1) * m.ncols] for r in range(m.nrows))
-        forms.append([[(c, v) for c, v in enumerate(row) if v] for row in rows])
+        w, width = 2 * e - 1, m.ncols * e  # width: the coordinates of one row
+        if out_ncols is None:
+            rows = (nums[k * width : (k + 1) * width] for k in range(m.nrows))
+            forms.append([[(at // e * w + at % e, a * s) for at, a in enumerate(row) if a] for row in rows])
+        else:
+            w *= out_ncols  # the coefficients of one output row
+            forms.append([(at % width // e, at // width * w + at % e, a * s) for at, a in enumerate(nums) if a])
     return den, forms
 
 
-def accumulate(polys: list[list[int]], a: list, b: list, ncols: int, scale: int):
-    """polys[r * ncols + c] += scale * sum_k a[r][k] b[k][c] on int_form rows,
-    as unreduced pi-polynomials of degree 2e-2."""
-    for r, row in enumerate(a):
-        out = polys[r * ncols : (r + 1) * ncols]
-        for k, av in row:
-            for i, ai in av:
-                ai *= scale
-                for c, bv in b[k]:
-                    poly = out[c]
-                    for j, bj in bv:
-                        poly[i + j] += ai * bj
+def accumulate(polys: list[int], a: list, b: list, scale: int):
+    """polys += scale * (A B) on the int_form of a left factor A and a right
+    factor B: flat unreduced pi-polynomials of degree 2e - 2."""
+    for k, base, av in a:
+        av *= scale
+        for off, bv in b[k]:
+            polys[base + off] += av * bv
 
 
-def from_polys(field: FieldDesc, polys: list[list[int]], nrows: int, ncols: int, den: int) -> KMat:
-    """The matrix whose entry (r, c) is polys[r * ncols + c] reduced mod E with
-    the integer pi-power table and divided by den * _pow_den."""
-    columns = tuple(zip(*field._int_pow_table))
-    nums = [sum(map(int.__mul__, poly, col)) for poly in polys for col in columns]
+def from_polys(field: FieldDesc, polys: list[int], nrows: int, ncols: int, den: int) -> KMat:
+    """The nrows x ncols matrix whose entry (r, c) is the flat pi-polynomial
+    at (r ncols + c) (2e - 1) of polys, reduced mod E with the integer
+    pi-power table and divided by den * _pow_den."""
+    w, columns = 2 * field.e - 1, field._pow_columns
+    nums = [sum(map(int.__mul__, polys[q : q + w], col)) for q in range(0, len(polys), w) for col in columns]
     return _reduced(field, nrows, ncols, den * field._pow_den, nums)
 
 
 def sum_products(pairs) -> KMat:
     """sum_i X_i Y_i over a non-empty sequence of pairs (X_i, Y_i), exact: each
     pair is rescaled to d = lcm_i(d_X_i d_Y_i), so every output entry is one
-    integer pi-polynomial, reduced mod E and divided by d once."""
+    integer pi-polynomial, accumulated straight from the storage of the
+    operands (zero coordinates skipped), reduced mod E and divided by d once."""
     field, nrows, ncols = pairs[0][0].field, pairs[0][0].nrows, pairs[0][1].ncols
-    forms = []
+    e, den = field.e, lcm(*[x.den * y.den for x, y in pairs])
+    w, width = 2 * e - 1, ncols * e
+    polys = [0] * (nrows * ncols * w)
     for x, y in pairs:
-        if x.ncols != y.nrows or x.nrows != nrows or y.ncols != ncols:
+        inner, y_nums = x.ncols, y.nums
+        if inner != y.nrows or x.nrows != nrows or y.ncols != ncols:
             raise ShapeMismatch(
                 f"cannot multiply {x.nrows}x{x.ncols} by {y.nrows}x{y.ncols} into {nrows}x{ncols}"
             )
-        (dx, (a,)), (dy, (b,)) = int_form((x,)), int_form((y,))
-        forms.append((dx * dy, a, b))
-    den = lcm(*(d for d, _, _ in forms))
-    polys = [[0] * (2 * field.e - 1) for _ in range(nrows * ncols)]
-    for d, a, b in forms:
-        accumulate(polys, a, b, ncols, den // d)
+        scale = den // (x.den * y.den)
+        for at, a in enumerate(x.nums):
+            if a:
+                (r, k), i = divmod(at // e, inner), at % e
+                a *= scale
+                base = r * ncols * w + i
+                for at, b in enumerate(y_nums[k * width : (k + 1) * width]):
+                    if b:
+                        polys[base + at // e * w + at % e] += a * b
     return from_polys(field, polys, nrows, ncols, den)
 
 
@@ -196,6 +213,13 @@ def submatrix(m: KMat, rows, cols) -> KMat:
     e, nums = m.field.e, m.nums
     out = [a for r in rows for c in cols for a in nums[(r * m.ncols + c) * e : (r * m.ncols + c + 1) * e]]
     return _reduced(m.field, len(rows), len(cols), m.den, out)
+
+
+def row_blocks(m: KMat, size: int) -> list[KMat]:
+    """m cut into its consecutive blocks of size rows, read from the contiguous storage."""
+    w = m.ncols * m.field.e
+    rows = (m.nums[r * w : (r + size) * w] for r in range(0, m.nrows, size))
+    return [_reduced(m.field, size, m.ncols, m.den, nums) for nums in rows]
 
 
 def blocks(grid) -> KMat:

@@ -172,7 +172,7 @@ def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int 
 
     # fiber normalization: charpoly(N(0)) vs charpoly(-A_{0,1}/beta)
     beta = field.beta
-    cp_weights = charpoly(seeds.a01 * beta.inverse() * -1)
+    cp_weights = charpoly(seeds.a01 * -field.beta_inv)
     scale = lam1.coeffs[0].value * field.pi * beta
     cp_fiber = charpoly(n_rows[0][0])
     fiber_ok = all(cp_fiber[k] == cp_weights[k] * scale ** (l - k) for k in range(l + 1))

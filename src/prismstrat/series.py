@@ -8,24 +8,25 @@ so products never resurrect dropped terms.
 
 Ordinary powers are never stored: X^n enters as n! X^[n].
 
-The ring x ring product runs on the integer kernel of matrix.py, after
-FLINT's fmpq_poly: each operand is scaled to integer coordinates over one
-denominator, every output entry accumulates an unreduced pi-polynomial
-across all term pairs, and that is reduced mod E and divided once.
-key_sums and the product by a matrix each take one kernel call: the
-coefficients are stacked into one matrix with blocks and the product is
-sliced back per key with submatrix.
+The ring x ring product (ring_sum) runs on the integer kernel of matrix.py,
+after FLINT's fmpq_poly: each term meets many others, so each operand takes
+its sparse int_form once, every output entry accumulates an unreduced
+pi-polynomial across all term pairs, and that is reduced mod E and divided
+once.  key_sums uses each table entry once: per key, one sum_products of its
+nonzero entries with the row views vec M_j, read from the storage.  The
+product by a scalar, an element of K or a matrix is one product per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
+from operator import add
 from typing import NamedTuple
 
 from .errors import BadConstantTerm, NonUnit, ShapeMismatch
 from .field import FieldDesc, KElem
-from .matrix import KMat, accumulate, blocks, from_polys, int_form, mat_inverse, submatrix
+from .matrix import KMat, accumulate, from_polys, int_form, mat_inverse, sum_products
 
 MultiIndex = tuple[int, ...]
 Key = tuple[int, MultiIndex]
@@ -55,11 +56,10 @@ class SimplexRingElem:
         self.n_vars = n_vars
         self.trunc = trunc
         self.size = size
-        self.coeffs: dict[Key, KMat] = {}
-        if coeffs:
-            for key, mat in coeffs.items():
-                if not mat.is_zero() and trunc.contains(*key):
-                    self.coeffs[key] = mat
+        t_order, pd_degree, items = *trunc, (coeffs or {}).items()
+        self.coeffs: dict[Key, KMat] = {
+            key: mat for key, mat in items if key[0] < t_order and sum(key[1]) <= pd_degree and any(mat.nums)
+        }
 
     # -- constructors ------------------------------------------------------
 
@@ -120,15 +120,19 @@ class SimplexRingElem:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: SimplexRingElem) -> SimplexRingElem:
+        return self._combine(other, 1)
+
+    def __sub__(self, other: SimplexRingElem) -> SimplexRingElem:
+        return self._combine(other, -1)
+
+    def _combine(self, other: SimplexRingElem, sign: int) -> SimplexRingElem:
+        """self + sign * other in one pass over other's terms."""
         self._check_compatible(other)
         out = dict(self.coeffs)
         for key, mat in other.coeffs.items():
             cur = out.get(key)
-            out[key] = mat if cur is None else cur + mat
+            out[key] = (mat if sign > 0 else -mat) if cur is None else cur._combine(mat, sign)
         return SimplexRingElem(self.field, self.n_vars, self.trunc, self.size, out)
-
-    def __sub__(self, other: SimplexRingElem) -> SimplexRingElem:
-        return self + (-other)
 
     def __neg__(self) -> SimplexRingElem:
         return SimplexRingElem(
@@ -140,34 +144,17 @@ class SimplexRingElem:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, KElem, KMat)):
+            # one product per coefficient, by a scalar, an element of K or a matrix
             coeffs = {key: mat * other for key, mat in self.coeffs.items()}
             return SimplexRingElem(self.field, self.n_vars, self.trunc, self.size, coeffs)
-        if isinstance(other, KElem):
-            other = KMat.scalar(self.field, self.size, other)
-        if isinstance(other, KMat):
-            # one product: the coefficients stacked as rows, times other
-            if not self.coeffs:
-                return SimplexRingElem.zero(self.field, self.n_vars, self.trunc, self.size)
-            prod, l = blocks([[mat] for mat in self.coeffs.values()]) * other, self.size
-            rows = {key: range(n * l, (n + 1) * l) for n, key in enumerate(self.coeffs)}
-            coeffs = {key: submatrix(prod, r, range(other.ncols)) for key, r in rows.items()}
-            return SimplexRingElem(self.field, self.n_vars, self.trunc, self.size, coeffs)
-        self._check_compatible(other)
-        return _ring_product(self, other)
+        return ring_sum([(self, other)])
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, KElem)):
-            return self.__mul__(other)
         if isinstance(other, KMat):
-            return SimplexRingElem(
-                self.field,
-                self.n_vars,
-                self.trunc,
-                self.size,
-                {key: other * mat for key, mat in self.coeffs.items()},
-            )
-        return NotImplemented
+            coeffs = {key: other * mat for key, mat in self.coeffs.items()}
+            return SimplexRingElem(self.field, self.n_vars, self.trunc, self.size, coeffs)
+        return self.__mul__(other) if isinstance(other, (int, Fraction, KElem)) else NotImplemented
 
     def __pow__(self, n: int) -> SimplexRingElem:
         if n < 0:
@@ -306,44 +293,49 @@ class SimplexRingElem:
         return "SRE{" + "; ".join(parts) + more + "}"
 
 
-def _ring_product(x: SimplexRingElem, y: SimplexRingElem) -> SimplexRingElem:
-    """x * y on the integer forms of matrix.py, one denominator per operand:
+def ring_sum(pairs) -> SimplexRingElem:
+    """sum_i x_i y_i over a non-empty sequence of pairs of one ring, on the
+    integer forms of matrix.py: each pair is rescaled to d = lcm_i(d_x_i d_y_i),
     every kept term pair is accumulated into its output key's unreduced
-    pi-polynomials.  y's terms are grouped by t-order and sorted by total
-    degree, so each scan stops at the first pair past t_order or past
-    pd_degree."""
-    field, trunc, l = x.field, x.trunc, x.size
-    dx, x_forms = int_form(x.coeffs.values())
-    dy, y_forms = int_form(y.coeffs.values())
-    y_groups: list[list] = [[] for _ in range(trunc.t_order)]
-    for (m2, i2), b in sorted(zip(y.coeffs, y_forms), key=lambda term: sum(term[0][1])):
-        y_groups[m2].append((sum(i2), i2, b))
-    acc: dict[Key, list[list[int]]] = {}
-    for (m1, i1), a in zip(x.coeffs, x_forms):
-        room = trunc.pd_degree - sum(i1)
-        for m2 in range(trunc.t_order - m1):
-            for d2, i2, b in y_groups[m2]:
-                if d2 > room:
-                    break
-                idx = tuple(u + v for u, v in zip(i1, i2))
-                scale = 1
-                for u, v in zip(i1, i2):
-                    if u and v:
-                        scale *= comb(u + v, u)
-                polys = acc.get((m1 + m2, idx))
-                if polys is None:
-                    polys = acc[(m1 + m2, idx)] = [[0] * (2 * field.e - 1) for _ in range(l * l)]
-                accumulate(polys, a, b, l, scale)
-    out = {key: from_polys(field, polys, l, l, dx * dy) for key, polys in acc.items()}
-    return SimplexRingElem(field, x.n_vars, trunc, l, out)
+    pi-polynomials, and each key is reduced and divided by d once.  y's terms
+    are grouped by t-order and sorted by total degree, so each scan stops at
+    the first pair past t_order or past pd_degree."""
+    x0 = pairs[0][0]
+    field, trunc, l = x0.field, x0.trunc, x0.size
+    forms = []
+    for x, y in pairs:
+        x0._check_compatible(x)
+        x0._check_compatible(y)
+        (dx, x_forms), (dy, y_forms) = int_form(x.coeffs.values(), l), int_form(y.coeffs.values())
+        forms.append((dx * dy, zip(x.coeffs, x_forms), zip(y.coeffs, y_forms)))
+    den, acc = lcm(*(d for d, _, _ in forms)), {}
+    for d, x_terms, y_terms in forms:
+        y_groups: list[list] = [[] for _ in range(trunc.t_order)]
+        for (m2, i2), b in sorted(y_terms, key=lambda term: sum(term[0][1])):
+            y_groups[m2].append((sum(i2), i2, b))
+        for (m1, i1), a in x_terms:
+            room = trunc.pd_degree - sum(i1)
+            for m2 in range(trunc.t_order - m1):
+                for d2, i2, b in y_groups[m2]:
+                    if d2 > room:
+                        break
+                    key = (m1 + m2, idx := tuple(map(add, i1, i2)))
+                    polys = acc.get(key)
+                    if polys is None:
+                        polys = acc[key] = [0] * (l * l * (2 * field.e - 1))
+                    accumulate(polys, a, b, den // d * prod(map(comb, idx, i1)))
+    out = {key: from_polys(field, polys, l, l, den) for key, polys in acc.items()}
+    return SimplexRingElem(field, x0.n_vars, trunc, l, out)
 
 
 def key_sums(table: dict, mats: list[KMat]) -> dict[Key, KMat]:
     """{key: sum_j table[key][j] mats[j]} for 1 x 1 entries table[key][j]
-    and r x c matrices mats[j], in one kernel product: the table's rows
-    times the stacked rows vec mats[j], sliced back per key."""
+    and r x c matrices mats[j]: per key, one sum of products of its nonzero
+    entries with the 1 x rc row views vec mats[j]."""
     field, r, c = mats[0].field, mats[0].nrows, mats[0].ncols
-    prod = blocks(list(table.values())) * blocks([[KMat(field, 1, r * c, m.den, m.nums)] for m in mats])
-    rows = (submatrix(prod, [i], range(r * c)) for i in range(len(table)))
-    return {key: KMat(field, r, c, row.den, row.nums) for key, row in zip(table, rows)}
-
+    rows, zero = [m.reshaped(1, r * c) for m in mats], KMat.zero(field, r, c)
+    out = {}
+    for key, entries in table.items():
+        pairs = [(t, row) for t, row in zip(entries, rows) if any(t.nums)]
+        out[key] = sum_products(pairs).reshaped(r, c) if pairs else zero
+    return out

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .cosimplicial import CosimpCtx, alpha_sum
 from .errors import SeedShapeMismatch, ShapeMismatch
 from .field import INF, KElem
-from .matrix import KMat, accumulate, blocks, from_polys, int_form, submatrix
+from .matrix import KMat, accumulate, blocks, from_polys, int_form, row_blocks
 from .series import SimplexRingElem as SRE
 from .series import Trunc
 
@@ -92,21 +92,21 @@ def generate_Amn(seeds: Seeds, ctx: CosimpCtx, n_max: int) -> StratTable:
     """Fill the table by the inductive formula, one kernel product per pd degree:
     col_n = (A_{m,n})_m stacked into a (T l) x l matrix satisfies
     col_{n+1} = (P + n Q) col_n with P and Q from first_order_grids.
-    P and Q take their integer form once; col_0 = (I, 0, ..., 0)."""
+    P and Q take their integer form once; col_0 = (I, 0, ..., 0), and
+    A_{m,n} is read from the contiguous rows m l .. (m + 1) l - 1 of col_n."""
     field, t_order, l = ctx.field, ctx.trunc.t_order, seeds.l
     P, Q = first_order_grids(seeds, ctx)
     col = blocks([[KMat.identity(field, l)]] + [[KMat.zero(field, l)]] * (t_order - 1))
-    dpq, (p_rows, q_rows) = int_form([blocks(P), blocks(Q)])
+    dpq, (p_rows, q_rows) = int_form([blocks(P), blocks(Q)], l)
     A: dict = {}
     for n in range(n_max + 1):
         if n:
             dc, (c_rows,) = int_form([col])
-            polys = [[0] * (2 * field.e - 1) for _ in range(t_order * l * l)]
-            accumulate(polys, p_rows, c_rows, l, 1)
-            accumulate(polys, q_rows, c_rows, l, n - 1)
+            polys = [0] * (t_order * l * l * (2 * field.e - 1))
+            accumulate(polys, p_rows, c_rows, 1)
+            accumulate(polys, q_rows, c_rows, n - 1)
             col = from_polys(field, polys, t_order * l, l, dpq * dc)
-        for m in range(t_order):
-            A[(m, n)] = submatrix(col, range(m * l, (m + 1) * l), range(l))
+        A.update(((m, n), block) for m, block in enumerate(row_blocks(col, l)))
     return StratTable(l, t_order, n_max, A)
 
 
@@ -140,7 +140,7 @@ def cocycle_residual(U: SRE, ctx: CosimpCtx) -> SRE:
         for b in range(n + 1):
             delta1[(p, (n - b, b))] = mat
         columns.setdefault(n, []).append((p - n, p, mat))
-    ctx.alpha_pows(sorted({p - q for (p, (q,)) in U.coeffs}))  # one kernel product for every shift
+    ctx.alpha_pows(sorted({p - q for (p, (q,)) in U.coeffs}))  # one key_sums for every shift
     delta0 = {}
     for q, cols in columns.items():
         z_q = alpha_sum(ctx, cols, Trunc(trunc.t_order, trunc.pd_degree - q))

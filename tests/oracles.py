@@ -107,6 +107,17 @@ def binomial_power_per_key(n_pow: list, exponent) -> SRE:
     return SRE(field, one.n_vars, one.trunc, size, out)
 
 
+def key_sums_stacked(table: dict, mats: list) -> dict:
+    """{key: sum_j table[key][j] mats[j]} as one stacked product: the table's
+    rows (assembled with blocks) times the stacked rows vec mats[j], sliced
+    back per key with submatrix.  The reference for series.key_sums, which
+    sums each key's nonzero entries straight from the storage."""
+    field, r, c = mats[0].field, mats[0].nrows, mats[0].ncols
+    prod = blocks(list(table.values())) * blocks([[KMat(field, 1, r * c, m.den, m.nums)] for m in mats])
+    rows = (submatrix(prod, [i], range(r * c)) for i in range(len(table)))
+    return {key: KMat(field, r, c, row.den, row.nums) for key, row in zip(table, rows)}
+
+
 def condition_block(table, ctx, m: int, k: int, p: int) -> KMat:
     """Coefficient of B_p (p <= m) in the X^[k] condition of the H^0
     equation at t-order m, by the divided-power product rule:

@@ -205,6 +205,38 @@ def test_prec_option_above_limit_exits_2(tmp_path):
     assert "padic_prec" in json.loads(open(out).read())["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "path, key",
+    [(("options", "kmax"), "kmax"), (("padic_precison",), "padic_precison"), (("trunc", "y"), "y")],
+    ids=["options_kmax", "padic_precison", "trunc_y"],
+)
+def test_unknown_key_exits_2(tmp_path, path, key):
+    # a misspelled key was ignored: "kmax": 0 ran conjecture with k_max = 2
+    spec = write_spec(tmp_path, _mutated(json.loads((SPECS / "cocycle_e1.json").read_text()), path, 0))
+    out, where = tmp_path / "out.json", "the spec" if len(path) == 1 else path[0]
+    for command in SINGLE_SPEC_COMMANDS:
+        code = main([command, "--spec", spec, "--out", str(out)])
+        report = json.loads(out.read_text())
+        if command == "validate":
+            error = report["diagnostics"][0]
+            assert (code, error["error"]) == (0, "ValidationError")
+        else:
+            error = report["error"]
+            assert (code, error["type"]) == (2, "ValidationError")
+        assert error["message"] == f"unknown key {key!r} in {where}"
+
+
+def test_sweep_instance_with_unknown_key_fails_alone(tmp_path):
+    # "id" names an instance; any other unknown key fails that instance only
+    sweep = json.loads((SPECS / "sweep_conjecture.json").read_text())
+    sweep["instances"][1]["options"] = {"kmax": 0}
+    out = tmp_path / "out.json"
+    assert main(["sweep", "--spec", write_spec(tmp_path, sweep), "--out", str(out)]) == 0
+    results = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    assert results.pop("b")["error"] == {"type": "ValidationError", "message": "unknown key 'kmax' in options"}
+    assert all(r["ok"] for r in results.values()) and len(results) == 3
+
+
 @pytest.mark.parametrize("command", ["gen", "h0", "sen"])
 def test_oversized_input_number_exits_2(tmp_path, command):
     # E_0 = -3 (10^4000 + 1) has 4001 digits: it used to pass validation and

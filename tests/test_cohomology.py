@@ -305,7 +305,7 @@ def test_h0_solve_builds_no_table_alpha_power_or_ring_product(monkeypatch, tmp_p
     monkeypatch.setattr(stratification, "generate_Amn", refuse)
     monkeypatch.setattr(CosimpCtx, "alpha_pows", refuse)
     assert cli.run("h0", str(SPECS / "cocycle_e1.json"), str(tmp_path / "out.json")) == 0
-    monkeypatch.setattr(series, "_ring_product", refuse)
+    monkeypatch.setattr(series, "ring_sum", refuse)
     assert h0_solve(seeds, ctx).dim_per_order == (1, 1, 2, 2)
 
 

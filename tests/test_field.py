@@ -47,6 +47,30 @@ def test_field_init_rejects_small_prime():
         field_init(9, [-9, 1])  # not prime at all
 
 
+def test_field_init_builds_one_field_per_p_and_E():
+    # the coefficients are read as rationals first, so "-3", -3 and Fraction(-3) agree
+    assert field_init(3, ["-3", "0", "1"]) is F_QUAD
+    assert field_init(3, [Fraction(-3), 0, 1]) is F_QUAD
+    assert field_init(3, [-3, 0, 1]) is not field_init(3, [-6, 0, 1])
+    assert field_init(3, [-3, 0, 1]) is not field_init(5, [-5, 0, 1])
+
+
+def test_field_init_failure_is_never_cached():
+    for _ in range(3):
+        with pytest.raises(PrimeTooSmall):
+            field_init(9, [-9, 1])
+        with pytest.raises(NotEisenstein):
+            field_init(3, [-9, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "field", FIELDS + [field_init(3, [Fraction(3, 5), Fraction(3, 2), 1])], ids=["e1", "e2", "e3", "e2_frac"]
+)
+def test_beta_inv_is_the_inverse_of_beta(field):
+    assert field.beta_inv * field.beta == field.one
+    assert field.beta_inv == field.one / field.beta
+
+
 def test_pi_squared_reduces():
     pi = F_QUAD.pi
     assert pi * pi == F_QUAD.from_rational(3)

@@ -226,6 +226,53 @@ def test_sum_products_matches_reference_loop(field):
     inner()
 
 
+def _matrix_over(data, field, nrows, ncols, den):
+    """An nrows x ncols KMat with coordinates in {0, +-1/den, ..., +-9/den}."""
+    n = nrows * ncols * field.e
+    coords = data.draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n, max_size=n))
+    entries = [field.from_coords([Fraction(c, den) for c in coords[i : i + field.e]])
+               for i in range(0, n, field.e)]
+    return KMat.from_rows(field, [entries[r * ncols : (r + 1) * ncols] for r in range(nrows)])
+
+
+@pytest.mark.parametrize("field", FIELDS + [FIELD_FRAC], ids=["e1", "e2", "e3", "e2_frac"])
+def test_sum_products_with_unequal_denominators_matches_entrywise_sums(field):
+    # every pair has its own d_X d_Y, so each is rescaled to the common d
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def inner(data):
+        n, m, dens = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), st.sampled_from([1, 2, 5, 7, 9])
+        pairs = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            k = data.draw(st.integers(1, 3))
+            x = _matrix_over(data, field, n, k, data.draw(dens))
+            pairs.append((x, _matrix_over(data, field, k, m, data.draw(dens))))
+        want = [[field.zero] * m for _ in range(n)]
+        for x, y in pairs:
+            for r in range(n):
+                for c in range(m):
+                    want[r][c] = sum((x.rows[r][j] * y.rows[j][c] for j in range(x.ncols)), want[r][c])
+        assert sum_products(pairs) == KMat.from_rows(field, want)
+
+    inner()
+
+
+@pytest.mark.parametrize("field", FIELDS + [FIELD_FRAC], ids=["e1", "e2", "e3", "e2_frac"])
+def test_matrix_times_element_matches_scalar_matrix_product(field):
+    # KMat * KElem multiplies the column view by the element's coordinates
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def inner(data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        x = _matrix_over(data, field, n, m, data.draw(st.sampled_from([1, 4, 7])))
+        c = _matrix_over(data, field, 1, 1, data.draw(st.sampled_from([1, 2, 5]))).rows[0][0]
+        got = x * c
+        assert got == x * KMat.scalar(field, m, c)
+        assert got == KMat.from_rows(field, [[a * c for a in row] for row in x.rows])
+
+    inner()
+
+
 def test_sum_products_of_zero_matrices_is_zero():
     field = FIELD_FRAC
     zero = KMat.zero(field, 2, 3)

@@ -14,9 +14,9 @@ from prismstrat.errors import BadConstantTerm, NonUnit, ShapeMismatch
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
-from prismstrat.series import Trunc
+from prismstrat.series import Trunc, key_sums
 
-from oracles import binomial_power_per_key, truncate
+from oracles import binomial_power_per_key, key_sums_stacked, truncate
 
 F = field_init(3, [-3, 1])
 FQ = field_init(3, [-3, 0, 1])
@@ -423,5 +423,29 @@ def test_series_times_matrix_matches_per_key_reference(field):
         assert not any(c.is_zero() for c in got.coeffs.values())
         c = mat.rows[0][-1]
         assert x * c == _reference_scaled(x, KMat.scalar(field, size, c))
+
+    inner()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_key_sums_matches_stacked_reference(field):
+    # one sum per key over its nonzero 1 x 1 entries, against the table
+    # stacked with blocks and sliced back with submatrix; a key may have
+    # only zero entries, and entries and matrices have unequal denominators
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def inner(data):
+        n_mats, r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        dens = st.sampled_from([1, 2, 5])
+        mats = [_draw_kmat(data, field, r, c) * Fraction(1, data.draw(dens)) for _ in range(n_mats)]
+        table = {}
+        for key in range(data.draw(st.integers(1, 5))):
+            entries = [_draw_kmat(data, field, 1, 1) * Fraction(1, 7) ** j for j in range(n_mats)]
+            zeros = data.draw(st.lists(st.booleans(), min_size=n_mats, max_size=n_mats))
+            table[key] = [KMat.zero(field, 1) if z else t for t, z in zip(entries, zeros)]
+        table["zero"] = [KMat.zero(field, 1)] * n_mats
+        got = key_sums(table, mats)
+        assert got == key_sums_stacked(table, mats)
+        assert got["zero"] == KMat.zero(field, r, c)
 
     inner()

@@ -270,13 +270,13 @@ def test_cocycle_residual_matches_face_maps(field, data):
 
 def test_cocycle_residual_takes_one_two_variable_ring_product(monkeypatch):
     # the face-map route takes one product per shift p - q, 17 at T=5, D=12
-    ring_product, n_vars = series._ring_product, []
+    ring_sum, n_vars = series.ring_sum, []
 
-    def counting(x, y):
-        n_vars.append(x.n_vars)
-        return ring_product(x, y)
+    def counting(pairs):
+        n_vars.extend(x.n_vars for x, _ in pairs)
+        return ring_sum(pairs)
 
-    monkeypatch.setattr(series, "_ring_product", counting)
+    monkeypatch.setattr(series, "ring_sum", counting)
     ctx = CosimpCtx(F2, Trunc(5, 12))
     seeds = scalar_seeds(F2, [Fraction(2, 3), -1, Fraction(1, 2), 3, -2])
     U = assemble_epsilon(generate_Amn(seeds, ctx, 12), ctx)
