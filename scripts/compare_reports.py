@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Compare the CLI reports of two source trees, byte for byte.
+
+    python3 scripts/compare_reports.py --parent HEAD~1
+    python3 scripts/compare_reports.py --parent ../old/src --seeded 100 --commands closed-form
+    python3 scripts/compare_reports.py --parent HEAD~1 big_r2.json big_r3.json
+
+`--parent` is a git revision, whose `src/` is exported with `git archive`,
+or a directory that holds the `prismstrat` package (a copy of `src/`).
+The tree under test is this checkout's `src/`.
+
+Every single-spec file (the SPEC arguments, by default the files of
+`specs/`) runs `gen`, `cocycle`, `closed-form`, `h0`, `sen` and
+`conjecture` (or the `--commands` subset); a spec file with `instances`
+runs `sweep` once.  `--seeded N` adds N specs built with the helpers of
+`bench/specgen.py` at e = 1, 2, 3, rank 1-3, T 1-8, D 0-6: commuting
+seeds, except 1 in 8 non-commuting where rank and T are at least 2, and
+every third spec with `options.m_max = T - 1`.  Each
+run is a fresh interpreter.  The script prints every (spec, command)
+whose exit code or stdout bytes differ between the trees and the median
+wall time of each command in both, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+import specgen  # noqa: E402
+
+COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture")
+E_RATIONAL = ["-3", "1"]  # x - 3, e = 1
+RUN_TIMEOUT = 600
+
+
+def export_revision(rev: str, into: Path) -> Path:
+    """Extract src/ of a git revision into `into`; returns into / "src"."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return into / "src"
+
+
+def seeded_spec(index: int) -> dict:
+    """One small spec from the specgen helpers; depends only on index."""
+    rng = random.Random(f"compare:{index}")
+    e_coeffs = rng.choice((E_RATIONAL, specgen.E_RAMIFIED_2, specgen.E_RAMIFIED_3))
+    rank, t, x = rng.randint(1, 3), rng.randint(1, 8), rng.randint(0, 6)
+    if index % 8 == 7 and rank >= 2 and t >= 2:  # general_seeds never returns for one seed
+        seeds = specgen.general_seeds(rng, rank, t)
+    else:
+        seeds = specgen.commuting_seeds(rng, rank, t)
+    options = {"m_max": t - 1} if index % 3 == 0 else None
+    return specgen.make_spec(e_coeffs, seeds, t, x, options=options)
+
+
+def run_cli(pythonpath: Path, command: str, spec: Path) -> tuple[int, bytes, float]:
+    env = dict(os.environ, PYTHONPATH=str(pythonpath))
+    argv = [sys.executable, "-m", "prismstrat.cli", command, "--spec", str(spec)]
+    started = time.perf_counter()
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=RUN_TIMEOUT)
+    return proc.returncode, proc.stdout, time.perf_counter() - started
+
+
+def jobs(specs: list[Path], commands: tuple[str, ...]) -> list[tuple[Path, str]]:
+    out = []
+    for spec in specs:
+        if "instances" in json.loads(spec.read_text()):
+            out.append((spec, "sweep"))
+        else:
+            out += [(spec, command) for command in commands]
+    return out
+
+
+def compare(parent: Path, tree: Path, runs: list[tuple[Path, str]]) -> int:
+    """Run every job on both trees; print differences and median times."""
+    times: dict[str, dict[str, list[float]]] = {}
+    differences = 0
+    for spec, command in runs:
+        code_a, out_a, time_a = run_cli(parent, command, spec)
+        code_b, out_b, time_b = run_cli(tree, command, spec)
+        times.setdefault(command, {"parent": [], "tree": []})
+        times[command]["parent"].append(time_a)
+        times[command]["tree"].append(time_b)
+        if (code_a, out_a) != (code_b, out_b):
+            differences += 1
+            print(f"DIFFER {spec.name} {command}: exit {code_a} -> {code_b}, stdout {len(out_a)} -> {len(out_b)} bytes")
+    print(f"{'command':<12} {'runs':>5} {'parent_s':>9} {'tree_s':>9}")
+    for command, t in times.items():
+        print(f"{command:<12} {len(t['tree']):>5} {statistics.median(t['parent']):>9.3f} {statistics.median(t['tree']):>9.3f}")
+    print(f"{differences} of {len(runs)} runs differ")
+    return 1 if differences else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision or directory of the reference tree")
+    parser.add_argument("--seeded", type=int, default=0, help="number of seeded specs to add")
+    parser.add_argument("--commands", default=",".join(COMMANDS), help="comma-separated single-spec commands")
+    parser.add_argument("specs", nargs="*", type=Path, help="spec files (default: specs/*.json)")
+    args = parser.parse_args(argv)
+    commands = tuple(args.commands.split(","))
+    if unknown := set(commands) - set(COMMANDS):
+        parser.error(f"unknown commands {sorted(unknown)}")
+    with tempfile.TemporaryDirectory(prefix="compare_reports_") as tmp:
+        work = Path(tmp)
+        parent = Path(args.parent)
+        if not parent.is_dir():
+            parent = export_revision(args.parent, work / "parent")
+        elif not (parent / "prismstrat" / "cli.py").is_file():
+            parser.error(f"no prismstrat package in {parent}")
+        specs = args.specs or sorted((ROOT / "specs").glob("*.json"))
+        for index in range(args.seeded):
+            path = work / f"seeded_{index:03d}.json"
+            path.write_text(json.dumps(seeded_spec(index), sort_keys=True))
+            specs.append(path)
+        return compare(parent, ROOT / "src", jobs(specs, commands))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

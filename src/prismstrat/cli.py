@@ -6,7 +6,8 @@ computation error; failures emit a structured {"error": {...}} object.
 Reports are byte-deterministic (sorted keys, canonical rationals).  A sweep
 runs its first instance in this process, then forks workers - 1 children,
 which inherit the warm process and its contexts; every worker runs a strided
-share, and results come back in instance order, independent of --jobs.
+share.  `flagged` lists instances in instance order and `results` is sorted
+by str(id) (an instance without id has its index), both independent of --jobs.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .stratification import (
 )
 
 COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep", "validate")
-# Largest accepted sizes, so that every spec runs in bounded work: the
+# Largest accepted sizes, to bound the work of a spec (README: limits): the
 # t-order T, the pd degree D, the rank l, T * D * l, the degree e of E, the
 # p-adic precision, the digits of the reduced numerator and denominator of
 # each input rational and each integer option, and the length plus decimal

@@ -14,24 +14,23 @@ summation-reordering proof: every sum over the inner index c of
 
     falling_factorial(c, i) * prod_{t=f+1}^{m-1} ((c-t) beta + A_{0,1})
 
-is converted into the target basis by the scalar tables g^j_{m,f,i}
-(f_{m,j} = g^j_{m,0,0}), and the extra factor c from the theta terms is
-absorbed with c*FF(c,i) = FF(c,i+1) + i*FF(c,i).  After the conversion,
-the linear factors (-t beta + A_{0,1}) left in a term from h_{f,i} with
-kernel index i' and target j run over one explicit integer range,
-t = f-i'+1 .. u with u = max(f-i, 0) for j <= m and u = m-j for j > m;
-so the construction only multiplies and never divides by a
-possibly-singular matrix.
+is converted into the target basis by the scalars
 
-The scalar tables g come from their closed form.  The tests rebuild
-them by induction and require the two to agree; that pins down the beta
-exponent in g, which is easy to mis-transcribe.
+    g^j_{m,f,i} = C(m-f-1, j-i-1) beta^(j-i-1) / j    (f_{m,j} = g^j_{m,0,0}),
+
+and the extra factor c from the theta terms is absorbed with c*FF(c,i) =
+FF(c,i+1) + i*FF(c,i).  After the conversion, the linear factors
+(-t beta + A_{0,1}) left in a term from h_{f,i} with kernel index i' and
+target j run over one explicit integer range, t = f-i'+1 .. u with
+u = max(f-i, 0) for j <= m and u = m-j for j > m; so the construction
+only multiplies and never divides by a possibly-singular matrix.  The
+tests rebuild g by induction, which pins down its beta exponent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 from .cosimplicial import CosimpCtx, alpha_sum, binom
@@ -44,52 +43,21 @@ from .stratification import Seeds, StratTable, assemble_epsilon, generate_Amn
 
 
 # ---------------------------------------------------------------------------
-# scalar tables f and g
+# the scalar g and the h table
 # ---------------------------------------------------------------------------
 
 
-class FGTables:
-    """g^j_{m,f,i} in K, with f_{m,i} = g^i_{m,0,0}, from the closed form
-
-        g^j_{m,f,i} = beta^(j-i-1)/(j (j-i-1)!) * (m-(f+1)) ... (m-(f+j-i-1))
-
-    for m >= f+1 and i+1 <= j <= m-f+i; zero otherwise.  The tests check it
-    against the induction g^j_{m+1,f,i} = g^j_{m,f,i} + (beta - beta/j)
-    g^(j-1)_{m,f,i} from the base row g^(i+1)_{f+1,f,i} = 1/(i+1).
-    """
-
-    def __init__(self, field: FieldDesc):
-        self.field = field
-        self._closed_cache: dict = {}
-
-    def g(self, m: int, f: int, i: int, j: int) -> KElem:
-        key = (m, f, i, j)
-        if key not in self._closed_cache:
-            self._closed_cache[key] = self._closed(m, f, i, j)
-        return self._closed_cache[key]
-
-    def _closed(self, m: int, f: int, i: int, j: int) -> KElem:
-        field = self.field
-        if m < f + 1 or j < i + 1 or j > m - f + i:
-            return field.zero
-        r = j - i - 1
-        num = 1
-        for k in range(1, r + 1):
-            num *= m - (f + k)
-        scale = Fraction(num, j * factorial(r))
-        return field.beta**r * scale
-
-
-# ---------------------------------------------------------------------------
-# the h table
-# ---------------------------------------------------------------------------
+def g(field: FieldDesc, m: int, f: int, i: int, j: int, beta_pows=None) -> KElem:
+    """g^j_{m,f,i} for m >= f+1 and i+1 <= j <= m-f+i, zero elsewhere;
+    beta_pows[r] = beta^r, if given, saves building the power."""
+    if m < f + 1 or not i + 1 <= j <= m - f + i:
+        return field.zero
+    r = j - i - 1
+    return (field.beta**r if beta_pows is None else beta_pows[r]) * Fraction(comb(m - f - 1, r), j)
 
 
 class HTable(NamedTuple):
-    """h[m][j] for 1 <= j <= 2m (h[0][0] = I), as matrices over K.
-
-    h_tilde merges in the A_{0,j-m} factor for j > m.
-    """
+    """h[m][j] for 1 <= j <= 2m (h[0][0] = I), as matrices over K."""
 
     field: FieldDesc
     l: int
@@ -99,12 +67,6 @@ class HTable(NamedTuple):
     def at(self, m: int, j: int) -> KMat:
         return self.h.get(m, {}).get(j, KMat.zero(self.field, self.l))
 
-    def h_tilde(self, m: int, j: int) -> KMat:
-        base = self.at(m, j)
-        if j <= m or base.is_zero():
-            return base
-        return base * _linear_product(self.field, self.seeds.a01, range(m - j + 1, 1))
-
     def to_json(self) -> dict:
         out = {}
         for m in sorted(self.h):
@@ -113,52 +75,53 @@ class HTable(NamedTuple):
         return out
 
 
-def _linear_product(field: FieldDesc, a01: KMat, ts) -> KMat:
-    """prod_{t in ts} (-t beta + A_{0,1}); A_{0,k} is ts = range(1-k, 1)."""
-    l = a01.nrows
-    acc = KMat.identity(field, l)
-    for t in ts:
-        acc = (KMat.scalar(field, l, field.beta * (-t)) + a01) * acc
-    return acc
-
-
 def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int) -> HTable:
-    """Fill h[m][j] for m <= m_max by the summation-reordering induction."""
+    """Fill h[m][j] for m <= m_max by the summation-reordering induction.
+    The terms of row m that share (f, i', max(f-i, 0)) are summed into one
+    kappa, which every j <= m takes times one product of linear factors;
+    for j > m the product gains one factor per step of j down from m-f+i'.
+    theta_{1,s} is known for s < t_order only, hence t_order > m_max."""
     if not seeds.commutative():
         raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
     if len(seeds.A1) <= m_max:
         raise ShapeMismatch(f"need seeds up to A_({m_max},1)")
-    field = ctx.field
-    l = seeds.l
-    a01 = seeds.a01
-    tables = FGTables(field)
+    if ctx.trunc.t_order <= m_max:
+        raise ShapeMismatch("need t_order > m_max")
+    field, l, a01 = ctx.field, seeds.l, seeds.a01
+    linear = {t: KMat.scalar(field, l, field.beta * -t) + a01 for t in range(-m_max, m_max + 1)}
+    beta_pows = [field.one]
+    for _ in range(1, m_max):
+        beta_pows.append(beta_pows[-1] * field.beta)
     h: dict[int, dict[int, KMat]] = {0: {0: KMat.identity(field, l)}}
     for m in range(1, m_max + 1):
-        # contributions (f, kernel index i', coefficient matrix, max(f - i, 0))
-        contribs: list[tuple[int, int, KMat, int]] = [(0, 0, seeds.A1[m], 0)]
-        for f in range(1, m):
-            for i, hfi in h[f].items():
-                contribs.append((f, i, seeds.A1[m - f] * hfi, max(f - i, 0)))
-        for f in range(0, m):
-            th = ctx.theta_at(1, m - f)
-            if th.is_zero():
-                continue
+        # (f, i', top) -> the pairs whose products sum to its kappa
+        groups: dict[tuple[int, int, int], list] = {}
+        for f in range(m):
+            th = KMat.scalar(field, l, ctx.theta_at(1, m - f))
             for i, hfi in h[f].items():
                 top = max(f - i, 0)
-                contribs.append((f, i + 1, hfi * th, top))
+                groups.setdefault((f, i, top), []).append((seeds.A1[m - f], hfi))
+                groups.setdefault((f, i + 1, top), []).append((hfi, th))
                 if i != f:
-                    contribs.append((f, i, hfi * (th * (i - f)), top))
+                    groups[f, i, top].append((hfi, th * (i - f)))
         row: dict[int, list] = {}
-        for f, ip, kappa, top in contribs:
+        for (f, ip, top), pairs in groups.items():
+            kappa = sum_products(pairs)
             if kappa.is_zero():
                 continue
-            for j in range(max(ip + 1, 1), m - f + ip + 1):
-                gj = tables.g(m, f, ip, j)
-                if gj.is_zero():
-                    continue
-                u = top if j <= m else m - j
-                factors = _linear_product(field, a01, range(f - ip + 1, u + 1)) * gj
-                row.setdefault(j, []).append((kappa, factors))
+            chains = []
+            if ip < m:
+                low = kappa
+                for t in range(f - ip + 1, top + 1):
+                    low = linear[t] * low
+                chains += [(j, low) for j in range(ip + 1, min(m, m - f + ip) + 1)]
+            high = kappa
+            for j in range(m - f + ip, max(m, ip), -1):
+                if j < m - f + ip:
+                    high = linear[m - j] * high
+                chains.append((j, high))
+            for j, chain in chains:
+                row.setdefault(j, []).append((chain, KMat.scalar(field, l, g(field, m, f, ip, j, beta_pows))))
         h[m] = {j: mat for j, pairs in row.items() if not (mat := sum_products(pairs)).is_zero()}
     return HTable(field, l, seeds, h)
 
@@ -191,7 +154,13 @@ def closedform_series(htable: HTable, m: int, ctx: CosimpCtx, pd_degree: int | N
         return growth
     # sum_j h~_{m,j} (1 - beta X)^(m-j) X^j, with X^i X^j = (i+j)! X^[i+j]: its
     # X^[n] coefficient is sum_{j<=n} h~_{m,j} C(m-j, n-j) (-beta)^(n-j) n!
-    h = {j: hj for j in range(1, 2 * m + 1) if not (hj := htable.h_tilde(m, j)).is_zero()}
+    # h~_{m,j} = h_{m,j} A_{0,j-m} for j > m, A_{0,s} being the X^[s]
+    # coefficient of the growth series; only j <= n <= deg is read
+    h = {}
+    for j in range(1, min(2 * m, deg) + 1):
+        hj = htable.at(m, j) if j <= m else htable.at(m, j) * growth.coeff(0, (j - m,))
+        if not hj.is_zero():
+            h[j] = hj
     neg_beta_pows = [field.one]
     for _ in range(deg):
         neg_beta_pows.append(neg_beta_pows[-1] * -field.beta)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb
 
 from prismstrat import closedform
-from prismstrat.closedform import FGTables, _linear_product, row_series
+from prismstrat.closedform import HTable, g, row_series
 from prismstrat.cohomology import full_condition_rows
 from prismstrat.errors import ShapeMismatch
 from prismstrat.field import INF, FieldDesc, KElem, PadicApprox
@@ -202,10 +202,9 @@ def conjecture_residual_per_k(seeds, ctx, k_max: int) -> tuple[dict, dict]:
 # -- the scalar tables f and g by induction -------------------------------------
 
 
-def g_inductive_row(tables: FGTables, m: int, f: int, i: int) -> dict[int, KElem]:
+def g_inductive_row(field: FieldDesc, m: int, f: int, i: int) -> dict[int, KElem]:
     """{j: g^j_{m,f,i}} built purely from the induction
     g^j_{m+1,f,i} = g^j_{m,f,i} + (beta - beta/j) g^(j-1)_{m,f,i}."""
-    field = tables.field
     beta = field.beta
     if m < f + 1:
         return {}
@@ -222,7 +221,7 @@ def g_inductive_row(tables: FGTables, m: int, f: int, i: int) -> dict[int, KElem
     return row
 
 
-def fg_dual_check(tables: FGTables, m_max: int, i_max: int | None = None) -> dict:
+def fg_dual_check(field: FieldDesc, m_max: int, i_max: int | None = None) -> dict:
     """Compare closed form vs induction for all m <= m_max; exact."""
     mismatches = []
     checked = 0
@@ -230,23 +229,60 @@ def fg_dual_check(tables: FGTables, m_max: int, i_max: int | None = None) -> dic
         imax = i_max if i_max is not None else 2 * f + 2
         for i in range(0, imax + 1):
             for m in range(f + 1, m_max + 1):
-                ind = g_inductive_row(tables, m, f, i)
+                ind = g_inductive_row(field, m, f, i)
                 for j in range(0, m - f + i + 2):
-                    a = tables.g(m, f, i, j)
-                    b = ind.get(j, tables.field.zero)
+                    a = g(field, m, f, i, j)
+                    b = ind.get(j, field.zero)
                     checked += 1
                     if a != b:
                         mismatches.append((m, f, i, j))
     return {"ok": not mismatches, "checked": checked, "mismatches": mismatches}
 
 
-def fg_coeffs(field: FieldDesc, m_max: int) -> FGTables:
-    """Build the scalar tables, verifying closed form against induction."""
-    tables = FGTables(field)
-    report = fg_dual_check(tables, m_max)
+def fg_coeffs(field: FieldDesc, m_max: int) -> None:
+    """Require the closed form of g to match the induction for m <= m_max."""
+    report = fg_dual_check(field, m_max)
     if not report["ok"]:
         raise AssertionError(f"f/g dual-path disagreement: {report['mismatches']}")
-    return tables
+
+
+# -- the h table, one product of linear factors per term and target ------------
+
+
+def _linear_product(field: FieldDesc, a01: KMat, ts) -> KMat:
+    """prod_{t in ts} (-t beta + A_{0,1}); A_{0,k} is ts = range(1-k, 1)."""
+    l = a01.nrows
+    acc = KMat.identity(field, l)
+    for t in ts:
+        acc = (KMat.scalar(field, l, field.beta * (-t)) + a01) * acc
+    return acc
+
+
+def h_table_per_target(seeds, ctx, m_max: int) -> HTable:
+    """The h table with every (term, target j) pair built on its own: each
+    term kappa of row m goes to target j as kappa g^j_{m,f,i'} times its own
+    product of linear factors prod_{t=f-i'+1}^{u}, u = max(f-i, 0) for
+    j <= m and u = m-j for j > m."""
+    field, l, a01 = ctx.field, seeds.l, seeds.a01
+    h = {0: {0: KMat.identity(field, l)}}
+    for m in range(1, m_max + 1):
+        # terms (f, kernel index i', kappa, max(f - i, 0))
+        terms = []
+        for f in range(m):
+            th = ctx.theta_at(1, m - f)
+            for i, hfi in h[f].items():
+                top = max(f - i, 0)
+                terms += [(f, i, seeds.A1[m - f] * hfi, top), (f, i + 1, hfi * th, top)]
+                if i != f:
+                    terms.append((f, i, hfi * (th * (i - f)), top))
+        row: dict[int, KMat] = {}
+        for f, ip, kappa, top in terms:
+            for j in range(ip + 1, m - f + ip + 1):
+                u = top if j <= m else m - j
+                factors = _linear_product(field, a01, range(f - ip + 1, u + 1)) * g(field, m, f, ip, j)
+                row[j] = row.get(j, KMat.zero(field, l)) + kappa * factors
+        h[m] = {j: mat for j, mat in row.items() if not mat.is_zero()}
+    return HTable(field, l, seeds, h)
 
 
 # -- polynomial-in-s identity checks for the summation identities -------------
@@ -264,7 +300,6 @@ def lemma_identity_check(
     kind: str,
     a01: KMat,
     params: dict,
-    tables: FGTables | None = None,
     s_samples: list[int] | None = None,
 ) -> dict:
     """Evaluate both sides of a summation identity at integer samples s.
@@ -272,7 +307,6 @@ def lemma_identity_check(
     Both sides are polynomials in s of degree <= m+i+1, so agreement on
     degree+1 samples certifies the identity for the given A_{0,1}.
     """
-    tables = tables or FGTables(field)
     l = a01.nrows
 
     if kind == "change_m":
@@ -296,9 +330,7 @@ def lemma_identity_check(
             lhs = lhs + factors * _falling_factorial(c, i)
         rhs = KMat.zero(field, l)
         for j in range(i + 1, m - f + i + 1):
-            gj = tables.g(m, f, i, j)
-            if gj.is_zero():
-                continue
+            gj = g(field, m, f, i, j)
             factors = _linear_product(field, a01, range(f - i + 1, m - j + 1))
             rhs = rhs + factors * (_falling_factorial(s, j) * gj)
         if lhs != rhs:

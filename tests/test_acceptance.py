@@ -13,7 +13,6 @@ from math import comb
 import pytest
 
 from prismstrat.closedform import (
-    FGTables,
     closedform_series,
     conjecture_residual,
     exponential_sum_series,
@@ -248,17 +247,14 @@ def test_criterion_7_fg_dual_paths():
     """f/g closed form vs induction for m <= 12, plus sampled lemma checks."""
     started = time.monotonic()
     for field in FIELDS:
-        tables = FGTables(field)
-        report = fg_dual_check(tables, 12)
+        report = fg_dual_check(field, 12)
         assert report["ok"], report["mismatches"]
         a01 = KMat.scalar(field, 1, field.from_rational(Fraction(3, 2)))
         for m in (1, 3, 5):
-            rep = lemma_identity_check(field, "change_m", a01, {"m": m}, tables)
+            rep = lemma_identity_check(field, "change_m", a01, {"m": m})
             assert rep["ok"], rep
         for m, f, i in [(3, 1, 0), (4, 2, 2), (5, 1, 3)]:
-            rep = lemma_identity_check(
-                field, "change_mfi", a01, {"m": m, "f": f, "i": i}, tables
-            )
+            rep = lemma_identity_check(field, "change_mfi", a01, {"m": m, "f": f, "i": i})
             assert rep["ok"], rep
         mat = KMat.from_rows(
             field,

@@ -703,6 +703,12 @@ def _ill_typed(path: tuple, value) -> bool:
     return path in _LIST_PATHS and not isinstance(value, list)
 
 
+_BASES = {name: json.loads((SPECS / f"{name}.json").read_text()) for name in ("cocycle_e1", "commuting_e3")}
+# T = 4 with A_(0,1) .. A_(5,1): the first two seeds repeated at the end
+_SEEDS_E3 = _BASES["commuting_e3"]["seeds"]
+_BASES["commuting_e3_six_seeds"] = {**_BASES["commuting_e3"], "seeds": _SEEDS_E3 + _SEEDS_E3[:2]}
+
+
 @settings(max_examples=40, deadline=5000, derandomize=True)
 @given(name=st.sampled_from(["cocycle_e1", "commuting_e3"]), path=st.sampled_from(_PATHS), value=_VALUE)
 @example(name="commuting_e3", path=("seeds", 0, -1), value=["3"])
@@ -710,13 +716,15 @@ def _ill_typed(path: tuple, value) -> bool:
 @example(name="cocycle_e1", path=("trunc", "x"), value=0)
 @example(name="cocycle_e1", path=("p",), value=3.0)
 @example(name="cocycle_e1", path=("E_coeffs",), value="301")
+@example(name="commuting_e3_six_seeds", path=("options", "m_max"), value=4)
 def test_mutated_spec_keeps_cli_contract(tmp_path_factory, name, path, value):
     # every single-spec command exits 0, 2 or 3 with a JSON report, and an
     # "error" object on failure; a value of the wrong JSON type exits 2
     # (validate: a failed parse check).  The explicit examples are ragged
-    # seed rows, pd degree 0, a float p and a string E_coeffs
+    # seed rows, pd degree 0, a float p, a string E_coeffs, and m_max = T
+    # with seeds beyond T
     tmp = tmp_path_factory.mktemp("contract")
-    spec = write_spec(tmp, _mutated(json.loads((SPECS / f"{name}.json").read_text()), path, value))
+    spec = write_spec(tmp, _mutated(_BASES[name], path, value))
     out = tmp / "out.json"
     for command in SINGLE_SPEC_COMMANDS:
         code = main([command, "--spec", spec, "--out", str(out)])
@@ -783,6 +791,16 @@ def test_h0_checks_seeds_before_pd_degree(tmp_path):
     assert run("h0", write_spec(tmp_path, data), out) == 2
     error = json.loads(open(out).read())["error"]
     assert error == {"type": "SeedShapeMismatch", "message": "need seeds A_(m,1) for all m < 3, got 2"}
+
+
+def test_closed_form_with_m_max_at_t_order_exits_2(tmp_path):
+    # theta_{1,s} is known for s < T only, so m_max >= T is refused even
+    # when the seeds reach A_(m_max,1)
+    spec = write_spec(tmp_path, {**_BASES["commuting_e3_six_seeds"], "options": {"m_max": 4}})
+    out = str(tmp_path / "out.json")
+    assert run("closed-form", spec, out) == 2
+    error = json.loads(open(out).read())["error"]
+    assert error == {"type": "ShapeMismatch", "message": "need t_order > m_max"}
 
 
 def test_pd_degree_zero(tmp_path):

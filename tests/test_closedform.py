@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from prismstrat import closedform
 from prismstrat.closedform import (
-    FGTables,
     ak_series,
     closedform_series,
     conjecture_difference,
     conjecture_residual,
     exponential_sum_series,
+    g,
     h_table,
     row_series,
     verify_commutative,
@@ -28,7 +28,7 @@ from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
 from prismstrat.stratification import Seeds, generate_Amn
 
-from oracles import conjecture_residual_per_k, fg_dual_check, lemma_identity_check, t_slice
+from oracles import conjecture_residual_per_k, fg_dual_check, h_table_per_target, lemma_identity_check, t_slice
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
@@ -47,24 +47,21 @@ def kconst(field, v):
 
 
 def test_f_base_values():
-    t1 = FGTables(F1)
-    t2 = FGTables(F2)
     for m in range(1, 9):
-        assert t1.g(m, 0, 0, 1) == F1.one
-        assert t2.g(m, 0, 0, 1) == F2.one
-    assert t2.g(2, 0, 0, 2) == F2.beta * Fraction(1, 2)
+        assert g(F1, m, 0, 0, 1) == F1.one
+        assert g(F2, m, 0, 0, 1) == F2.one
+    assert g(F2, 2, 0, 0, 2) == F2.beta * Fraction(1, 2)
 
 
 def test_g_base_case():
-    t = FGTables(F2)
     for f in range(0, 4):
         for i in range(0, 5):
-            assert t.g(f + 1, f, i, i + 1) == kconst(F2, Fraction(1, i + 1))
+            assert g(F2, f + 1, f, i, i + 1) == kconst(F2, Fraction(1, i + 1))
 
 
 @pytest.mark.parametrize("field", [F1, F2], ids=["e1", "e2"])
 def test_fg_dual_paths_agree(field):
-    report = fg_dual_check(FGTables(field), 8)
+    report = fg_dual_check(field, 8)
     assert report["ok"], report["mismatches"]
     assert report["checked"] > 100
 
@@ -109,11 +106,6 @@ def test_h_m2_matches_worked_example():
     assert ht.at(2, 3).rows[0][0] == expect23
     # h_{2,4} = theta_{1,1}^2/8
     assert ht.at(2, 4).rows[0][0] == th11 * th11 * Fraction(1, 8)
-    # h-tilde carries A_{0,j-m} for j > m
-    assert ht.h_tilde(2, 3).rows[0][0] == expect23 * k_a01
-    assert ht.h_tilde(2, 4).rows[0][0] == th11 * th11 * Fraction(1, 8) * k_a01 * (
-        beta + k_a01
-    )
 
 
 def test_h_vanishes_for_e1_zero_seeds():
@@ -433,6 +425,38 @@ def test_conjecture_residual_error_precedence():
         conjecture_residual(scalar_seeds(F1, [1, 2]), ctx, 5)
     with pytest.raises(ShapeMismatch, match=r"need seeds up to A_\(2,1\)"):
         conjecture_residual(scalar_seeds(F1, [1, 2]), ctx, 2)
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_h_table_matches_per_target_reference(field, data):
+    # seeds c_m I + d_m M of rank 1-3, or scalar seeds; m_max < T <= 7
+    rank = data.draw(st.integers(1, 3))
+    t_order = data.draw(st.integers(1, 7))
+    m_max = data.draw(st.integers(0, t_order - 1))
+
+    def q():
+        return field.from_rational(Fraction(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 4))))
+
+    scalar = data.draw(st.booleans())
+    m = KMat.zero(field, rank) if scalar else KMat.from_rows(field, [[q() for _ in range(rank)] for _ in range(rank)])
+    seeds = Seeds.of([KMat.scalar(field, rank, q()) + m * q() for _ in range(t_order)])
+    ctx = _ctx(field, t_order, 1)
+    assert h_table(seeds, ctx, m_max).h == h_table_per_target(seeds, ctx, m_max).h
+
+
+def test_h_table_error_precedence():
+    ctx = CosimpCtx(F1, Trunc(3, 4))
+    a01 = KMat.from_rows(F1, [[F1.one, F1.one], [F1.zero, F1.one]])
+    a11 = KMat.from_rows(F1, [[F1.zero, F1.one], [F1.one, F1.zero]])
+    with pytest.raises(NonCommutingSeeds, match="must commute"):
+        h_table(Seeds.of([a01, a11, a11]), ctx, 5)
+    with pytest.raises(ShapeMismatch, match=r"need seeds up to A_\(5,1\)"):
+        h_table(scalar_seeds(F1, [1, 2, 3]), ctx, 5)
+    # theta_{1,s} is known for s < T only
+    with pytest.raises(ShapeMismatch, match="need t_order > m_max"):
+        h_table(scalar_seeds(F1, [1, 2, 3, 4, 5]), ctx, 3)
 
 
 def test_row_series_matches_table():

@@ -1,0 +1,41 @@
+"""scripts/compare_reports.py: same trees compare equal, a planted change is reported."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "compare_reports.py"
+TINY = {
+    "tiny_e2": {"E_coeffs": ["-3", "0", "1"], "rank": 1, "seeds": [[["1/2"]], [["2/3"]]], "trunc": {"t": 2, "x": 2}},
+    "tiny_e1": {"E_coeffs": ["-3", "1"], "rank": 1, "seeds": [[["-1"]], [["5/7"]]], "trunc": {"t": 2, "x": 3}},
+}
+
+
+def _compare(tmp_path, parent):
+    specs = []
+    for name, spec in TINY.items():
+        specs.append(tmp_path / f"{name}.json")
+        specs[-1].write_text(json.dumps({"p": 3, "padic_prec": 8, **spec}))
+    argv = [sys.executable, str(SCRIPT), "--parent", str(parent), "--commands", "gen,closed-form", *map(str, specs)]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=120)
+
+
+def test_compare_reports_finds_only_the_planted_change(tmp_path):
+    parent = tmp_path / "parent"
+    shutil.copytree(ROOT / "src", parent, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    same = _compare(tmp_path, parent)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert "DIFFER" not in same.stdout and "0 of 4 runs differ" in same.stdout
+
+    closedform = parent / "prismstrat" / "closedform.py"
+    source = closedform.read_text()
+    assert 'out[f"{m},{j}"]' in source
+    closedform.write_text(source.replace('out[f"{m},{j}"]', 'out[f"{m};{j}"]'))
+    planted = _compare(tmp_path, parent)
+    assert planted.returncode == 1, planted.stdout + planted.stderr
+    differ = sorted(line.split(":")[0] for line in planted.stdout.splitlines() if line.startswith("DIFFER"))
+    assert differ == ["DIFFER tiny_e1.json closed-form", "DIFFER tiny_e2.json closed-form"]
+    assert "2 of 4 runs differ" in planted.stdout
