@@ -14,11 +14,14 @@ Every single-spec file (the SPEC arguments, by default the files of
 `conjecture` (or the `--commands` subset); a spec file with `instances`
 runs `sweep` once.  `--seeded N` adds N specs built with the helpers of
 `bench/specgen.py` at e = 1, 2, 3, rank 1-3, T 1-8, D 0-6: commuting
-seeds, except 1 in 8 non-commuting where rank and T are at least 2, and
-every third spec with `options.m_max = T - 1`.  Each
-run is a fresh interpreter.  The script prints every (spec, command)
-whose exit code or stdout bytes differ between the trees and the median
-wall time of each command in both, and exits 1 on any difference.
+seeds, except 1 in 8 non-commuting where rank and T are at least 2 and
+1 in 4 weight seeds (see `weight_seeds`), whose `h0` has dim > 0 when a
+weight is below T and whose `closed-form` runs on a non-scalar A_{0,1};
+every third spec has `options.m_max = T - 1`.  Each run is a fresh
+interpreter.  The script prints every (spec, command) whose exit code or
+stdout bytes differ between the trees, the median wall time of each
+command in both and how many seeded `h0` reports have dim > 0, and exits
+1 on any difference.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,16 +59,45 @@ def export_revision(rev: str, into: Path) -> Path:
     return into / "src"
 
 
+def weight_seeds(rng: random.Random, e_coeffs: list[str], rank: int, t: int) -> list:
+    """JSON seeds with Sen weights m_i in [0, T]: A_{0,1} is upper triangular
+    with diagonal m_i beta and specgen rationals above it, and A_{m,1} =
+    c_m I + d_m A_{0,1}.  Entries are coordinate lists over 1, pi, ...,
+    pi^(e-1); beta = E'(pi) = sum_k k c_k pi^(k-1) has degree < e, so it
+    needs no reduction mod E."""
+    beta = [k * Fraction(c) for k, c in enumerate(e_coeffs)][1:]
+
+    def rational(q) -> list:
+        return [Fraction(q)] + [Fraction(0)] * (len(beta) - 1)
+
+    a01 = [[rational(0) for _ in range(rank)] for _ in range(rank)]
+    for i in range(rank):
+        a01[i][i] = [rng.randint(0, t) * b for b in beta]
+        for j in range(i + 1, rank):
+            a01[i][j] = rational(specgen.nonzero_rational(rng))
+    seeds = [a01]
+    for _ in range(1, t):
+        c, d = specgen.nonzero_rational(rng), specgen.nonzero_rational(rng)
+        seed = [[[d * a for a in entry] for entry in row] for row in a01]
+        for i in range(rank):
+            seed[i][i][0] += c
+        seeds.append(seed)
+    return [[[[str(a) for a in entry] for entry in row] for row in mat] for mat in seeds]
+
+
 def seeded_spec(index: int) -> dict:
     """One small spec from the specgen helpers; depends only on index."""
     rng = random.Random(f"compare:{index}")
     e_coeffs = rng.choice((E_RATIONAL, specgen.E_RAMIFIED_2, specgen.E_RAMIFIED_3))
     rank, t, x = rng.randint(1, 3), rng.randint(1, 8), rng.randint(0, 6)
+    options = {"m_max": t - 1} if index % 3 == 0 else None
+    if index % 4 == 1:  # make_spec writes each entry as one rational, not a coordinate list
+        spec = specgen.make_spec(e_coeffs, [[[0] * rank] * rank], t, x, options=options)
+        return {**spec, "seeds": weight_seeds(rng, e_coeffs, rank, t)}
     if index % 8 == 7 and rank >= 2 and t >= 2:  # general_seeds never returns for one seed
         seeds = specgen.general_seeds(rng, rank, t)
     else:
         seeds = specgen.commuting_seeds(rng, rank, t)
-    options = {"m_max": t - 1} if index % 3 == 0 else None
     return specgen.make_spec(e_coeffs, seeds, t, x, options=options)
 
 
@@ -89,10 +122,13 @@ def jobs(specs: list[Path], commands: tuple[str, ...]) -> list[tuple[Path, str]]
 def compare(parent: Path, tree: Path, runs: list[tuple[Path, str]]) -> int:
     """Run every job on both trees; print differences and median times."""
     times: dict[str, dict[str, list[float]]] = {}
-    differences = 0
+    differences = seeded_h0 = h0_with_dim = 0
     for spec, command in runs:
         code_a, out_a, time_a = run_cli(parent, command, spec)
         code_b, out_b, time_b = run_cli(tree, command, spec)
+        if command == "h0" and spec.name.startswith("seeded_"):
+            seeded_h0 += 1
+            h0_with_dim += code_b == 0 and json.loads(out_b)["solution"]["dim"] > 0
         times.setdefault(command, {"parent": [], "tree": []})
         times[command]["parent"].append(time_a)
         times[command]["tree"].append(time_b)
@@ -102,6 +138,8 @@ def compare(parent: Path, tree: Path, runs: list[tuple[Path, str]]) -> int:
     print(f"{'command':<12} {'runs':>5} {'parent_s':>9} {'tree_s':>9}")
     for command, t in times.items():
         print(f"{command:<12} {len(t['tree']):>5} {statistics.median(t['parent']):>9.3f} {statistics.median(t['tree']):>9.3f}")
+    if seeded_h0:
+        print(f"{h0_with_dim} of {seeded_h0} seeded h0 reports have dim > 0")
     print(f"{differences} of {len(runs)} runs differ")
     return 1 if differences else 0
 

@@ -50,7 +50,8 @@ COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep",
 # p-adic precision, the digits of the reduced numerator and denominator of
 # each input rational and each integer option, and the length plus decimal
 # exponent of each number string (they bound the digits Fraction builds).
-# Below the floor of an option, its command would check nothing or fail.
+# Below the floor of an option, its command would check nothing or fail;
+# m_max and k_max are also refused at or above T.
 MAX_T, MAX_D, MAX_RANK, MAX_TDL, MAX_E, MAX_PREC, MAX_DIGITS = 16, 64, 8, 512, 8, 1024, 20
 MAX_TEXT = 4 * MAX_DIGITS
 INT_OPTIONS = {  # name: (floor, limit)
@@ -179,6 +180,8 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
                 value = _typed(options[name], int)
             if value < floor:
                 raise ValidationError(f"options.{name} = {value} is below the floor {floor}")
+            if name in ("m_max", "k_max"):  # t-orders: the series stop below t^T
+                limit = min(limit, t_order - 1)
             options[name] = _at_most(f"options.{name}", value, limit)
     return ProblemSpec(field, seeds, trunc, prec, options, data)
 

@@ -36,20 +36,18 @@ def eval_poly_at_series(field: FieldDesc, coeffs, s: SRE) -> SRE:
 
 
 def hensel_u0(field: FieldDesc, t_order: int) -> SRE:
-    """Solve E(u0) = t in K[[t]]/t^t_order with u0(0) = pi, by Newton.
+    """Solve E(u0) = t mod t^t_order with u0(0) = pi, one t-order a step.
 
-    E'(pi) = beta is nonzero (E is Eisenstein and E' has degree < e), so
-    this is a formal Hensel lift; each step doubles the t-adic accuracy.
-    """
-    trunc = Trunc(t_order, 0)
-    t = SRE.monomial(field, 0, trunc, 1, (), KMat.identity(field, 1))
-    u = SRE.from_scalar(field, 0, trunc, field.pi)
-    dE = field.E_derivative(1)
-    while True:
-        err = eval_poly_at_series(field, field.E_coeffs, u) - t
-        if err.is_zero():
-            return u
-        u = u - err * eval_poly_at_series(field, dE, u).invert()
+    If r = E(u) - t is O(t^k), then E(u - r/beta) = E(u) - E'(u) r/beta = t mod
+    t^(k+1), as r^2 = O(t^2k) and E'(u) = E'(pi) = beta mod t: each step fixes
+    the t^k coefficient exactly, with no E' series and no series inversion.
+    beta is nonzero because E is Eisenstein and E' has degree < e."""
+    u = SRE.from_scalar(field, 0, Trunc(1, 0), field.pi)
+    for k in range(1, t_order):
+        trunc = Trunc(k + 1, 0)
+        u, t = SRE(field, 0, trunc, 1, u.coeffs), SRE.monomial(field, 0, trunc, 1, (), KMat.identity(field, 1))
+        u = u - (eval_poly_at_series(field, field.E_coeffs, u) - t) * field.beta_inv
+    return SRE(field, 0, Trunc(t_order, 0), 1, u.coeffs)
 
 
 class CosimpCtx:
@@ -139,22 +137,13 @@ def theta_table(field: FieldDesc, u0: SRE, t_order: int) -> dict[tuple[int, int]
 
 
 def alpha_series(field: FieldDesc, theta, trunc: Trunc) -> SRE:
-    """alpha = 1 + sum_{n=1}^{e} (-1)^n E^{(n)}(u0) X_1^[n] t^(n-1).
-
-    The 1/n! of the Taylor expansion is absorbed by X_1^n = n! X_1^[n].
-    """
-    out = SRE.one(field, 1, trunc)
-    for n in range(1, field.e + 1):
-        if n > trunc.pd_degree:
-            break
-        sign = -1 if n % 2 else 1
-        for j in range(n - 1, trunc.t_order):
-            th = theta.get((n, j - (n - 1)), field.zero)
-            if th.is_zero():
-                continue
-            coeff = KMat.scalar(field, 1, th * sign)
-            out = out + SRE.monomial(field, 1, trunc, j, (n,), coeff)
-    return out
+    """alpha = 1 + sum_{n=1}^{e} (-1)^n E^{(n)}(u0) X_1^[n] t^(n-1), as one coefficient
+    dict; the 1/n! of the Taylor expansion is absorbed by X_1^n = n! X_1^[n]."""
+    coeffs = {(0, (0,)): KMat.identity(field, 1)}
+    for n in range(1, min(field.e, trunc.pd_degree) + 1):
+        for i in range(trunc.t_order - n + 1):
+            coeffs[(n - 1 + i, (n,))] = KMat.scalar(field, 1, theta[(n, i)] * (-1) ** n)
+    return SRE(field, 1, trunc, 1, coeffs)
 
 
 def theta_report(ctx: CosimpCtx) -> dict:

@@ -8,6 +8,7 @@ from math import comb
 from prismstrat import closedform
 from prismstrat.closedform import HTable, g, row_series
 from prismstrat.cohomology import full_condition_rows
+from prismstrat.cosimplicial import eval_poly_at_series
 from prismstrat.errors import ShapeMismatch
 from prismstrat.field import INF, FieldDesc, KElem, PadicApprox
 from prismstrat.matrix import KMat, blocks, kernel_basis, submatrix, sum_products
@@ -68,6 +69,22 @@ def truncate(x: SRE, trunc: Trunc) -> SRE:
     if not (trunc.t_order <= x.trunc.t_order and trunc.pd_degree <= x.trunc.pd_degree):
         raise ShapeMismatch("can only truncate to a smaller window")
     return SRE(x.field, x.n_vars, trunc, x.size, x.coeffs)
+
+
+def hensel_u0_newton(field: FieldDesc, t_order: int) -> SRE:
+    """u0 with E(u0) = t mod t^t_order and u0(0) = pi, by Newton steps
+    u <- u - (E(u) - t) E'(u)^-1, each a series inversion that doubles the
+    t-adic accuracy.  The reference for cosimplicial.hensel_u0, which fixes
+    one t-order a step with beta^-1 alone."""
+    trunc = Trunc(t_order, 0)
+    t = SRE.monomial(field, 0, trunc, 1, (), KMat.identity(field, 1))
+    u = SRE.from_scalar(field, 0, trunc, field.pi)
+    dE = field.E_derivative(1)
+    while True:
+        err = eval_poly_at_series(field, field.E_coeffs, u) - t
+        if err.is_zero():
+            return u
+        u = u - err * eval_poly_at_series(field, dE, u).invert()
 
 
 def t_slice(x: SRE, m: int) -> dict[int, KMat]:

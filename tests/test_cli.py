@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from prismstrat import cli
 from prismstrat.cli import main, run
 from prismstrat.cosimplicial import CosimpCtx
+from prismstrat.series import SimplexRingElem
 
 BASE_SPEC = {
     "p": 3,
@@ -27,6 +28,7 @@ BASE_SPEC = {
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 SINGLE_SPEC_COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "validate")
+ENGINE_COMMANDS = SINGLE_SPEC_COMMANDS[:-1]  # all but validate
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -800,7 +802,27 @@ def test_closed_form_with_m_max_at_t_order_exits_2(tmp_path):
     out = str(tmp_path / "out.json")
     assert run("closed-form", spec, out) == 2
     error = json.loads(open(out).read())["error"]
-    assert error == {"type": "ShapeMismatch", "message": "need t_order > m_max"}
+    assert error == {"type": "ValidationError", "message": "options.m_max = 4 is above the limit 3"}
+
+
+@pytest.mark.parametrize("option", ["m_max", "k_max"])
+@pytest.mark.parametrize("value", [4, 5])
+def test_t_order_options_at_or_above_t_are_refused(tmp_path, option, value):
+    # the series stop below t^T: validate reports the refusal as its failed
+    # parse check, and every command exits 2 before any engine work
+    spec = write_spec(tmp_path, {**_BASES["commuting_e3_six_seeds"], "options": {option: value}})
+    out = str(tmp_path / "out.json")
+    message = f"options.{option} = {value} is above the limit 3"
+    assert run("validate", spec, out) == 0
+    report = json.loads(open(out).read())
+    assert report["ok"] is False
+    assert report["diagnostics"][0] == {"check": "parse", "ok": False, "error": "ValidationError", "message": message}
+    for command in ("conjecture", "closed-form"):
+        assert run(command, spec, out) == 2
+        assert json.loads(open(out).read())["error"] == {"type": "ValidationError", "message": message}
+    data = {**_BASES["commuting_e3_six_seeds"], "options": {option: 3}}
+    assert run("validate", write_spec(tmp_path, data), out) == 0
+    assert json.loads(open(out).read())["ok"] is True
 
 
 def test_pd_degree_zero(tmp_path):
@@ -812,3 +834,26 @@ def test_pd_degree_zero(tmp_path):
     assert run("h0", spec, out) == 2
     error = json.loads(open(out).read())["error"]
     assert error["type"] == "ShapeMismatch" and "pd degree" in error["message"]
+
+
+_ENGINE_RUNS = [
+    (path.name, command)
+    for path in sorted(SPECS.glob("*.json"))
+    for command in (("sweep",) if "instances" in json.loads(path.read_text()) else ENGINE_COMMANDS)
+]
+
+
+@pytest.mark.parametrize("name, command", _ENGINE_RUNS)
+def test_no_engine_path_inverts_a_series(tmp_path, monkeypatch, name, command):
+    # series inversion is a test reference only: with it raising, every
+    # command on specs/ still exits 0 with the same report bytes
+    def refuse(self):
+        raise AssertionError("an engine path inverted a series")
+
+    spec, out = str(SPECS / name), tmp_path / "out.json"
+    extra = {"jobs": 1} if command == "sweep" else {}
+    assert run(command, spec, str(out), **extra) == 0
+    expected = out.read_bytes()
+    monkeypatch.setattr(SimplexRingElem, "invert", refuse)
+    assert run(command, spec, str(out), **extra) == 0
+    assert out.read_bytes() == expected

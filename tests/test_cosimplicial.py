@@ -20,11 +20,20 @@ from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
 
-from oracles import binomial_power_per_key, c_poly, pd_binomial
+from oracles import binomial_power_per_key, c_poly, hensel_u0_newton, pd_binomial
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
 F3 = field_init(3, [-3, 0, 0, 1])
+# x^e - 3 for e = 1, 2, 3, 8, and x^2 + (3/2)x - 3, whose powers of pi reduce
+# with denominator 2 (_pow_den = 2)
+LIFT_FIELDS = {
+    "e1": F1,
+    "e2": F2,
+    "e3": F3,
+    "e8": field_init(3, [-3, *[0] * 7, 1]),
+    "e2_den": field_init(3, [-3, Fraction(3, 2), 1]),
+}
 
 
 def test_u0_linear_field_is_exact():
@@ -44,6 +53,17 @@ def test_u0_satisfies_defining_equation(field):
     t = SRE.monomial(field, 0, Trunc(t_order, 0), 1, (), KMat.identity(field, 1))
     assert lhs == t
     assert u0.coeff(0, ()).rows[0][0] == field.pi
+
+
+@pytest.mark.parametrize("t_order", range(1, 17))
+@pytest.mark.parametrize("name", LIFT_FIELDS)
+def test_u0_lift_matches_newton_reference(name, t_order):
+    field = LIFT_FIELDS[name]
+    u0 = hensel_u0(field, t_order)
+    assert u0 == hensel_u0_newton(field, t_order)
+    trunc = Trunc(t_order, 0)
+    t = SRE.monomial(field, 0, trunc, 1, (), KMat.identity(field, 1))
+    assert eval_poly_at_series(field, field.E_coeffs, u0) == t
 
 
 @pytest.mark.parametrize("field", [F1, F2], ids=["e1", "e2"])
