@@ -17,11 +17,13 @@ runs `sweep` once.  `--seeded N` adds N specs built with the helpers of
 seeds, except 1 in 8 non-commuting where rank and T are at least 2 and
 1 in 4 weight seeds (see `weight_seeds`), whose `h0` has dim > 0 when a
 weight is below T and whose `closed-form` runs on a non-scalar A_{0,1};
-every third spec has `options.m_max = T - 1`.  Each run is a fresh
-interpreter.  The script prints every (spec, command) whose exit code or
-stdout bytes differ between the trees, the median wall time of each
-command in both and how many seeded `h0` reports have dim > 0, and exits
-1 on any difference.
+1 in 5 specs takes wide seeds instead (see `wide_seeds`): commuting seeds
+whose entries are coordinate lists of rationals of height up to 10^6.
+Every third spec has `options.m_max = T - 1`.  Each run is a fresh
+interpreter.  The script prints how many seeded specs are wide, every
+(spec, command) whose exit code or stdout bytes differ between the trees,
+the median wall time of each command in both and how many seeded `h0`
+reports have dim > 0, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import specgen  # noqa: E402
 COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture")
 E_RATIONAL = ["-3", "1"]  # x - 3, e = 1
 RUN_TIMEOUT = 600
+WIDE_HEIGHT = 10**6
 
 
 def export_revision(rev: str, into: Path) -> Path:
@@ -59,12 +62,23 @@ def export_revision(rev: str, into: Path) -> Path:
     return into / "src"
 
 
+def commuting_json(m: list, pairs: list) -> list:
+    """JSON seeds c I + d m, one for each (c, d) in pairs, for a matrix m of
+    coordinate lists over 1, pi, ..., pi^(e-1)."""
+    seeds = []
+    for c, d in pairs:
+        seed = [[[d * a for a in entry] for entry in row] for row in m]
+        for i in range(len(m)):
+            seed[i][i][0] += c
+        seeds.append(seed)
+    return [[[[str(a) for a in entry] for entry in row] for row in mat] for mat in seeds]
+
+
 def weight_seeds(rng: random.Random, e_coeffs: list[str], rank: int, t: int) -> list:
     """JSON seeds with Sen weights m_i in [0, T]: A_{0,1} is upper triangular
     with diagonal m_i beta and specgen rationals above it, and A_{m,1} =
-    c_m I + d_m A_{0,1}.  Entries are coordinate lists over 1, pi, ...,
-    pi^(e-1); beta = E'(pi) = sum_k k c_k pi^(k-1) has degree < e, so it
-    needs no reduction mod E."""
+    c_m I + d_m A_{0,1}.  beta = E'(pi) = sum_k k c_k pi^(k-1) has degree
+    < e, so it needs no reduction mod E."""
     beta = [k * Fraction(c) for k, c in enumerate(e_coeffs)][1:]
 
     def rational(q) -> list:
@@ -75,14 +89,23 @@ def weight_seeds(rng: random.Random, e_coeffs: list[str], rank: int, t: int) -> 
         a01[i][i] = [rng.randint(0, t) * b for b in beta]
         for j in range(i + 1, rank):
             a01[i][j] = rational(specgen.nonzero_rational(rng))
-    seeds = [a01]
-    for _ in range(1, t):
-        c, d = specgen.nonzero_rational(rng), specgen.nonzero_rational(rng)
-        seed = [[[d * a for a in entry] for entry in row] for row in a01]
-        for i in range(rank):
-            seed[i][i][0] += c
-        seeds.append(seed)
-    return [[[[str(a) for a in entry] for entry in row] for row in mat] for mat in seeds]
+    pairs = [(specgen.nonzero_rational(rng), specgen.nonzero_rational(rng)) for _ in range(1, t)]
+    return commuting_json(a01, [(0, 1)] + pairs)
+
+
+def wide_seeds(rng: random.Random, e: int, rank: int, t: int) -> list:
+    """JSON commuting seeds A_{m,1} = c_m I + d_m M: the coordinates of M
+    and the rationals c_m, d_m are independent, of height up to WIDE_HEIGHT."""
+
+    def rational() -> Fraction:
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, WIDE_HEIGHT), rng.randint(1, WIDE_HEIGHT))
+
+    m = [[[rational() for _ in range(e)] for _ in range(rank)] for _ in range(rank)]
+    return commuting_json(m, [(rational(), rational()) for _ in range(t)])
+
+
+def is_wide(index: int) -> bool:
+    return index % 5 == 3
 
 
 def seeded_spec(index: int) -> dict:
@@ -91,6 +114,9 @@ def seeded_spec(index: int) -> dict:
     e_coeffs = rng.choice((E_RATIONAL, specgen.E_RAMIFIED_2, specgen.E_RAMIFIED_3))
     rank, t, x = rng.randint(1, 3), rng.randint(1, 8), rng.randint(0, 6)
     options = {"m_max": t - 1} if index % 3 == 0 else None
+    if is_wide(index):  # make_spec writes each entry as one rational, not a coordinate list
+        spec = specgen.make_spec(e_coeffs, [[[0] * rank] * rank], t, x, options=options)
+        return {**spec, "seeds": wide_seeds(rng, len(e_coeffs) - 1, rank, t)}
     if index % 4 == 1:  # make_spec writes each entry as one rational, not a coordinate list
         spec = specgen.make_spec(e_coeffs, [[[0] * rank] * rank], t, x, options=options)
         return {**spec, "seeds": weight_seeds(rng, e_coeffs, rank, t)}
@@ -166,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
             path = work / f"seeded_{index:03d}.json"
             path.write_text(json.dumps(seeded_spec(index), sort_keys=True))
             specs.append(path)
+        if args.seeded:
+            print(f"{sum(map(is_wide, range(args.seeded)))} of {args.seeded} seeded specs are wide")
         return compare(parent, ROOT / "src", jobs(specs, commands))
 
 

@@ -25,11 +25,12 @@ to.  Everything is exact linear algebra over K.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .cosimplicial import CosimpCtx, alpha_sum
 from .errors import ShapeMismatch
-from .matrix import KMat, blocks, kernel_basis, rank, row_blocks, submatrix, sum_products
+from .matrix import KMat, blocks, charpoly, kernel_basis, rank, row_blocks, submatrix, sum_products
 from .stratification import Seeds, StratTable, assemble_epsilon, first_order_grids
 
 
@@ -63,9 +64,13 @@ class H0Solution(NamedTuple):
 
 def h0_dim_bound(a01: KMat, m_probe: int) -> int:
     """q = sum_{m=0}^{m_probe} dim ker(A_{0,1} - m beta): the multiplicity
-    bound for non-positive-integer Sen weights."""
+    bound for non-positive-integer Sen weights.  The kernel is nonzero only
+    at the roots m of cp, the characteristic polynomial of A_{0,1} beta^-1,
+    so only those m take a rank."""
     field, l = a01.field, a01.nrows
-    return sum(l - rank(a01 - KMat.scalar(field, l, field.beta * m)) for m in range(m_probe + 1))
+    cp = charpoly(a01 * field.beta_inv)
+    roots = [m for m in range(m_probe + 1) if reduce(lambda acc, c: acc * m + c, reversed(cp)).is_zero()]
+    return sum(l - rank(a01 - KMat.scalar(field, l, field.beta * m)) for m in roots)
 
 
 def full_condition_rows(table: StratTable, ctx: CosimpCtx, t_order: int, k_range) -> list[list]:

@@ -1,10 +1,11 @@
 """Exact arithmetic in K = Q[pi]/(E(pi)) for an Eisenstein polynomial E.
 
-Elements are vectors of arbitrary-precision rationals in the power basis
-1, pi, ..., pi^(e-1), always fully reduced mod E.  The valuation is
-normalized by v(pi) = 1, so v(p) = e.  Because E is Eisenstein, the
-terms c_i * pi^i of an element have pairwise distinct valuations
-e*v_p(c_i) + i (distinct residues mod e), so
+An element stores integer coordinates in the power basis 1, pi, ...,
+pi^(e-1) over one denominator, the layout of a 1 x 1 matrix.KMat, always
+fully reduced mod E.  The valuation is normalized by v(pi) = 1, so
+v(p) = e.  Because E is Eisenstein, the terms c_i * pi^i of an element
+have pairwise distinct valuations e*v_p(c_i) + i (distinct residues mod
+e), so
 
     v(sum_i c_i pi^i) = min_i (e*v_p(c_i) + i)
 
@@ -39,16 +40,18 @@ def _to_fraction(x: Rat) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def rat_str(x: Fraction) -> str:
-    """Canonical "num/den" form, plain integer when den == 1.  NumberTooLarge
-    when a part has more digits than Python converts to a string."""
+def rat_str(x: Fraction | int, den: int = 1) -> str:
+    """Canonical "num/den" form of x / den (den >= 1), plain integer when the
+    reduced denominator is 1.  NumberTooLarge when a part has more digits
+    than Python converts to a string."""
+    num, den = x.numerator, x.denominator * den
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise NumberTooLarge(
-            f"a rational of {x.numerator.bit_length()} / {x.denominator.bit_length()} bits "
+            f"a rational of {num.bit_length()} / {den.bit_length()} bits "
             f"exceeds the {sys.get_int_max_str_digits()}-digit limit of a report"
         ) from None
 
@@ -111,14 +114,14 @@ def is_prime(n: int) -> bool:
 class FieldDesc:
     """The base field K = Q[pi]/(E(pi)), E Eisenstein at p.
 
-    Precomputes the reduction table pi^k mod E for k < 2e-1, the columns
-    _pow_columns of its integer copy _pow_den * _pow_table (cleared of
-    denominators, for the integer product kernel), the element beta = E'(pi)
-    and its inverse.  Immutable after construction.
+    Precomputes the reduction table pi^k mod E for k < 2e-1 as the columns
+    _pow_columns of its integer copy _pow_den * table (cleared of
+    denominators, for the integer products of KElem and KMat), the element
+    beta = E'(pi) and its inverse.  Immutable after construction.
     """
 
     __slots__ = (
-        "p", "e", "E_coeffs", "_pow_table", "_pow_den", "_pow_columns",
+        "p", "e", "E_coeffs", "_pow_den", "_pow_columns",
         "pi", "beta", "beta_inv", "one", "zero",
     )
 
@@ -145,32 +148,18 @@ class FieldDesc:
         self.e = e
         self.E_coeffs = coeffs
 
-        # pi^k mod E for k = 0 .. 2e-2, as coordinate tuples
-        table = []
-        cur = [Fraction(0)] * e
-        cur[0] = Fraction(1)
-        table.append(tuple(cur))
-        for _ in range(1, 2 * e - 1):
-            shifted = [Fraction(0)] + cur[:]
-            if len(shifted) > e:
-                top = shifted.pop()
-                # pi^e = -(E_0 + E_1 pi + ... + E_{e-1} pi^{e-1})
-                for i in range(e):
-                    shifted[i] -= top * coeffs[i]
-            cur = shifted
-            table.append(tuple(cur))
-        self._pow_table = tuple(table)
+        # pi^k mod E for k = 0 .. 2e-2, as coordinate lists
+        table = [[Fraction(1)] + [Fraction(0)] * (e - 1)]
+        for _ in range(2 * e - 2):
+            top, shifted = table[-1][-1], [Fraction(0)] + table[-1][:-1]
+            # pi^e = -(E_0 + E_1 pi + ... + E_{e-1} pi^{e-1})
+            table.append([c - top * ci for c, ci in zip(shifted, coeffs)])
         self._pow_den = math.lcm(*(c.denominator for row in table for c in row))
-        self._pow_columns = tuple(zip(*(tuple(int(c * self._pow_den) for c in row) for row in table)))
+        self._pow_columns = tuple(zip(*([int(c * self._pow_den) for c in row] for row in table)))
 
-        self.zero = KElem(self, (Fraction(0),) * e)
-        self.one = KElem(self, tuple([Fraction(1)] + [Fraction(0)] * (e - 1)))
-        pi_coords = [Fraction(0)] * e
-        if e == 1:
-            pi_coords[0] = -coeffs[0]  # pi = -E_0 for linear E
-        else:
-            pi_coords[1] = Fraction(1)
-        self.pi = KElem(self, tuple(pi_coords))
+        self.zero = self.from_coords([])
+        self.one = self.from_coords([1])
+        self.pi = self.from_coords([-coeffs[0]] if e == 1 else [0, 1])  # pi = -E_0 for linear E
         self.beta = self.eval_poly(self.E_derivative(1), self.pi)
         self.beta_inv = self.beta.inverse()
 
@@ -182,16 +171,16 @@ class FieldDesc:
         return tuple(coeffs)
 
     def from_rational(self, x: Rat) -> KElem:
-        coords = [Fraction(0)] * self.e
-        coords[0] = _to_fraction(x)
-        return KElem(self, tuple(coords))
+        return self.from_coords([x])
 
     def from_coords(self, coords: Sequence[Rat]) -> KElem:
         cs = [_to_fraction(c) for c in coords]
         if len(cs) > self.e:
             raise ValueError(f"expected at most {self.e} coordinates")
-        cs += [Fraction(0)] * (self.e - len(cs))
-        return KElem(self, tuple(cs))
+        # over the lcm of the reduced denominators, gcd(den, *nums) is already 1
+        den = math.lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs] + [0] * (self.e - len(cs))
+        return KElem(self, den, tuple(nums))
 
     def eval_poly(self, poly: Sequence[Rat], x: KElem) -> KElem:
         """Evaluate a rational-coefficient polynomial at x in K (Horner)."""
@@ -227,64 +216,65 @@ _field = lru_cache(maxsize=128)(FieldDesc)
 
 
 class KElem(NamedTuple):
-    """Element of K in the power basis, always reduced (len(coords) == e)."""
+    """Element of K, stored like a 1 x 1 KMat: the coordinate of pi^i is
+    nums[i] / den, i < e.  The form is canonical, den >= 1 and
+    gcd(den, *nums) == 1, so == and hash are structural."""
 
     field: FieldDesc
-    coords: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
+
+    @staticmethod
+    def canonical(field: FieldDesc, den: int, nums) -> KElem:
+        """The element with coordinates nums / den (den >= 1)."""
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den, nums = den // g, [a // g for a in nums]
+        return KElem(field, den, tuple(nums))
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as rationals."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
+    def _combine(self, other: KElem, sign: int) -> KElem:
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        return KElem.canonical(self.field, den, [a * s + b * t for a, b in zip(self.nums, other.nums)])
 
     def __add__(self, other: KElem) -> KElem:
-        return KElem(
-            self.field,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: KElem) -> KElem:
-        return KElem(
-            self.field,
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> KElem:
-        return KElem(self.field, tuple(-a for a in self.coords))
+        return KElem(self.field, self.den, tuple(-a for a in self.nums))
 
     def __mul__(self, other) -> KElem:
+        """The product; with another element, the integer pi-polynomial of
+        the numerators is reduced mod E by the columns of the integer
+        pi-power table, over den * other.den * _pow_den."""
         fld = self.field
         if isinstance(other, (int, Fraction)):
-            q = _to_fraction(other)
-            return KElem(fld, tuple(a * q for a in self.coords))
+            return KElem.canonical(fld, self.den * other.denominator, [a * other.numerator for a in self.nums])
         if not isinstance(other, KElem):
             return NotImplemented
-        e = fld.e
-        if e == 1:
-            return KElem(fld, (self.coords[0] * other.coords[0],))
-        a, b = self.coords, other.coords
-        prod = [Fraction(0)] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                prod[i + j] += ai * bj
-        out = [Fraction(0)] * e
-        table = fld._pow_table
-        for k, ck in enumerate(prod):
-            if ck == 0:
-                continue
-            row = table[k]
-            for i in range(e):
-                if row[i] != 0:
-                    out[i] += ck * row[i]
-        return KElem(fld, tuple(out))
+        prod = [0] * (2 * fld.e - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums):
+                    prod[i + j] += a * b
+        nums = [sum(map(int.__mul__, prod, col)) for col in fld._pow_columns]
+        return KElem.canonical(fld, self.den * other.den * fld._pow_den, nums)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> KElem:
         if isinstance(other, (int, Fraction)):
-            q = _to_fraction(other)
-            if q == 0:
+            if other == 0:
                 raise DivisionByZero("division by zero")
-            return KElem(self.field, tuple(a / q for a in self.coords))
+            return self * (1 / Fraction(other))
         return self * other.inverse()
 
     def __pow__(self, n: int) -> KElem:
@@ -321,25 +311,20 @@ class KElem(NamedTuple):
         return fld.from_coords([c / r1[0] for c in s1])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def valuation(self):
-        """v with v(pi) = 1, v(p) = e; INF for 0."""
-        fld = self.field
-        best = INF
-        for i, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            v = fld.e * vp_rational(c, fld.p) + i
-            if v < best:
-                best = v
-        return best
+        """v with v(pi) = 1, v(p) = e; INF for 0: min_i (e v_p(nums[i]) + i)
+        - e v_p(den)."""
+        e, p = self.field.e, self.field.p
+        vals = [e * vp_rational(a, p) + i for i, a in enumerate(self.nums) if a]
+        return min(vals) - e * vp_rational(self.den, p) if vals else INF
 
     def to_json(self) -> list[str]:
-        return [rat_str(c) for c in self.coords]
+        return [rat_str(a, self.den) for a in self.nums]
 
     @staticmethod
     def from_json(field: FieldDesc, data) -> KElem:
@@ -349,15 +334,10 @@ class KElem(NamedTuple):
 
     def __repr__(self):
         parts = []
-        for i, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(rat_str(c))
-            elif i == 1:
-                parts.append(f"({rat_str(c)})pi")
-            else:
-                parts.append(f"({rat_str(c)})pi^{i}")
+        for i, a in enumerate(self.nums):
+            if a:
+                c = rat_str(a, self.den)
+                parts.append(c if i == 0 else f"({c})pi" if i == 1 else f"({c})pi^{i}")
         return " + ".join(parts) if parts else "0"
 
 

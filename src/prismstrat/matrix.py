@@ -19,7 +19,7 @@ from math import floor, gcd, lcm
 from typing import NamedTuple
 
 from .errors import NonUnit, ShapeMismatch
-from .field import INF, FieldDesc, KElem, poly_divmod, vp_rational
+from .field import FieldDesc, KElem, poly_divmod, rat_str
 
 
 class KMat(NamedTuple):
@@ -40,9 +40,9 @@ class KMat(NamedTuple):
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ShapeMismatch(f"matrix rows have lengths {[len(r) for r in rows]}")
-        coords = [q for r in rows for a in r for q in a.coords]
-        den = lcm(*(q.denominator for q in coords))
-        nums = tuple(q.numerator * (den // q.denominator) for q in coords)
+        # over the lcm of canonical denominators, gcd(den, *nums) is already 1
+        den = lcm(*(a.den for r in rows for a in r))
+        nums = tuple(q * (den // a.den) for r in rows for a in r for q in a.nums)
         return KMat(field, len(rows), ncols, den, nums)
 
     @staticmethod
@@ -56,18 +56,16 @@ class KMat(NamedTuple):
 
     @staticmethod
     def scalar(field: FieldDesc, n: int, c: KElem) -> KMat:
-        e, den = field.e, lcm(*(q.denominator for q in c.coords))
-        coords = [q.numerator * (den // q.denominator) for q in c.coords]
-        nums = [0] * (n * n * e)
+        e, nums = field.e, [0] * (n * n * field.e)
         for k in range(0, n * n * e, (n + 1) * e):
-            nums[k : k + e] = coords
-        return KMat(field, n, n, den, tuple(nums))
+            nums[k : k + e] = c.nums
+        return KMat(field, n, n, c.den, tuple(nums))
 
     @property
     def rows(self) -> tuple[tuple[KElem, ...], ...]:
         """The K-element grid."""
-        e, fracs = self.field.e, [Fraction(a, self.den) for a in self.nums]
-        entries = [KElem(self.field, tuple(fracs[k : k + e])) for k in range(0, len(fracs), e)]
+        e, nums = self.field.e, self.nums
+        entries = [KElem.canonical(self.field, self.den, nums[k : k + e]) for k in range(0, len(nums), e)]
         return tuple(tuple(entries[r * self.ncols : (r + 1) * self.ncols]) for r in range(self.nrows))
 
     def _combine(self, other: KMat, sign: int) -> KMat:
@@ -114,21 +112,23 @@ class KMat(NamedTuple):
     def trace(self) -> KElem:
         e, nums = self.field.e, self.nums
         diag = range(0, min(self.nrows, self.ncols) * (self.ncols + 1) * e, (self.ncols + 1) * e)
-        return KElem(self.field, tuple(Fraction(sum(nums[k + i] for k in diag), self.den) for i in range(e)))
+        return KElem.canonical(self.field, self.den, [sum(nums[k + i] for k in diag) for i in range(e)])
 
     def commutes_with(self, other: KMat) -> bool:
         return sum_products([(self, other), (-other, self)]).is_zero()
 
     def min_valuation(self):
         """Minimum entry valuation (v(pi)=1 units); INF for the zero matrix.
-        With g_i the gcd of all i-th coordinates' numerators, this is
-        min_i (e v_p(g_i) + i) - e v_p(den), as v_p(gcd(a, b)) = min(v_p(a), v_p(b))."""
-        e, p = self.field.e, self.field.p
-        vals = [e * vp_rational(g, p) + i for i in range(e) if (g := gcd(*self.nums[i::e]))]
-        return min(vals) - e * vp_rational(self.den, p) if vals else INF
+        As v_p(gcd(a, b)) = min(v_p(a), v_p(b)), this is the valuation of the
+        element g / den, g_i the gcd of the numerators of all i-th coordinates
+        (canonical, as g_i divides them)."""
+        e = self.field.e
+        return KElem(self.field, self.den, tuple(gcd(*self.nums[i::e]) for i in range(e))).valuation()
 
     def to_json(self):
-        return [[a.to_json() for a in r] for r in self.rows]
+        e, nums = self.field.e, [rat_str(a, self.den) for a in self.nums]
+        entries = [nums[k : k + e] for k in range(0, len(nums), e)]
+        return [entries[r * self.ncols : (r + 1) * self.ncols] for r in range(self.nrows)]
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(repr(a) for a in r) + "]" for r in self.rows)

@@ -62,7 +62,11 @@ def lambda1_series(ctx: CosimpCtx, prec: int, n_phi_max: int = 24) -> Lambda1:
 
     Checks that the factor valuations grow monotonically (the convergence
     oracle); raises ProductNotSettled when n_phi_max factors do not reach
-    the target.
+    the target.  The check starts once p^n > T - 1: as u0 = pi + t/beta +
+    O(t^2), u0^(p^n) has a t^(p^n) term, which lies inside the truncation
+    while p^n <= T - 1 and pins the gap of factor n, so the gaps of those
+    factors need not grow.  Past them, every t-term of u0^(p^n) mod t^T
+    carries a binomial C(p^n, k) with 0 < k < p^n, which p divides.
     """
     field = ctx.field
     e0 = field.E_coeffs[0]
@@ -75,7 +79,7 @@ def lambda1_series(ctx: CosimpCtx, prec: int, n_phi_max: int = 24) -> Lambda1:
         u_power = u_power**field.p
         factor = eval_poly_at_series(field, field.E_coeffs, u_power) * (1 / e0)
         gap = _vp(field, (factor - one).coeffs.values())
-        if prev_gap is not None and gap is not INF and gap <= prev_gap:
+        if prev_gap is not None and field.p**n >= ctx.trunc.t_order and gap is not INF and gap <= prev_gap:
             raise ProductNotSettled(
                 f"factor valuations stopped growing at n={n} ({prev_gap} -> {gap})"
             )

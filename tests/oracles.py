@@ -11,10 +11,39 @@ from prismstrat.cohomology import full_condition_rows
 from prismstrat.cosimplicial import eval_poly_at_series
 from prismstrat.errors import ShapeMismatch
 from prismstrat.field import INF, FieldDesc, KElem, PadicApprox
-from prismstrat.matrix import KMat, blocks, kernel_basis, submatrix, sum_products
+from prismstrat.matrix import KMat, blocks, kernel_basis, rank, submatrix, sum_products
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
 from prismstrat.stratification import StratTable, generate_Amn
+
+# -- field arithmetic on rational coordinates ---------------------------------
+
+
+def pow_table(field: FieldDesc) -> list[list[Fraction]]:
+    """pi^k mod E for k = 0 .. 2e-2, as rational coordinate lists."""
+    e, coeffs = field.e, field.E_coeffs
+    cur = [Fraction(1)] + [Fraction(0)] * (e - 1)
+    table = [cur]
+    for _ in range(1, 2 * e - 1):
+        shifted = [Fraction(0)] + cur
+        top = shifted.pop()
+        # pi^e = -(E_0 + E_1 pi + ... + E_{e-1} pi^{e-1})
+        cur = [c - top * coeffs[i] for i, c in enumerate(shifted)]
+        table.append(cur)
+    return table
+
+
+def k_mul(field: FieldDesc, a, b) -> tuple[Fraction, ...]:
+    """The coordinates of a b from rational coordinates a and b: the
+    schoolbook product, reduced mod E by pow_table.  The reference for the
+    integer product of KElem."""
+    e, table = field.e, pow_table(field)
+    prod = [Fraction(0)] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return tuple(sum((ck * table[k][i] for k, ck in enumerate(prod)), Fraction(0)) for i in range(e))
+
 
 # -- p-adic approximations ----------------------------------------------------
 
@@ -165,6 +194,14 @@ def h0_full_system(table, ctx) -> tuple[tuple, tuple[int, ...], int]:
         tuple(submatrix(kernel, range(m * l, (m + 1) * l), [j]) for m in range(T)) for j in range(kernel.ncols)
     )
     return basis, tuple(dims), kernel_basis(blocks(rows[::D])).ncols
+
+
+def h0_dim_bound_all_m(a01: KMat, m_probe: int) -> int:
+    """q = sum_{m=0}^{m_probe} dim ker(A_{0,1} - m beta) with one rank for
+    every m; the reference for cohomology.h0_dim_bound, which takes a rank
+    only at the roots of a characteristic polynomial."""
+    field, l = a01.field, a01.nrows
+    return sum(l - rank(a01 - KMat.scalar(field, l, field.beta * m)) for m in range(m_probe + 1))
 
 
 def pd_binomial(field: FieldDesc, trunc: Trunc, q: int) -> SRE:

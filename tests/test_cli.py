@@ -2,9 +2,11 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,10 @@ from hypothesis import strategies as st
 from prismstrat import cli
 from prismstrat.cli import main, run
 from prismstrat.cosimplicial import CosimpCtx
+from prismstrat.field import KElem, PadicApprox, field_init
 from prismstrat.series import SimplexRingElem
+
+from oracles import agrees_mod
 
 BASE_SPEC = {
     "p": 3,
@@ -312,6 +317,44 @@ def test_product_not_settled_exits_3(tmp_path):
     assert run("sen", spec, out) == 3
     report = json.loads(open(out).read())
     assert report["error"]["type"] == "ProductNotSettled"
+
+
+def _sen_diag_spec(e: int, t: int) -> dict:
+    """Rank 2, A_{0,1} = diag(1, 1/2) and A_{m,1} = c_m I + d_m A_{0,1} with
+    c_m, d_m of height at most 9, E = x^e - 3; the seeds for t_order t
+    start with those for any smaller one."""
+    rng, diag = random.Random(0), (Fraction(1), Fraction(1, 2))
+
+    def rational():
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    seeds = []
+    for m in range(t):
+        c, d = (0, 1) if m == 0 else (rational(), rational())
+        seeds.append([[str(c + d * diag[i]) if i == j else "0" for j in range(2)] for i in range(2)])
+    e_coeffs = ["-3"] + ["0"] * (e - 1) + ["1"]
+    return {"p": 3, "E_coeffs": e_coeffs, "rank": 2, "seeds": seeds, "trunc": {"t": t, "x": 4},
+            "padic_prec": 10, "options": {"n_phi_max": 24}}
+
+
+@pytest.mark.parametrize("e", [1, 3])
+def test_sen_runs_past_t_order_9(tmp_path, e):
+    # while p^n <= T - 1 the t^(p^n) term of u0^(p^n) pins the gap of factor
+    # n; comparing those gaps made T = 10 and 16 exit 3 (ProductNotSettled)
+    reports = {}
+    for t in (9, 10, 16):
+        out = str(tmp_path / f"sen_{t}.json")
+        assert run("sen", write_spec(tmp_path, _sen_diag_spec(e, t), f"spec_{t}.json"), out) == 0
+        reports[t] = json.loads(open(out).read())["report"]
+        assert reports[t]["leibniz_ok"] and reports[t]["fiber_normalization_ok"]
+    field = field_init(3, _sen_diag_spec(e, 1)["E_coeffs"])
+
+    def coeffs(t):
+        return [PadicApprox.approx(KElem.from_json(field, c["value"]), Fraction(c["prec"]))
+                for c in reports[t]["lambda1"]["coeffs"]]
+
+    for a, b in zip(coeffs(16), coeffs(9)):  # the first 9 t-orders
+        assert agrees_mod(a, b, min(a.prec, b.prec))
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -13,11 +13,11 @@ from prismstrat import cli, series, stratification
 from prismstrat.cohomology import full_condition_rows, h0_dim_bound, h0_solve, stage1_rows
 from prismstrat.cosimplicial import CosimpCtx
 from prismstrat.field import field_init
-from prismstrat.matrix import KMat
+from prismstrat.matrix import KMat, mat_inverse
 from prismstrat.series import Trunc
 from prismstrat.stratification import Seeds, StratTable, first_order_grids, generate_Amn
 
-from oracles import condition_block, h0_full_system
+from oracles import condition_block, h0_dim_bound_all_m, h0_full_system
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 F1 = field_init(3, [-3, 1])
@@ -73,6 +73,28 @@ def test_dim_bound_examples():
     beta = F2.beta
     a01 = KMat.from_rows(F2, [[F2.zero, F2.zero], [F2.zero, beta]])
     assert h0_dim_bound(a01, 8) == 2
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+def test_dim_bound_matches_a_rank_at_every_m(field):
+    # A_{0,1} = diag(m_i beta), half of them conjugated by a unipotent U:
+    # ranks only at the roots of the characteristic polynomial give the same q
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def inner(data):
+        l = data.draw(st.integers(1, 4))
+        weights = data.draw(st.lists(st.integers(-2, 8), min_size=l, max_size=l))
+        a01 = KMat.from_rows(field, [[field.beta * w if i == j else field.zero for j, w in enumerate(weights)]
+                                     for i in range(l)])
+        if data.draw(st.booleans()):
+            above = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+            u = KMat.from_rows(field, [[field.from_rational(data.draw(above) if j > i else int(i == j))
+                                        for j in range(l)] for i in range(l)])
+            a01 = u * a01 * mat_inverse(u)
+        m_probe = data.draw(st.integers(0, 8))
+        assert h0_dim_bound(a01, m_probe) == h0_dim_bound_all_m(a01, m_probe)
+
+    inner()
 
 
 def rational_matrix(field, rows):

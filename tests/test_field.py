@@ -1,21 +1,25 @@
 """Field layer: construction, arithmetic, valuation, p-adic approximations."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismstrat.errors import DivisionByZero, NotEisenstein, NumberTooLarge, PrimeTooSmall
-from prismstrat.field import INF, PadicApprox, field_init, rat_str
+from prismstrat.field import INF, PadicApprox, field_init, rat_str, vp_rational
+from prismstrat.matrix import KMat
 
-from oracles import agrees_mod
+from oracles import agrees_mod, k_mul
 
 F_LIN = field_init(3, [-3, 1])  # E = u - 3
 F_QUAD = field_init(3, [-3, 0, 1])  # E = u^2 - 3
 F_CUBIC = field_init(5, [-5, 0, 0, 1])  # E = u^3 - 5
 
 FIELDS = [F_LIN, F_QUAD, F_CUBIC]
+F_OCTIC = field_init(3, [-3] + [0] * 7 + [1])  # E = u^8 - 3
+F_HALF = field_init(3, [-3, Fraction(3, 2), 1])  # pi^2 = 3 - (3/2) pi, so _pow_den = 2
 
 
 def test_field_init_linear():
@@ -210,3 +214,76 @@ def test_rat_str_refuses_a_number_too_long_to_print():
     assert rat_str(Fraction(-7, 10**20)) == "-7/1" + "0" * 20
     with pytest.raises(NumberTooLarge, match="digit limit"):
         rat_str(Fraction(1, 10**5000 + 1))
+
+
+_WIDE = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(3), Fraction(1, 3)]),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+
+
+def _is_canonical(a) -> bool:
+    return a.den >= 1 and gcd(a.den, *a.nums) == 1 and len(a.nums) == a.field.e
+
+
+@pytest.mark.parametrize(
+    "field", FIELDS + [F_OCTIC, F_HALF], ids=["e1", "e2", "e3", "e8", "e2_pow_den_2"]
+)
+def test_integer_arithmetic_matches_rational_reference(field):
+    # every operation of the integer layout against the rational coordinates
+    # it stands for, with k_mul (schoolbook product + pi-power table) for *
+    coords = st.lists(_WIDE, max_size=field.e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coords, coords, _WIDE)
+    def inner(xs, ys, q):
+        a, b = field.from_coords(xs), field.from_coords(ys)
+        ca, cb = a.coords, b.coords
+        assert (a + b).coords == tuple(x + y for x, y in zip(ca, cb))
+        assert (a - b).coords == tuple(x - y for x, y in zip(ca, cb))
+        assert (a * b).coords == k_mul(field, ca, cb)
+        assert (q * a).coords == (a * q).coords == tuple(x * q for x in ca)
+        assert (a * q.numerator).coords == tuple(x * q.numerator for x in ca)
+        results = [a + b, a - b, a * b, a * q, -a]
+        if q:
+            assert (a / q).coords == tuple(x / q for x in ca)
+            results.append(a / q)
+        if not b.is_zero():
+            assert k_mul(field, b.inverse().coords, cb) == field.one.coords
+            assert k_mul(field, (a / b).coords, cb) == ca
+            results += [b.inverse(), a / b]
+        vals = [field.e * vp_rational(c, field.p) + i for i, c in enumerate(ca) if c]
+        assert a.valuation() == min(vals, default=INF)
+        assert a.is_zero() == all(c == 0 for c in ca)
+        assert a.is_rational() == all(c == 0 for c in ca[1:])
+        assert a.to_json() == [rat_str(c) for c in ca]
+        assert all(_is_canonical(x) for x in results + [a, b])
+
+    inner()
+
+
+@pytest.mark.parametrize("field", [F_LIN, F_CUBIC, F_HALF], ids=["e1", "e3", "e2_pow_den_2"])
+def test_equal_elements_are_equal_on_every_construction_route(field):
+    coords = st.lists(_WIDE, max_size=field.e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coords, coords)
+    def inner(xs, ys):
+        a, b = field.from_coords(xs), field.from_coords(ys)
+        grid = KMat.from_rows(field, [[b, a], [a, field.zero]])
+        routes = [
+            field.from_coords(list(a.coords)),
+            (a + b) - b,
+            a * field.one,
+            grid.rows[0][1],
+            grid.rows[1][0],
+            KMat.from_rows(field, [[a, b], [b, field.zero]]).trace(),
+            KMat.scalar(field, 2, a).rows[0][0],
+            KMat.scalar(field, 1, a).trace(),
+        ]
+        for r in routes:
+            assert r == a and hash(r) == hash(a) and (r.den, r.nums) == (a.den, a.nums)
+            assert _is_canonical(r)
+        assert field.zero.den == 1 and (a - a) == field.zero
+
+    inner()
