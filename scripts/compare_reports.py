@@ -13,17 +13,19 @@ Every single-spec file (the SPEC arguments, by default the files of
 `specs/`) runs `gen`, `cocycle`, `closed-form`, `h0`, `sen` and
 `conjecture` (or the `--commands` subset); a spec file with `instances`
 runs `sweep` once.  `--seeded N` adds N specs built with the helpers of
-`bench/specgen.py` at e = 1, 2, 3, rank 1-3, T 1-8, D 0-6: commuting
-seeds, except 1 in 8 non-commuting where rank and T are at least 2 and
-1 in 4 weight seeds (see `weight_seeds`), whose `h0` has dim > 0 when a
+`bench/specgen.py` at e = 1, 2, 3, rank 1-3, T 1-8, D 0-6 (1 in 6 long
+specs: rank 1-2, T 9-16, D 0-3): commuting seeds, except 1 in 8
+non-commuting where rank and T are at least 2 and 1 in 4 weight seeds (see `weight_seeds`), whose `h0` has dim > 0 when a
 weight is below T and whose `closed-form` runs on a non-scalar A_{0,1};
 1 in 5 specs takes wide seeds instead (see `wide_seeds`): commuting seeds
 whose entries are coordinate lists of rationals of height up to 10^6.
 Every third spec has `options.m_max = T - 1`.  Each run is a fresh
-interpreter.  The script prints how many seeded specs are wide, every
-(spec, command) whose exit code or stdout bytes differ between the trees,
-the median wall time of each command in both and how many seeded `h0`
-reports have dim > 0, and exits 1 on any difference.
+interpreter, and both trees keep their bytecode in one cache under the
+temporary directory.  The script prints how many seeded specs are wide and how
+many long, every (spec, command) whose exit code or stdout bytes differ
+between the trees, the median wall time of each command in both, the five
+slowest runs with both times and how many seeded `h0` reports have
+dim > 0, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -108,11 +110,18 @@ def is_wide(index: int) -> bool:
     return index % 5 == 3
 
 
+def is_long(index: int) -> bool:
+    return index % 6 == 5
+
+
 def seeded_spec(index: int) -> dict:
     """One small spec from the specgen helpers; depends only on index."""
     rng = random.Random(f"compare:{index}")
     e_coeffs = rng.choice((E_RATIONAL, specgen.E_RAMIFIED_2, specgen.E_RAMIFIED_3))
-    rank, t, x = rng.randint(1, 3), rng.randint(1, 8), rng.randint(0, 6)
+    if is_long(index):
+        rank, t, x = rng.randint(1, 2), rng.randint(9, 16), rng.randint(0, 3)
+    else:
+        rank, t, x = rng.randint(1, 3), rng.randint(1, 8), rng.randint(0, 6)
     options = {"m_max": t - 1} if index % 3 == 0 else None
     if is_wide(index):  # make_spec writes each entry as one rational, not a coordinate list
         spec = specgen.make_spec(e_coeffs, [[[0] * rank] * rank], t, x, options=options)
@@ -127,8 +136,12 @@ def seeded_spec(index: int) -> dict:
     return specgen.make_spec(e_coeffs, seeds, t, x, options=options)
 
 
-def run_cli(pythonpath: Path, command: str, spec: Path) -> tuple[int, bytes, float]:
-    env = dict(os.environ, PYTHONPATH=str(pythonpath))
+def run_cli(pythonpath: Path, command: str, spec: Path, pycache: Path) -> tuple[int, bytes, float]:
+    """One fresh interpreter.  Both trees keep their bytecode under pycache,
+    which starts empty, so neither is timed compiling every run while the
+    other reads a stale __pycache__ (as under PYTHONDONTWRITEBYTECODE)."""
+    env = dict(os.environ, PYTHONPATH=str(pythonpath), PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     argv = [sys.executable, "-m", "prismstrat.cli", command, "--spec", str(spec)]
     started = time.perf_counter()
     proc = subprocess.run(argv, env=env, capture_output=True, timeout=RUN_TIMEOUT)
@@ -145,25 +158,30 @@ def jobs(specs: list[Path], commands: tuple[str, ...]) -> list[tuple[Path, str]]
     return out
 
 
-def compare(parent: Path, tree: Path, runs: list[tuple[Path, str]]) -> int:
+def compare(parent: Path, tree: Path, runs: list[tuple[Path, str]], pycache: Path) -> int:
     """Run every job on both trees; print differences and median times."""
     times: dict[str, dict[str, list[float]]] = {}
+    slowest: list[tuple[float, float, str, str]] = []  # (parent_s, tree_s, spec, command)
     differences = seeded_h0 = h0_with_dim = 0
     for spec, command in runs:
-        code_a, out_a, time_a = run_cli(parent, command, spec)
-        code_b, out_b, time_b = run_cli(tree, command, spec)
+        code_a, out_a, time_a = run_cli(parent, command, spec, pycache)
+        code_b, out_b, time_b = run_cli(tree, command, spec, pycache)
         if command == "h0" and spec.name.startswith("seeded_"):
             seeded_h0 += 1
             h0_with_dim += code_b == 0 and json.loads(out_b)["solution"]["dim"] > 0
         times.setdefault(command, {"parent": [], "tree": []})
         times[command]["parent"].append(time_a)
         times[command]["tree"].append(time_b)
+        slowest.append((time_a, time_b, spec.name, command))
         if (code_a, out_a) != (code_b, out_b):
             differences += 1
             print(f"DIFFER {spec.name} {command}: exit {code_a} -> {code_b}, stdout {len(out_a)} -> {len(out_b)} bytes")
     print(f"{'command':<12} {'runs':>5} {'parent_s':>9} {'tree_s':>9}")
     for command, t in times.items():
         print(f"{command:<12} {len(t['tree']):>5} {statistics.median(t['parent']):>9.3f} {statistics.median(t['tree']):>9.3f}")
+    print("slowest runs:")
+    for time_a, time_b, name, command in sorted(slowest, key=lambda r: -max(r[:2]))[:5]:
+        print(f"  {name} {command}: parent {time_a:.3f} s, tree {time_b:.3f} s")
     if seeded_h0:
         print(f"{h0_with_dim} of {seeded_h0} seeded h0 reports have dim > 0")
     print(f"{differences} of {len(runs)} runs differ")
@@ -194,7 +212,8 @@ def main(argv: list[str] | None = None) -> int:
             specs.append(path)
         if args.seeded:
             print(f"{sum(map(is_wide, range(args.seeded)))} of {args.seeded} seeded specs are wide")
-        return compare(parent, ROOT / "src", jobs(specs, commands))
+            print(f"{sum(map(is_long, range(args.seeded)))} of {args.seeded} seeded specs are long (T >= 9)")
+        return compare(parent, ROOT / "src", jobs(specs, commands), work / "pycache")
 
 
 if __name__ == "__main__":

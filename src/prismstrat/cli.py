@@ -205,6 +205,11 @@ def _diagnostic(check: str, exc: EngineError | None) -> dict:
     return {"check": check, "ok": False, "error": type(exc).__name__, "message": str(exc)}
 
 
+def _set_options(spec: ProblemSpec, *names: str) -> dict:
+    """The options among names that the spec sets: the callee holds the defaults."""
+    return {name: spec.options[name] for name in names if name in spec.options}
+
+
 def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
     opts = spec.options
     if command == "gen":
@@ -215,7 +220,7 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
             "table": table.to_json(),
             "theta": theta_report(ctx),
             "valuation_profile": valuation_profile(table),
-            "near_HT": check_near_HT(spec.seeds.a01, opts.get("n_probe", 64), opts.get("threshold", 40)),
+            "near_HT": check_near_HT(spec.seeds.a01, **_set_options(spec, "n_probe", "threshold")),
         }
     if command == "cocycle":
         table = generate_Amn(spec.seeds, ctx, spec.trunc.pd_degree)
@@ -232,7 +237,8 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
         return {"command": "h0", "solution": h0_solve(spec.seeds, ctx).to_json()}
     if command == "sen":
         from .sen import sen_operator_matrix
-        rep = sen_operator_matrix(spec.seeds, ctx, spec.prec, opts.get("n_phi_max", 24))
+        options = _set_options(spec, "n_phi_max", "n_probe", "threshold")
+        rep = sen_operator_matrix(spec.seeds, ctx, spec.prec, **options)
         return {"command": "sen", "report": rep.to_json()}
     if command == "conjecture":
         from .closedform import conjecture_residual

@@ -78,8 +78,8 @@ class HTable(NamedTuple):
 def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int) -> HTable:
     """Fill h[m][j] for m <= m_max by the summation-reordering induction.
     The terms of row m that share (f, i', max(f-i, 0)) are summed into one
-    kappa, which every j <= m takes times one product of linear factors;
-    for j > m the product gains one factor per step of j down from m-f+i'.
+    kappa; every target j takes kappa times a prefix of one running product
+    of linear factors (see the module docstring for its range).
     theta_{1,s} is known for s < t_order only, hence t_order > m_max."""
     if not seeds.commutative():
         raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
@@ -109,19 +109,15 @@ def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int) -> HTable:
             kappa = sum_products(pairs)
             if kappa.is_zero():
                 continue
-            chains = []
-            if ip < m:
-                low = kappa
-                for t in range(f - ip + 1, top + 1):
-                    low = linear[t] * low
-                chains += [(j, low) for j in range(ip + 1, min(m, m - f + ip) + 1)]
-            high = kappa
-            for j in range(m - f + ip, max(m, ip), -1):
-                if j < m - f + ip:
-                    high = linear[m - j] * high
-                chains.append((j, high))
-            for j, chain in chains:
-                row.setdefault(j, []).append((chain, KMat.scalar(field, l, g(field, m, f, ip, j, beta_pows))))
+            # target j takes the factors t = f-i'+1 .. u: chain[k] is kappa
+            # times the first k of them, k = u - f + i'
+            targets = range(ip + 1, m - f + ip + 1)
+            lengths = [(top if j <= m else m - j) - f + ip for j in targets]
+            chain = [kappa]
+            for t in range(f - ip + 1, f - ip + max(lengths) + 1):
+                chain.append(linear[t] * chain[-1])
+            for j, k in zip(targets, lengths):
+                row.setdefault(j, []).append((chain[k], KMat.scalar(field, l, g(field, m, f, ip, j, beta_pows))))
         h[m] = {j: mat for j, pairs in row.items() if not (mat := sum_products(pairs)).is_zero()}
     return HTable(field, l, seeds, h)
 
@@ -143,10 +139,9 @@ def exponential_sum_series(field: FieldDesc, a01: KMat, trunc: Trunc) -> SRE:
     return SRE(field, 1, trunc, l, out)
 
 
-def closedform_series(htable: HTable, m: int, ctx: CosimpCtx, pd_degree: int | None = None) -> SRE:
+def closedform_series(htable: HTable, m: int, ctx: CosimpCtx, pd_degree: int) -> SRE:
     """The generating function of row m, as a 1-variable pd polynomial."""
-    field = ctx.field
-    deg = ctx.trunc.pd_degree if pd_degree is None else pd_degree
+    field, deg = ctx.field, pd_degree
     tr = Trunc(1, deg)
     l = htable.l
     growth = exponential_sum_series(field, htable.seeds.a01, tr)

@@ -87,18 +87,24 @@ def poly_divmod(f: list[Fraction], g: list[Fraction]):
     return quot, rem
 
 
+# The least strong pseudoprime to every one of the bases 2 .. 41 (psi_13):
+# below it, Miller-Rabin on these bases is deterministic.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Primality of n < PSI_13, by Miller-Rabin on PRIME_BASES."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in PRIME_BASES:
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin for n < 3.3 * 10^24
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -126,6 +132,8 @@ class FieldDesc:
     )
 
     def __init__(self, p: int, E_coeffs: Sequence[Rat]):
+        if p >= PSI_13:
+            raise PrimeTooSmall(f"p = {p} is at or above {PSI_13}, where the primality test is not exact")
         if not is_prime(p):
             raise PrimeTooSmall(f"p = {p} is not prime")
         if p <= 2:
@@ -160,7 +168,7 @@ class FieldDesc:
         self.zero = self.from_coords([])
         self.one = self.from_coords([1])
         self.pi = self.from_coords([-coeffs[0]] if e == 1 else [0, 1])  # pi = -E_0 for linear E
-        self.beta = self.eval_poly(self.E_derivative(1), self.pi)
+        self.beta = self.from_coords(self.E_derivative(1))  # E' has degree < e: no reduction
         self.beta_inv = self.beta.inverse()
 
     def E_derivative(self, n: int) -> tuple[Fraction, ...]:
@@ -181,13 +189,6 @@ class FieldDesc:
         den = math.lcm(*(c.denominator for c in cs))
         nums = [c.numerator * (den // c.denominator) for c in cs] + [0] * (self.e - len(cs))
         return KElem(self, den, tuple(nums))
-
-    def eval_poly(self, poly: Sequence[Rat], x: KElem) -> KElem:
-        """Evaluate a rational-coefficient polynomial at x in K (Horner)."""
-        acc = self.zero
-        for c in reversed([_to_fraction(c) for c in poly]):
-            acc = acc * x + self.from_rational(c)
-        return acc
 
     def __eq__(self, other):
         return (

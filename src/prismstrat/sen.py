@@ -138,8 +138,10 @@ class SenReport(NamedTuple):
         }
 
 
-def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int = 24) -> SenReport:
-    """N = -lambda1 u0 sum_m A_{m,1} t^m, with the consistency checks.
+def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int = 24, **probe) -> SenReport:
+    """N = -lambda1 u0 sum_m A_{m,1} t^m, with the consistency checks and
+    the near-HT probe of A_{0,1}, which takes the options `probe` (n_probe,
+    threshold) of check_near_HT.
 
     Leibniz hook: E'(u0) lambda = E'(u0) lambda1 t as series (lambda
     assembled with its n = 0 factor E(u0)/E(0) evaluated honestly).
@@ -181,7 +183,7 @@ def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int 
     cp_fiber = charpoly(n_rows[0][0])
     fiber_ok = all(cp_fiber[k] == cp_weights[k] * scale ** (l - k) for k in range(l + 1))
     weights_rational = rational_roots(cp_weights)
-    probe = check_near_HT(seeds.a01)
+    probe = check_near_HT(seeds.a01, **probe)
 
     return SenReport(
         l=l,
@@ -222,8 +224,8 @@ def nearly_dR_report(weights_charpoly: list[KElem], weights_rational, probe: dic
     if probe["verdict"] == "PASS":
         report["verdict"] = "nearly de Rham (probe)"
         return report
-    vals = [v for v in probe["min_valuations"] if v != "inf"]
-    tail = [Fraction(v) for v in vals[-8:]]
+    # a probe that reached a zero product passed above: the tail is finite
+    tail = [int(v) for v in probe["min_valuations"][-8:]]
     nondecreasing = all(a <= b for a, b in zip(tail, tail[1:]))
     report["verdict"] = "inconclusive" if nondecreasing else "fails probe"
     return report

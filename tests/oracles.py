@@ -3,14 +3,14 @@ against.  None of them runs on a CLI path; each is an independent
 derivation of something the engine computes another way."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 from prismstrat import closedform
 from prismstrat.closedform import HTable, g, row_series
 from prismstrat.cohomology import full_condition_rows
 from prismstrat.cosimplicial import eval_poly_at_series
 from prismstrat.errors import ShapeMismatch
-from prismstrat.field import INF, FieldDesc, KElem, PadicApprox
+from prismstrat.field import INF, FieldDesc, KElem, PadicApprox, vp_rational
 from prismstrat.matrix import KMat, blocks, kernel_basis, rank, submatrix, sum_products
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
@@ -64,6 +64,48 @@ def known_nonzero(a: PadicApprox) -> bool:
     """Nonzero at the stated precision: v_p(value) < prec."""
     v = _vp(a.value)
     return v is not INF and v < a.prec
+
+
+# -- the near-Hodge-Tate weight set --------------------------------------------
+
+
+def weight_in_near_HT_set_by_coords(w: KElem):
+    """Does w lie in Z + beta^{-1} m?  The reference for
+    stratification._weight_in_near_HT_set, coordinate by coordinate.
+
+    Membership means v(w - n) > -v(beta) for some integer n.  Writing
+    w = c_0 + (pi-part), the pi-part contributes valuations that no
+    integer shift can change, so the test reduces to the rational
+    coordinate: find n with v_p(c_0 - n) > -v(beta)/e.  Returns
+    (bool, witness integer or None).
+    """
+    field = w.field
+    e = field.e
+    vbeta = field.beta.valuation()
+    cutoff = -vbeta
+    rest = INF
+    for i in range(1, e):
+        c = w.coords[i]
+        if c != 0:
+            rest = min(rest, e * vp_rational(c, field.p) + i)
+    if rest is not INF and rest <= cutoff:
+        return False, None
+    c0 = w.coords[0]
+    # smallest integer m* with e*m* > -v(beta); q <= 0 since v(beta) >= 0
+    mstar = floor(Fraction(-vbeta, e)) + 1
+    if mstar <= 0:
+        if vp_rational(c0, field.p) >= mstar:
+            return True, int(c0) if c0.denominator == 1 else 0
+        return False, None
+    if vp_rational(c0, field.p) < 0:
+        return False, None
+    mod = field.p**mstar
+    den_inv = pow(c0.denominator % mod, -1, mod)
+    n = (c0.numerator % mod) * den_inv % mod
+    # report the representative closest to 0
+    if n > mod // 2:
+        n -= mod
+    return True, n
 
 
 # -- stratification tables -----------------------------------------------------

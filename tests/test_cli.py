@@ -357,6 +357,20 @@ def test_sen_runs_past_t_order_9(tmp_path, e):
         assert agrees_mod(a, b, min(a.prec, b.prec))
 
 
+def test_sen_reads_the_probe_options_like_gen(tmp_path):
+    data = json.loads((SPECS / "sen_ramified.json").read_text())
+    data["options"] = {**data["options"], "n_probe": 3, "threshold": 0}
+    spec = write_spec(tmp_path, data)
+    reports = {}
+    for command in ("gen", "sen"):
+        out = str(tmp_path / f"{command}.json")
+        assert run(command, spec, out) == 0
+        reports[command] = json.loads(open(out).read())
+    probe = reports["sen"]["report"]["near_HT"]
+    assert (probe["n_probe"], probe["threshold"], len(probe["min_valuations"])) == (3, 0, 4)
+    assert probe == reports["gen"]["near_HT"] == reports["sen"]["report"]["nearly_dR"]["probe"]
+
+
 def test_reports_are_deterministic(tmp_path):
     data = dict(BASE_SPEC)
     data["seeds"] = [[["1/2"]], [["2/3"]], [["-5/4"]]]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismstrat.errors import DivisionByZero, NotEisenstein, NumberTooLarge, PrimeTooSmall
-from prismstrat.field import INF, PadicApprox, field_init, rat_str, vp_rational
+from prismstrat.field import INF, PadicApprox, field_init, is_prime, rat_str, vp_rational
 from prismstrat.matrix import KMat
 
 from oracles import agrees_mod, k_mul
@@ -49,6 +49,20 @@ def test_field_init_rejects_small_prime():
         field_init(2, [-2, 1])
     with pytest.raises(PrimeTooSmall):
         field_init(9, [-9, 1])  # not prime at all
+
+
+# psi_12, the least strong pseudoprime to the bases 2 .. 37, and psi_13, to 2 .. 41
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_strong_pseudoprimes_are_refused():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    assert all(is_prime(q) for q in (37, 41, 43))
+    for p in (PSI_12, PSI_13):
+        with pytest.raises(PrimeTooSmall):
+            field_init(p, [-p, 1])
 
 
 def test_field_init_builds_one_field_per_p_and_E():

@@ -14,7 +14,7 @@ from prismstrat.field import field_init
 from prismstrat.matrix import KMat
 from prismstrat.sen import lambda1_series, sen_operator_matrix
 from prismstrat.series import Trunc
-from prismstrat.stratification import Seeds
+from prismstrat.stratification import Seeds, check_near_HT
 
 from oracles import agrees_mod, known_nonzero
 
@@ -115,6 +115,28 @@ def test_nearly_dR_classification():
     assert len(rep["per_eigenvalue"]) == 2
     flags = sorted(w["in_set"] for w in rep["per_eigenvalue"])
     assert flags == [False, True]
+
+
+@pytest.mark.parametrize(
+    "a01, probe, verdict",
+    [
+        # sqrt 7 lies in Z_3: the products of (i + A_{0,1}) decay
+        ([[0, 7], [1, 0]], {"threshold": 10}, "nearly de Rham (probe)"),
+        # sqrt 2 does not: every factor is a unit, the valuations stay 0
+        ([[0, 2], [1, 0]], {}, "inconclusive"),
+        # sqrt 2 / 3: every factor has valuation -1
+        ([[0, Fraction(2, 3)], [Fraction(1, 3), 0]], {"n_probe": 10}, "fails probe"),
+    ],
+    ids=["decays", "flat", "grows"],
+)
+def test_nearly_dR_without_rational_weights_reads_the_probe(a01, probe, verdict):
+    # the charpoly of -A_{0,1}/beta = -A_{0,1} does not split over Q
+    mat = KMat.from_rows(F1, [[F1.from_rational(a) for a in row] for row in a01])
+    seeds = Seeds.of([mat, KMat.zero(F1, 2)])
+    rep = sen_operator_matrix(seeds, CosimpCtx(F1, Trunc(2, 1)), 8, **probe)
+    assert rep.weights_rational is None
+    assert rep.near_HT == check_near_HT(mat, **probe)
+    assert rep.nearly_dR["verdict"] == verdict
 
 
 def test_sen_report_json_round():

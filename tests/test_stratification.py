@@ -24,8 +24,9 @@ from prismstrat.stratification import (
     generate_Amn,
     residual_report,
 )
+from prismstrat.stratification import _weight_in_near_HT_set
 
-from oracles import c_poly, generate_Amn_inductive
+from oracles import c_poly, generate_Amn_inductive, weight_in_near_HT_set_by_coords
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
@@ -288,7 +289,7 @@ def test_near_HT_probe_exact_zero():
     a01 = KMat.scalar(F2, 1, -F2.beta)
     rep = check_near_HT(a01, n_probe=10, threshold=5)
     assert rep["verdict"] == "PASS"
-    assert rep["min_valuations"][-1] == "inf"
+    assert rep["min_valuations"] == ["1", "inf"]  # a zero product ends the probe
 
 
 def test_near_HT_probe_factorial_growth():
@@ -301,6 +302,7 @@ def test_near_HT_probe_divergent():
     a01 = KMat.scalar(F1, 1, F1.from_rational(Fraction(1, 3)))
     rep = check_near_HT(a01, n_probe=30, threshold=0)
     assert rep["verdict"] == "FAIL"
+    assert rep["min_valuations"] == [str(-k) for k in range(1, 32)]
 
 
 def test_near_HT_exact_weights():
@@ -318,3 +320,24 @@ def test_near_HT_exact_weights():
     # rational weight 5/3 at p=3 fails even with the beta slack
     rep = check_weights_near_HT([F2.from_rational(Fraction(5, 3))])
     assert rep["verdict"] == "FAIL"
+
+
+def _rationals(p):
+    """Rationals of height up to 10^6, often with powers of p in the
+    numerator or the denominator, and 0."""
+    part = st.one_of(st.just(1), st.integers(1, 10**6))
+    power = st.integers(0, 4).map(lambda i: p**i)
+    num = st.builds(lambda s, a, q: s * a * q, st.sampled_from((1, -1)), part, power)
+    den = st.builds(lambda a, q: a * q, part, power)
+    return st.one_of(st.just(Fraction(0)), st.builds(Fraction, num, den))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_weight_in_near_HT_set_matches_the_coordinate_oracle(data):
+    # x - 3, x^2 - 3, x^3 - 3: c_0 need match an integer to p^k, k = 1, 0, -1
+    field = data.draw(st.sampled_from((F1, F2, F3)))
+    coords = data.draw(st.lists(_rationals(field.p), min_size=field.e, max_size=field.e))
+    w = field.from_coords(coords)
+    assert _weight_in_near_HT_set(w) == weight_in_near_HT_set_by_coords(w)
+
