@@ -24,8 +24,10 @@ interpreter, and both trees keep their bytecode in one cache under the
 temporary directory.  The script prints how many seeded specs are wide and how
 many long, every (spec, command) whose exit code or stdout bytes differ
 between the trees, the median wall time of each command in both, the five
-slowest runs with both times and how many seeded `h0` reports have
-dim > 0, and exits 1 on any difference.
+slowest runs with both times, how many seeded `h0` reports have dim > 0
+and how many runs differ, then one line `TIME <spec> <command> <parent_s>
+<tree_s>` per run in run order (`grep ^TIME` keeps them), and exits 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def jobs(specs: list[Path], commands: tuple[str, ...]) -> list[tuple[Path, str]]
 def compare(parent: Path, tree: Path, runs: list[tuple[Path, str]], pycache: Path) -> int:
     """Run every job on both trees; print differences and median times."""
     times: dict[str, dict[str, list[float]]] = {}
-    slowest: list[tuple[float, float, str, str]] = []  # (parent_s, tree_s, spec, command)
+    timed: list[tuple[float, float, str, str]] = []  # (parent_s, tree_s, spec, command)
     differences = seeded_h0 = h0_with_dim = 0
     for spec, command in runs:
         code_a, out_a, time_a = run_cli(parent, command, spec, pycache)
@@ -172,7 +174,7 @@ def compare(parent: Path, tree: Path, runs: list[tuple[Path, str]], pycache: Pat
         times.setdefault(command, {"parent": [], "tree": []})
         times[command]["parent"].append(time_a)
         times[command]["tree"].append(time_b)
-        slowest.append((time_a, time_b, spec.name, command))
+        timed.append((time_a, time_b, spec.name, command))
         if (code_a, out_a) != (code_b, out_b):
             differences += 1
             print(f"DIFFER {spec.name} {command}: exit {code_a} -> {code_b}, stdout {len(out_a)} -> {len(out_b)} bytes")
@@ -180,11 +182,13 @@ def compare(parent: Path, tree: Path, runs: list[tuple[Path, str]], pycache: Pat
     for command, t in times.items():
         print(f"{command:<12} {len(t['tree']):>5} {statistics.median(t['parent']):>9.3f} {statistics.median(t['tree']):>9.3f}")
     print("slowest runs:")
-    for time_a, time_b, name, command in sorted(slowest, key=lambda r: -max(r[:2]))[:5]:
+    for time_a, time_b, name, command in sorted(timed, key=lambda r: -max(r[:2]))[:5]:
         print(f"  {name} {command}: parent {time_a:.3f} s, tree {time_b:.3f} s")
     if seeded_h0:
         print(f"{h0_with_dim} of {seeded_h0} seeded h0 reports have dim > 0")
     print(f"{differences} of {len(runs)} runs differ")
+    for time_a, time_b, name, command in timed:
+        print(f"TIME {name} {command} {time_a:.4f} {time_b:.4f}")
     return 1 if differences else 0
 
 

@@ -7,7 +7,8 @@ function
         = sum_{j=1}^{2m} h~_{m,j} (1 - beta X)^(m-j) X^j (1 - beta X)^(-A_{0,1}/beta),
 
 where (1 - beta X)^(-A_{0,1}/beta) is *defined* as the rising-factorial
-series sum_s prod_{i<s}(i beta + A_{0,1}) X^[s].
+series sum_s prod_{i<s}(i beta + A_{0,1}) X^[s], whose coefficients are
+the products stratification.rising_products builds for the near-HT probe.
 
 The h-coefficients are built by an inductive pass over m that mirrors the
 summation-reordering proof: every sum over the inner index c of
@@ -39,7 +40,7 @@ from .field import FieldDesc, KElem
 from .matrix import KMat, sum_products
 from .series import SimplexRingElem as SRE
 from .series import Trunc, ring_sum
-from .stratification import Seeds, StratTable, assemble_epsilon, generate_Amn
+from .stratification import Seeds, StratTable, assemble_epsilon, generate_Amn, rising_products
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +82,12 @@ def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int) -> HTable:
     kappa; every target j takes kappa times a prefix of one running product
     of linear factors (see the module docstring for its range).
     theta_{1,s} is known for s < t_order only, hence t_order > m_max."""
-    if not seeds.commutative():
-        raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
     if len(seeds.A1) <= m_max:
         raise ShapeMismatch(f"need seeds up to A_({m_max},1)")
     if ctx.trunc.t_order <= m_max:
         raise ShapeMismatch("need t_order > m_max")
+    if not seeds.commutative():
+        raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
     field, l, a01 = ctx.field, seeds.l, seeds.a01
     linear = {t: KMat.scalar(field, l, field.beta * -t) + a01 for t in range(-m_max, m_max + 1)}
     beta_pows = [field.one]
@@ -129,22 +130,15 @@ def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int) -> HTable:
 
 def exponential_sum_series(field: FieldDesc, a01: KMat, trunc: Trunc) -> SRE:
     """(1 - beta X)^(-A_{0,1}/beta) := sum_s prod_{i<s}(i beta + A_{0,1}) X^[s]."""
-    l = a01.nrows
-    out: dict = {}
-    acc = KMat.identity(field, l)
-    for s in range(trunc.pd_degree + 1):
-        if not acc.is_zero():
-            out[(0, (s,))] = acc
-        acc = (KMat.scalar(field, l, field.beta * s) + a01) * acc
-    return SRE(field, 1, trunc, l, out)
+    prods = enumerate(rising_products(a01, trunc.pd_degree))
+    return SRE(field, 1, trunc, a01.nrows, {(0, (s,)): prod for s, prod in prods})
 
 
-def closedform_series(htable: HTable, m: int, ctx: CosimpCtx, pd_degree: int) -> SRE:
-    """The generating function of row m, as a 1-variable pd polynomial."""
-    field, deg = ctx.field, pd_degree
-    tr = Trunc(1, deg)
-    l = htable.l
-    growth = exponential_sum_series(field, htable.seeds.a01, tr)
+def closedform_series(htable: HTable, m: int, growth: SRE) -> SRE:
+    """The generating function of row m, as a 1-variable pd polynomial of
+    the degree of growth, the exponential_sum_series of A_{0,1}."""
+    field, tr, l = growth.field, growth.trunc, htable.l
+    deg = tr.pd_degree
     if m == 0:
         return growth
     # sum_j h~_{m,j} (1 - beta X)^(m-j) X^j, with X^i X^j = (i+j)! X^[i+j]: its
@@ -188,10 +182,11 @@ def verify_commutative(ht: HTable, ctx: CosimpCtx, pd_degree: int) -> dict:
     field = ctx.field
     m_max = max(ht.h)
     table = generate_Amn(ht.seeds, ctx, pd_degree)
+    growth = exponential_sum_series(field, ht.seeds.a01, Trunc(1, pd_degree))
     rows = {}
     ok = True
     for m in range(m_max + 1):
-        closed = closedform_series(ht, m, ctx, pd_degree)
+        closed = closedform_series(ht, m, growth)
         direct = row_series(table, m, field, pd_degree)
         diff = closed - direct
         nonzero = sorted(idx[0] for (_, idx) in diff.coeffs)
@@ -214,12 +209,12 @@ def ak_series(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> list[KMat]:
     with d_{i+a,s,1} = -(i + a) theta_{1,s} and a = -A_{0,1}/beta.  The
     theta_{1,s} are known for s < t_order only, hence t_order > k_max.
     """
-    if not seeds.commutative():
-        raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
     if ctx.trunc.t_order <= k_max:
         raise ShapeMismatch("need t_order > k_max")
     if len(seeds.A1) <= k_max:
         raise ShapeMismatch(f"need seeds up to A_({k_max},1)")
+    if not seeds.commutative():
+        raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
     field, l, theta = ctx.field, seeds.l, [ctx.theta_at(1, s) for s in range(k_max + 1)]
     # d_{i+a,s,1} - A_{s,1} = B_s - i theta_{1,s} with B_s = theta_{1,s} A_{0,1}/beta - A_{s,1}
     a01_binv = seeds.a01 * field.beta_inv

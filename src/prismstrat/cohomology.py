@@ -25,11 +25,11 @@ to.  Everything is exact linear algebra over K.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import NamedTuple
 
 from .cosimplicial import CosimpCtx, alpha_sum
 from .errors import ShapeMismatch
+from .field import horner
 from .matrix import KMat, blocks, charpoly, kernel_basis, rank, row_blocks, submatrix, sum_products
 from .stratification import Seeds, StratTable, assemble_epsilon, first_order_grids
 
@@ -69,7 +69,7 @@ def h0_dim_bound(a01: KMat, m_probe: int) -> int:
     so only those m take a rank."""
     field, l = a01.field, a01.nrows
     cp = charpoly(a01 * field.beta_inv)
-    roots = [m for m in range(m_probe + 1) if reduce(lambda acc, c: acc * m + c, reversed(cp)).is_zero()]
+    roots = [m for m in range(m_probe + 1) if horner(cp, m).is_zero()]
     return sum(l - rank(a01 - KMat.scalar(field, l, field.beta * m)) for m in roots)
 
 

@@ -20,19 +20,16 @@ from fractions import Fraction
 from math import comb
 
 from .errors import IndexOutOfRange, ShapeMismatch
-from .field import FieldDesc, KElem
+from .field import FieldDesc, KElem, horner
 from .matrix import KMat, submatrix
 from .series import SimplexRingElem as SRE
 from .series import Trunc, key_sums
 
 
 def eval_poly_at_series(field: FieldDesc, coeffs, s: SRE) -> SRE:
-    """Evaluate a rational/K-coefficient polynomial at a series (Horner)."""
-    acc = SRE.zero(field, s.n_vars, s.trunc, s.size)
-    for c in reversed(list(coeffs)):
-        k = c if isinstance(c, KElem) else field.from_rational(c)
-        acc = acc * s + SRE.from_scalar(field, s.n_vars, s.trunc, k, s.size)
-    return acc
+    """Evaluate a non-empty rational/K-coefficient polynomial at a series."""
+    ks = [c if isinstance(c, KElem) else field.from_rational(c) for c in coeffs]
+    return horner([SRE.from_scalar(field, s.n_vars, s.trunc, k, s.size) for k in ks], s)
 
 
 def hensel_u0(field: FieldDesc, t_order: int) -> SRE:

@@ -2,10 +2,12 @@
 
 An element stores integer coordinates in the power basis 1, pi, ...,
 pi^(e-1) over one denominator, the layout of a 1 x 1 matrix.KMat, always
-fully reduced mod E.  The valuation is normalized by v(pi) = 1, so
-v(p) = e.  Because E is Eisenstein, the terms c_i * pi^i of an element
-have pairwise distinct valuations e*v_p(c_i) + i (distinct residues mod
-e), so
+fully reduced mod E.  This module owns the storage rules both types call
+(canonical, lcm_sum, scaled, FieldDesc.reduce_polys) and the engine's one
+binary power and one Horner loop.  The valuation is normalized by
+v(pi) = 1, so v(p) = e.  Because E is Eisenstein, the terms c_i * pi^i of
+an element have pairwise distinct valuations e*v_p(c_i) + i (distinct
+residues mod e), so
 
     v(sum_i c_i pi^i) = min_i (e*v_p(c_i) + i)
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DivisionByZero, NotEisenstein, NumberTooLarge, PrimeTooSmall
@@ -40,13 +42,33 @@ def _to_fraction(x: Rat) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+# The storage rules of KElem and KMat: integer coordinates nums over one
+# denominator den >= 1, with gcd(den, *nums) == 1.
+
+
+def canonical(den: int, nums) -> tuple[int, tuple[int, ...]]:
+    """The canonical (den, nums) of the coordinates nums / den."""
+    g = math.gcd(den, *nums)
+    return (den // g, tuple(a // g for a in nums)) if g > 1 else (den, tuple(nums))
+
+
+def lcm_sum(x, y, sign: int) -> tuple[int, tuple[int, ...]]:
+    """The canonical (den, nums) of x + sign * y, x and y stored alike."""
+    den = math.lcm(x.den, y.den)
+    s, t = den // x.den, sign * (den // y.den)
+    return canonical(den, [a * s + b * t for a, b in zip(x.nums, y.nums)])
+
+
+def scaled(x, q: int | Fraction) -> tuple[int, tuple[int, ...]]:
+    """The canonical (den, nums) of x * q for a rational q."""
+    return canonical(x.den * q.denominator, [a * q.numerator for a in x.nums])
+
+
 def rat_str(x: Fraction | int, den: int = 1) -> str:
     """Canonical "num/den" form of x / den (den >= 1), plain integer when the
     reduced denominator is 1.  NumberTooLarge when a part has more digits
     than Python converts to a string."""
-    num, den = x.numerator, x.denominator * den
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
+    den, (num,) = canonical(x.denominator * den, [x.numerator])
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
@@ -87,6 +109,23 @@ def poly_divmod(f: list[Fraction], g: list[Fraction]):
     return quot, rem
 
 
+def horner(coeffs, x):
+    """coeffs[0] + coeffs[1] x + ... for non-empty low-to-high coeffs."""
+    return reduce(lambda acc, c: acc * x + c, reversed(coeffs))
+
+
+def binary_power(x, n: int, one):
+    """x ** n for an integer n >= 0 by binary powering; one for n = 0."""
+    acc = None
+    while n:
+        if n & 1:
+            acc = x if acc is None else acc * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if acc is None else acc
+
+
 # The least strong pseudoprime to every one of the bases 2 .. 41 (psi_13):
 # below it, Miller-Rabin on these bases is deterministic.
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -122,7 +161,7 @@ class FieldDesc:
 
     Precomputes the reduction table pi^k mod E for k < 2e-1 as the columns
     _pow_columns of its integer copy _pow_den * table (cleared of
-    denominators, for the integer products of KElem and KMat), the element
+    denominators, read only by reduce_polys), the element
     beta = E'(pi) and its inverse.  Immutable after construction.
     """
 
@@ -170,6 +209,15 @@ class FieldDesc:
         self.pi = self.from_coords([-coeffs[0]] if e == 1 else [0, 1])  # pi = -E_0 for linear E
         self.beta = self.from_coords(self.E_derivative(1))  # E' has degree < e: no reduction
         self.beta_inv = self.beta.inverse()
+
+    def reduce_polys(self, polys: list[int], den: int) -> tuple[int, tuple[int, ...]]:
+        """The canonical (den, nums) of the flat integer pi-polynomials of
+        2e - 1 coefficients in polys, divided by den and reduced mod E: the
+        columns of the integer pi-power table take each to e coordinates
+        over den * _pow_den."""
+        w, columns = 2 * self.e - 1, self._pow_columns
+        nums = [sum(map(int.__mul__, polys[q : q + w], col)) for q in range(0, len(polys), w) for col in columns]
+        return canonical(den * self._pow_den, nums)
 
     def E_derivative(self, n: int) -> tuple[Fraction, ...]:
         """Coefficients of the n-th formal derivative of E, low-to-high."""
@@ -225,40 +273,26 @@ class KElem(NamedTuple):
     den: int
     nums: tuple[int, ...]
 
-    @staticmethod
-    def canonical(field: FieldDesc, den: int, nums) -> KElem:
-        """The element with coordinates nums / den (den >= 1)."""
-        g = math.gcd(den, *nums)
-        if g > 1:
-            den, nums = den // g, [a // g for a in nums]
-        return KElem(field, den, tuple(nums))
-
     @property
     def coords(self) -> tuple[Fraction, ...]:
         """The coordinates as rationals."""
         return tuple(Fraction(a, self.den) for a in self.nums)
 
-    def _combine(self, other: KElem, sign: int) -> KElem:
-        den = math.lcm(self.den, other.den)
-        s, t = den // self.den, sign * (den // other.den)
-        return KElem.canonical(self.field, den, [a * s + b * t for a, b in zip(self.nums, other.nums)])
-
     def __add__(self, other: KElem) -> KElem:
-        return self._combine(other, 1)
+        return KElem(self.field, *lcm_sum(self, other, 1))
 
     def __sub__(self, other: KElem) -> KElem:
-        return self._combine(other, -1)
+        return KElem(self.field, *lcm_sum(self, other, -1))
 
     def __neg__(self) -> KElem:
         return KElem(self.field, self.den, tuple(-a for a in self.nums))
 
     def __mul__(self, other) -> KElem:
         """The product; with another element, the integer pi-polynomial of
-        the numerators is reduced mod E by the columns of the integer
-        pi-power table, over den * other.den * _pow_den."""
+        the numerators over den * other.den, reduced mod E."""
         fld = self.field
         if isinstance(other, (int, Fraction)):
-            return KElem.canonical(fld, self.den * other.denominator, [a * other.numerator for a in self.nums])
+            return KElem(fld, *scaled(self, other))
         if not isinstance(other, KElem):
             return NotImplemented
         prod = [0] * (2 * fld.e - 1)
@@ -266,8 +300,7 @@ class KElem(NamedTuple):
             if a:
                 for j, b in enumerate(other.nums):
                     prod[i + j] += a * b
-        nums = [sum(map(int.__mul__, prod, col)) for col in fld._pow_columns]
-        return KElem.canonical(fld, self.den * other.den * fld._pow_den, nums)
+        return KElem(fld, *fld.reduce_polys(prod, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -279,16 +312,8 @@ class KElem(NamedTuple):
         return self * other.inverse()
 
     def __pow__(self, n: int) -> KElem:
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        base, n = (self.inverse(), -n) if n < 0 else (self, n)
+        return binary_power(base, n, self.field.one)
 
     def inverse(self) -> KElem:
         """Inverse mod E via extended Euclid over Q[u]: s_i a = r_i mod E."""

@@ -3,7 +3,8 @@
 Everything is dense and tiny (rank l <= a handful); exact Gaussian
 elimination needs no pivoting strategy beyond "first nonzero entry".
 A matrix stores integer pi-coordinates over one denominator, after FLINT's
-fmpq_mat; `rows` is the K-element view for parsing, to_json and 1 x 1 reads.
+fmpq_mat, by the storage rules of field.py that KElem follows; `rows` is
+the K-element view for parsing, to_json and 1 x 1 reads.
 Every product accumulates unreduced integer pi-polynomials and reduces them
 with from_polys.  Operands used once (sum_products, so KMat * KMat, KMat *
 KElem by its column view, and key_sums in series) are read straight from
@@ -19,7 +20,7 @@ from math import floor, gcd, lcm
 from typing import NamedTuple
 
 from .errors import NonUnit, ShapeMismatch
-from .field import FieldDesc, KElem, poly_divmod, rat_str
+from .field import FieldDesc, KElem, canonical, horner, lcm_sum, poly_divmod, rat_str, scaled
 
 
 class KMat(NamedTuple):
@@ -65,16 +66,13 @@ class KMat(NamedTuple):
     def rows(self) -> tuple[tuple[KElem, ...], ...]:
         """The K-element grid."""
         e, nums = self.field.e, self.nums
-        entries = [KElem.canonical(self.field, self.den, nums[k : k + e]) for k in range(0, len(nums), e)]
+        entries = [KElem(self.field, *canonical(self.den, nums[k : k + e])) for k in range(0, len(nums), e)]
         return tuple(tuple(entries[r * self.ncols : (r + 1) * self.ncols]) for r in range(self.nrows))
 
     def _combine(self, other: KMat, sign: int) -> KMat:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ShapeMismatch("matrix shapes differ")
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, sign * (den // other.den)
-        nums = [a * s + b * t for a, b in zip(self.nums, other.nums)]
-        return _reduced(self.field, self.nrows, self.ncols, den, nums)
+        return KMat(self.field, self.nrows, self.ncols, *lcm_sum(self, other, sign))
 
     def __add__(self, other: KMat) -> KMat:
         return self._combine(other, 1)
@@ -87,9 +85,7 @@ class KMat(NamedTuple):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            nums = [a * q.numerator for a in self.nums]
-            return _reduced(self.field, self.nrows, self.ncols, self.den * q.denominator, nums)
+            return KMat(self.field, self.nrows, self.ncols, *scaled(self, other))
         if isinstance(other, KElem):
             # the (rows * cols) x 1 column view times the 1 x 1 matrix of other
             col = self.reshaped(self.nrows * self.ncols, 1) * KMat.scalar(self.field, 1, other)
@@ -112,7 +108,7 @@ class KMat(NamedTuple):
     def trace(self) -> KElem:
         e, nums = self.field.e, self.nums
         diag = range(0, min(self.nrows, self.ncols) * (self.ncols + 1) * e, (self.ncols + 1) * e)
-        return KElem.canonical(self.field, self.den, [sum(nums[k + i] for k in diag) for i in range(e)])
+        return KElem(self.field, *canonical(self.den, [sum(nums[k + i] for k in diag) for i in range(e)]))
 
     def commutes_with(self, other: KMat) -> bool:
         return sum_products([(self, other), (-other, self)]).is_zero()
@@ -133,14 +129,6 @@ class KMat(NamedTuple):
     def __repr__(self):
         body = "; ".join("[" + ", ".join(repr(a) for a in r) + "]" for r in self.rows)
         return f"KMat({body})"
-
-
-def _reduced(field: FieldDesc, nrows: int, ncols: int, den: int, nums) -> KMat:
-    """The canonical KMat with coordinates nums / den (den >= 1)."""
-    g = gcd(den, *nums)
-    if g > 1:
-        den, nums = den // g, [a // g for a in nums]
-    return KMat(field, nrows, ncols, den, tuple(nums))
 
 
 def int_form(mats, out_ncols: int | None = None) -> tuple[int, list]:
@@ -174,11 +162,8 @@ def accumulate(polys: list[int], a: list, b: list, scale: int):
 
 def from_polys(field: FieldDesc, polys: list[int], nrows: int, ncols: int, den: int) -> KMat:
     """The nrows x ncols matrix whose entry (r, c) is the flat pi-polynomial
-    at (r ncols + c) (2e - 1) of polys, reduced mod E with the integer
-    pi-power table and divided by den * _pow_den."""
-    w, columns = 2 * field.e - 1, field._pow_columns
-    nums = [sum(map(int.__mul__, polys[q : q + w], col)) for q in range(0, len(polys), w) for col in columns]
-    return _reduced(field, nrows, ncols, den * field._pow_den, nums)
+    at (r ncols + c) (2e - 1) of polys, divided by den and reduced mod E."""
+    return KMat(field, nrows, ncols, *field.reduce_polys(polys, den))
 
 
 def sum_products(pairs) -> KMat:
@@ -212,14 +197,14 @@ def submatrix(m: KMat, rows, cols) -> KMat:
     """The matrix of the entries (r, c) of m, r in rows and c in cols, in order."""
     e, nums = m.field.e, m.nums
     out = [a for r in rows for c in cols for a in nums[(r * m.ncols + c) * e : (r * m.ncols + c + 1) * e]]
-    return _reduced(m.field, len(rows), len(cols), m.den, out)
+    return KMat(m.field, len(rows), len(cols), *canonical(m.den, out))
 
 
 def row_blocks(m: KMat, size: int) -> list[KMat]:
     """m cut into its consecutive blocks of size rows, read from the contiguous storage."""
     w = m.ncols * m.field.e
     rows = (m.nums[r * w : (r + size) * w] for r in range(0, m.nrows, size))
-    return [_reduced(m.field, size, m.ncols, m.den, nums) for nums in rows]
+    return [KMat(m.field, size, m.ncols, *canonical(m.den, nums)) for nums in rows]
 
 
 def blocks(grid) -> KMat:
@@ -234,7 +219,7 @@ def blocks(grid) -> KMat:
             for b in row:
                 w = b.ncols * field.e
                 nums += [a * (den // b.den) for a in b.nums[r * w : (r + 1) * w]]
-    return _reduced(field, sum(row[0].nrows for row in grid), ncols, den, nums)
+    return KMat(field, sum(row[0].nrows for row in grid), ncols, *canonical(den, nums))
 
 
 def echelon(m: KMat) -> tuple[KMat, list[int]]:
@@ -335,7 +320,7 @@ def rational_roots(poly: list[KElem]) -> list[Fraction] | None:
         count = _sign_changes(sturm, lo) - _sign_changes(sturm, hi)
         if count == 1 and (hi - lo) * a < 1:
             r = Fraction(floor(hi * a), a)
-            if r <= lo or _poly_eval(square_free, r):
+            if r <= lo or horner(square_free, r):
                 return None  # an irrational real root
             while not (rem := poly_divmod(f, [-r, 1]))[1]:
                 f = rem[0]
@@ -357,13 +342,6 @@ def _sturm(f: list[Fraction]) -> list[list[Fraction]]:
 
 
 def _sign_changes(seq: list[list[Fraction]], x: Fraction) -> int:
-    signs = [v > 0 for p in seq if (v := _poly_eval(p, x))]
+    signs = [v > 0 for p in seq if (v := horner(p, x))]
     return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 

@@ -25,7 +25,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import BadConstantTerm, NonUnit, ShapeMismatch
-from .field import FieldDesc, KElem
+from .field import FieldDesc, KElem, binary_power
 from .matrix import KMat, accumulate, from_polys, int_form, mat_inverse, sum_products
 
 MultiIndex = tuple[int, ...]
@@ -157,16 +157,8 @@ class SimplexRingElem:
         return self.__mul__(other) if isinstance(other, (int, Fraction, KElem)) else NotImplemented
 
     def __pow__(self, n: int) -> SimplexRingElem:
-        if n < 0:
-            return self.invert() ** (-n)
-        acc = SimplexRingElem.one(self.field, self.n_vars, self.trunc, self.size)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        base, n = (self.invert(), -n) if n < 0 else (self, n)
+        return binary_power(base, n, SimplexRingElem.one(self.field, self.n_vars, self.trunc, self.size))
 
     def __eq__(self, other):
         if not isinstance(other, SimplexRingElem):

@@ -179,19 +179,25 @@ def _val_str(v):
     return str(v)
 
 
+def rising_products(a01: KMat, n: int) -> list[KMat]:
+    """prod_{i<s} (i beta + A_{0,1}) for s = 0 .. n, up to the first zero
+    product: every later one is zero too."""
+    field, l = a01.field, a01.nrows
+    out = [KMat.identity(field, l)]
+    for i in range(n):
+        out.append((KMat.scalar(field, l, field.beta * i) + a01) * out[-1])
+        if out[-1].is_zero():
+            break
+    return out
+
+
 def check_near_HT(a01: KMat, n_probe: int = 64, threshold: int = 40) -> dict:
     """Convergence probe on A_{0,1}: prod_{i=0}^{n} (i beta + A_{0,1}) -> 0,
-    tracked by the min entry valuation of the partial products, up to the
-    first zero product (which stays zero).  PASS when the last valuation is
-    INF or above threshold.  Returns a verdict report, never raises."""
-    field, l = a01.field, a01.nrows
-    prod = KMat.identity(field, l)
-    vals = []
-    for i in range(n_probe + 1):
-        prod = (KMat.scalar(field, l, field.beta * i) + a01) * prod
-        vals.append(prod.min_valuation())
-        if vals[-1] is INF:
-            break
+    tracked by the min entry valuation of the rising products for
+    n = 0 .. n_probe, up to the first zero product.  PASS when the last
+    valuation is INF or above threshold.  Returns a verdict report, never
+    raises."""
+    vals = [prod.min_valuation() for prod in rising_products(a01, n_probe + 1)[1:]]
     return {
         "mode": "probe",
         "verdict": "PASS" if vals[-1] > threshold else "FAIL",  # INF > threshold

@@ -45,6 +45,18 @@ def k_mul(field: FieldDesc, a, b) -> tuple[Fraction, ...]:
     return tuple(sum((ck * table[k][i] for k, ck in enumerate(prod)), Fraction(0)) for i in range(e))
 
 
+def binary_power_loop(x, n: int, one):
+    """x ** n for n >= 0 by binary powering from acc = one, squaring after
+    every bit.  The reference for field.binary_power."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * x
+        x = x * x
+        n >>= 1
+    return acc
+
+
 # -- p-adic approximations ----------------------------------------------------
 
 
@@ -130,6 +142,16 @@ def generate_Amn_inductive(seeds, ctx, n_max: int) -> StratTable:
                 out = out + coeff * A[(i, n)]
             A[(m, n + 1)] = out
     return StratTable(l, t_order, n_max, A)
+
+
+def rising_products_loop(a01: KMat, n: int) -> list[KMat]:
+    """prod_{i<s} (i beta + A_{0,1}) for every s = 0 .. n, zero products
+    included.  The reference for stratification.rising_products."""
+    field, l = a01.field, a01.nrows
+    out = [KMat.identity(field, l)]
+    for s in range(n):
+        out.append((KMat.scalar(field, l, field.beta * s) + a01) * out[-1])
+    return out
 
 
 # -- series and the cosimplicial tables ---------------------------------------

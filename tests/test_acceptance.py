@@ -122,7 +122,7 @@ def test_criterion_1_worked_example_rows():
             ctx = CosimpCtx(field, Trunc(4, deg))
             ht = h_table(seeds, ctx, 2)
             for m in (1, 2):
-                got = closedform_series(ht, m, ctx, deg)
+                got = closedform_series(ht, m, exponential_sum_series(field, seeds.a01, Trunc(1, deg)))
                 expect = _display_row_series(ctx, seeds, m, deg)
                 assert got == expect, (field.e, m, vals)
     _budget("1 (worked-example rows m=1,2)", started, 30)

@@ -100,6 +100,17 @@ def test_validate_reports_noncommuting(tmp_path):
     assert comm["error"] == "NonCommutingSeeds"
 
 
+def test_conjecture_checks_shapes_before_commuting_seeds(tmp_path):
+    # k_max = 2 needs T > 2: that check fails before any commutator product
+    data = {**BASE_SPEC, "rank": 2, "trunc": {"t": 2, "x": 4}}
+    data["seeds"] = [[["1", "1"], ["0", "1"]], [["0", "1"], ["1", "0"]]]
+    spec = write_spec(tmp_path, data)
+    out = str(tmp_path / "out.json")
+    assert run("conjecture", spec, out) == 2
+    error = json.loads(open(out).read())["error"]
+    assert error["type"] == "ShapeMismatch" and "need t_order > k_max" in error["message"]
+
+
 def test_bad_seed_shape_exits_2(tmp_path):
     data = dict(BASE_SPEC)
     data["seeds"] = [[["0", "1"]], [["0"]], [["0"]]]

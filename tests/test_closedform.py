@@ -177,7 +177,7 @@ def test_closedform_matches_expanded_rows(field, m):
     ctx = CosimpCtx(field, Trunc(4, 8))
     seeds = scalar_seeds(field, [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4), 0])
     ht = h_table(seeds, ctx, m)
-    got = closedform_series(ht, m, ctx, 8)
+    got = closedform_series(ht, m, exponential_sum_series(field, seeds.a01, Trunc(1, 8)))
     expect = _display_series(ctx, seeds, m, 8)
     assert got == expect
 
@@ -186,7 +186,8 @@ def test_closedform_m0_is_growth_series():
     ctx = CosimpCtx(F2, Trunc(2, 6))
     seeds = scalar_seeds(F2, [Fraction(1, 2), 0])
     ht = h_table(seeds, ctx, 0)
-    assert closedform_series(ht, 0, ctx, 6) == exponential_sum_series(
+    growth = exponential_sum_series(F2, seeds.a01, Trunc(1, 6))
+    assert closedform_series(ht, 0, growth) == exponential_sum_series(
         F2, seeds.a01, Trunc(1, 6)
     )
 
@@ -197,7 +198,7 @@ def test_closedform_e1_hand_case():
     a = Fraction(5, 7)
     seeds = scalar_seeds(F1, [-1, a, 0])
     ht = h_table(seeds, ctx, 1)
-    got = closedform_series(ht, 1, ctx, 6)
+    got = closedform_series(ht, 1, exponential_sum_series(F1, seeds.a01, Trunc(1, 6)))
     ka = kconst(F1, a)
     assert got.coeff(0, (1,)).rows[0][0] == ka
     assert got.coeff(0, (2,)).rows[0][0] == ka * -2
@@ -420,6 +421,9 @@ def test_conjecture_residual_error_precedence():
     a01 = KMat.from_rows(F1, [[F1.one, F1.one], [F1.zero, F1.one]])
     a11 = KMat.from_rows(F1, [[F1.zero, F1.one], [F1.one, F1.zero]])
     with pytest.raises(NonCommutingSeeds, match="must commute"):
+        conjecture_residual(Seeds.of([a01, a11, a11]), ctx, 2)
+    # the shape checks run before the commutator products
+    with pytest.raises(ShapeMismatch, match="need t_order > k_max"):
         conjecture_residual(Seeds.of([a01, a11, a11]), ctx, 5)
     with pytest.raises(ShapeMismatch, match="need t_order > k_max"):
         conjecture_residual(scalar_seeds(F1, [1, 2]), ctx, 5)
@@ -451,6 +455,9 @@ def test_h_table_error_precedence():
     a01 = KMat.from_rows(F1, [[F1.one, F1.one], [F1.zero, F1.one]])
     a11 = KMat.from_rows(F1, [[F1.zero, F1.one], [F1.one, F1.zero]])
     with pytest.raises(NonCommutingSeeds, match="must commute"):
+        h_table(Seeds.of([a01, a11, a11]), ctx, 2)
+    # the shape checks run before the commutator products
+    with pytest.raises(ShapeMismatch, match=r"need seeds up to A_\(5,1\)"):
         h_table(Seeds.of([a01, a11, a11]), ctx, 5)
     with pytest.raises(ShapeMismatch, match=r"need seeds up to A_\(5,1\)"):
         h_table(scalar_seeds(F1, [1, 2, 3]), ctx, 5)

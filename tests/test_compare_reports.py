@@ -29,6 +29,10 @@ def test_compare_reports_finds_only_the_planted_change(tmp_path):
     same = _compare(tmp_path, parent)
     assert same.returncode == 0, same.stdout + same.stderr
     assert "DIFFER" not in same.stdout and "0 of 4 runs differ" in same.stdout
+    timed = [line.split() for line in same.stdout.splitlines() if line.startswith("TIME ")]
+    assert [(name, command) for _, name, command, _, _ in timed] == [
+        ("tiny_e2.json", "gen"), ("tiny_e2.json", "closed-form"), ("tiny_e1.json", "gen"), ("tiny_e1.json", "closed-form")
+    ]
 
     closedform = parent / "prismstrat" / "closedform.py"
     source = closedform.read_text()

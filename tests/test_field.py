@@ -1,7 +1,9 @@
 """Field layer: construction, arithmetic, valuation, p-adic approximations."""
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from prismstrat.errors import DivisionByZero, NotEisenstein, NumberTooLarge, Pri
 from prismstrat.field import INF, PadicApprox, field_init, is_prime, rat_str, vp_rational
 from prismstrat.matrix import KMat
 
-from oracles import agrees_mod, k_mul
+from oracles import agrees_mod, binary_power_loop, k_mul
 
 F_LIN = field_init(3, [-3, 1])  # E = u - 3
 F_QUAD = field_init(3, [-3, 0, 1])  # E = u^2 - 3
@@ -299,5 +301,44 @@ def test_equal_elements_are_equal_on_every_construction_route(field):
             assert r == a and hash(r) == hash(a) and (r.den, r.nums) == (a.den, a.nums)
             assert _is_canonical(r)
         assert field.zero.den == 1 and (a - a) == field.zero
+
+    inner()
+
+
+@pytest.mark.parametrize(
+    "field", FIELDS + [F_OCTIC, F_HALF], ids=["e1", "e2", "e3", "e8", "e2_pow_den_2"]
+)
+def test_kelem_and_1x1_kmat_store_every_result_alike(field):
+    # both types follow the storage rules of field.py: equal (den, nums)
+    coords = st.lists(_WIDE, max_size=field.e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coords, coords, _WIDE)
+    def inner(xs, ys, q):
+        a, b = field.from_coords(xs), field.from_coords(ys)
+        ma, mb = KMat.scalar(field, 1, a), KMat.scalar(field, 1, b)
+        assert (a * b).coords == k_mul(field, a.coords, b.coords)
+        pairs = [(a + b, ma + mb), (a - b, ma - mb), (a * b, ma * mb), (a * q, ma * q)]
+        pairs += [(a * q.numerator, ma * q.numerator), (q * a, q * ma)]
+        for x, m in pairs:
+            assert (m.nrows, m.ncols) == (1, 1)
+            assert (x.den, x.nums) == (m.den, m.nums)
+
+    inner()
+
+
+@pytest.mark.parametrize("field", [F_LIN, F_CUBIC, F_HALF], ids=["e1", "e3", "e2_pow_den_2"])
+def test_powers_match_repeated_products_and_the_loop(field):
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_WIDE, max_size=field.e), st.integers(-9, 9))
+    def inner(xs, n):
+        a = field.from_coords(xs)
+        if n < 0 and a.is_zero():
+            with pytest.raises(DivisionByZero):
+                a**n
+            return
+        base = a if n >= 0 else a.inverse()
+        repeated = reduce(mul, [base] * abs(n), field.one)
+        assert a**n == repeated == binary_power_loop(base, abs(n), field.one)
 
     inner()

@@ -16,7 +16,7 @@ from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc, key_sums
 
-from oracles import binomial_power_per_key, key_sums_stacked, truncate
+from oracles import binary_power_loop, binomial_power_per_key, key_sums_stacked, truncate
 
 F = field_init(3, [-3, 1])
 FQ = field_init(3, [-3, 0, 1])
@@ -447,5 +447,22 @@ def test_key_sums_matches_stacked_reference(field):
         got = key_sums(table, mats)
         assert got == key_sums_stacked(table, mats)
         assert got["zero"] == KMat.zero(field, r, c)
+
+    inner()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_series_powers_match_repeated_products_and_the_loop(field):
+    # a 1-variable series of 2 x 2 matrices, terms below t^3 and pd degree 4
+    tr = Trunc(3, 4)
+    one = SRE.one(field, 1, tr, 2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data(), st.integers(0, 9))
+    def inner(data, n):
+        keys = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=4))
+        x = SRE(field, 1, tr, 2, {(m, (d,)): _draw_kmat(data, field, 2, 2) for m, d in keys})
+        repeated = functools.reduce(lambda acc, _: acc * x, range(n), one)
+        assert x**n == repeated == binary_power_loop(x, n, one)
 
     inner()

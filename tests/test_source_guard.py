@@ -43,3 +43,15 @@ def test_every_function_in_src_is_referenced_in_src():
     assert {name for name, _ in unreferenced if name in tracer} == TRACED_ONLY
     unused = [f"{where} {name}" for name, where in unreferenced if name not in TRACED_ONLY]
     assert not unused, unused
+
+
+def test_only_field_reads_the_pi_power_table():
+    # field.reduce_polys is the one reduction mod E, for KElem and KMat alike
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "field.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("_pow_columns", "_pow_den")
+    ]
+    assert not readers, readers

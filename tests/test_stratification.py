@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismstrat import series
+from prismstrat.closedform import exponential_sum_series
 from prismstrat.cosimplicial import CosimpCtx, face_map
 from prismstrat.errors import SeedShapeMismatch
 from prismstrat.field import field_init
@@ -23,10 +24,11 @@ from prismstrat.stratification import (
     StratTable,
     generate_Amn,
     residual_report,
+    rising_products,
 )
 from prismstrat.stratification import _weight_in_near_HT_set
 
-from oracles import c_poly, generate_Amn_inductive, weight_in_near_HT_set_by_coords
+from oracles import c_poly, generate_Amn_inductive, rising_products_loop, weight_in_near_HT_set_by_coords
 
 F1 = field_init(3, [-3, 1])
 F2 = field_init(3, [-3, 0, 1])
@@ -290,6 +292,34 @@ def test_near_HT_probe_exact_zero():
     rep = check_near_HT(a01, n_probe=10, threshold=5)
     assert rep["verdict"] == "PASS"
     assert rep["min_valuations"] == ["1", "inf"]  # a zero product ends the probe
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rising_products_match_the_loop(field, data):
+    # upper triangular A_{0,1}, its diagonal -k beta or a rational; with
+    # distinct k <= 4 on the whole diagonal the products reach zero
+    rank, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 8))
+    ks = data.draw(st.lists(st.integers(0, 4), min_size=rank, max_size=rank, unique=True))
+    rational = data.draw(st.booleans())
+
+    def q():
+        return field.from_rational(Fraction(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 4))))
+
+    rows = [[q() if c > r else field.zero for c in range(rank)] for r in range(rank)]
+    for r, k in enumerate(ks):
+        rows[r][r] = q() if rational else field.beta * -k
+    a01 = KMat.from_rows(field, rows)
+    got, expect = rising_products(a01, n), rising_products_loop(a01, n)
+    assert got == expect[: len(got)]
+    assert all(prod.is_zero() for prod in expect[len(got) :])
+    assert not any(prod.is_zero() for prod in got[:-1])
+    assert len(got) == n + 1 or got[-1].is_zero()
+    if not rational and n > max(ks):
+        assert len(got) == max(ks) + 2  # the first zero product is at s = max(ks) + 1
+    growth = exponential_sum_series(field, a01, Trunc(1, n)).coeffs
+    assert growth == {(0, (s,)): prod for s, prod in enumerate(expect) if not prod.is_zero()}
 
 
 def test_near_HT_probe_factorial_growth():
