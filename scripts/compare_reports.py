@@ -21,13 +21,14 @@ weight is below T and whose `closed-form` runs on a non-scalar A_{0,1};
 whose entries are coordinate lists of rationals of height up to 10^6.
 Every third spec has `options.m_max = T - 1`.  Each run is a fresh
 interpreter, and both trees keep their bytecode in one cache under the
-temporary directory.  The script prints how many seeded specs are wide and how
-many long, every (spec, command) whose exit code or stdout bytes differ
-between the trees, the median wall time of each command in both, the five
-slowest runs with both times, how many seeded `h0` reports have dim > 0
-and how many runs differ, then one line `TIME <spec> <command> <parent_s>
-<tree_s>` per run in run order (`grep ^TIME` keeps them), and exits 1 on
-any difference.
+temporary directory.  Before the timed runs, each tree runs the first job
+once untimed, so that neither side's first run is timed cold.  The script
+prints how many seeded specs are wide and how many long, every (spec,
+command) whose exit code or stdout bytes differ between the trees, the
+median wall time of each command in both, the five slowest runs with both
+times, how many seeded `h0` reports have dim > 0 and how many runs differ,
+then one line `TIME <spec> <command> <parent_s> <tree_s>` per run in run
+order (`grep ^TIME` keeps them), and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -165,6 +166,8 @@ def compare(parent: Path, tree: Path, runs: list[tuple[Path, str]], pycache: Pat
     times: dict[str, dict[str, list[float]]] = {}
     timed: list[tuple[float, float, str, str]] = []  # (parent_s, tree_s, spec, command)
     differences = seeded_h0 = h0_with_dim = 0
+    for warm in (parent, tree) if runs else ():  # untimed: the first run of a tree is cold
+        run_cli(warm, runs[0][1], runs[0][0], pycache)
     for spec, command in runs:
         code_a, out_a, time_a = run_cli(parent, command, spec, pycache)
         code_b, out_b, time_b = run_cli(tree, command, spec, pycache)

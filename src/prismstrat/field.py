@@ -4,10 +4,11 @@ An element stores integer coordinates in the power basis 1, pi, ...,
 pi^(e-1) over one denominator, the layout of a 1 x 1 matrix.KMat, always
 fully reduced mod E.  This module owns the storage rules both types call
 (canonical, lcm_sum, scaled, FieldDesc.reduce_polys) and the engine's one
-binary power and one Horner loop.  The valuation is normalized by
-v(pi) = 1, so v(p) = e.  Because E is Eisenstein, the terms c_i * pi^i of
-an element have pairwise distinct valuations e*v_p(c_i) + i (distinct
-residues mod e), so
+binary power and one Horner loop.  Products and inverses (by Bareiss
+elimination) work on integers; Fractions serve parsing and the coords
+view.  The valuation is normalized by v(pi) = 1, so v(p) = e.  Because E
+is Eisenstein, the terms c_i * pi^i of an element have pairwise distinct
+valuations e*v_p(c_i) + i (distinct residues mod e), so
 
     v(sum_i c_i pi^i) = min_i (e*v_p(c_i) + i)
 
@@ -92,21 +93,6 @@ def vp_rational(x: Fraction, p: int):
         d //= p
         v -= 1
     return v
-
-
-def poly_divmod(f: list[Fraction], g: list[Fraction]):
-    """(quotient, remainder) of f by g (g[-1] != 0), low-to-high, the
-    remainder without trailing zeros."""
-    rem, quot = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(rem) >= len(g):
-        c, shift = rem[-1] / g[-1], len(rem) - len(g)
-        quot[shift] = c
-        for i, gi in enumerate(g):
-            rem[shift + i] -= c * gi
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return quot, rem
 
 
 def horner(coeffs, x):
@@ -316,25 +302,25 @@ class KElem(NamedTuple):
         return binary_power(base, n, self.field.one)
 
     def inverse(self) -> KElem:
-        """Inverse mod E via extended Euclid over Q[u]: s_i a = r_i mod E."""
-        if self.is_zero():
-            raise DivisionByZero("inverting 0 in K")
-        fld = self.field
-        r0, r1 = list(fld.E_coeffs), list(self.coords)
-        while r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = poly_divmod(r0, r1)
-            s_next = s0 + [Fraction(0)] * (len(q) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(q):
-                for j, sj in enumerate(s1):
-                    s_next[i + j] -= qi * sj
-            r0, r1, s0, s1 = r1, rem, s1, s_next
-        if not r1:
-            # the gcd r0 is not a unit, which E irreducible rules out for a != 0
-            raise DivisionByZero("element not invertible mod E")
-        return fld.from_coords([c / r1[0] for c in s1])
+        """Inverse mod E on integers: M / d multiplies by the numerator polynomial
+        (column j: pi^j nums mod E), forward Bareiss on [M | e_0] ends on D = +-det M,
+        and back substitution gives y = |D| M^-1 e_0 exactly (Cramer), so 1/a = den d y
+        / |D|.  E is irreducible, so M is singular, with no pivot, only for a = 0."""
+        fld, e = self.field, self.field.e
+        d, cols = fld.reduce_polys([c for j in range(e) for c in [0] * j + list(self.nums) + [0] * (e - 1 - j)], 1)
+        rows, D = [[*cols[i::e], int(i == 0)] for i in range(e)], 1
+        for k in range(e):
+            if (piv := next((i for i in range(k, e) if rows[i][k]), None)) is None:
+                raise DivisionByZero("inverting 0 in K")
+            top = rows[piv]
+            rows[piv], rows[k] = rows[k], top
+            for r in rows[k + 1 :]:
+                r[k + 1 :] = [(x * top[k] - r[k] * t) // D for x, t in zip(r[k + 1 :], top[k + 1 :])]
+            D = top[k]
+        D, y = abs(D), [0] * e
+        for i in reversed(range(e)):
+            y[i] = (D * rows[i][e] - sum(rows[i][j] * y[j] for j in range(i + 1, e))) // rows[i][i]
+        return KElem(fld, *canonical(D, [self.den * d * c for c in y]))
 
     def is_zero(self) -> bool:
         return not any(self.nums)

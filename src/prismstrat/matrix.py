@@ -11,6 +11,7 @@ KElem by its column view, and key_sums in series) are read straight from
 their storage; an operand that meets many others (the ring product in
 series, generate_Amn) takes its sparse int_form once and goes through
 accumulate.  submatrix, row_blocks and blocks slice and assemble the storage.
+The root search holds the engine's one Fraction polynomial division.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import floor, gcd, lcm
 from typing import NamedTuple
 
 from .errors import NonUnit, ShapeMismatch
-from .field import FieldDesc, KElem, canonical, horner, lcm_sum, poly_divmod, rat_str, scaled
+from .field import FieldDesc, KElem, canonical, horner, lcm_sum, rat_str, scaled
 
 
 class KMat(NamedTuple):
@@ -331,6 +332,19 @@ def rational_roots(poly: list[KElem]) -> list[Fraction] | None:
     if len(f) > 1:
         return None  # complex roots
     return sorted(roots, key=lambda r: (r != 0, abs(r.numerator), r.denominator, r < 0))
+
+
+def poly_divmod(f: list[Fraction], g: list[Fraction]):
+    """(quotient, remainder) of f by g (g[-1] != 0), low-to-high, the
+    remainder without trailing zeros."""
+    rem, quot = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(rem) >= len(g):
+        shift = len(rem) - len(g)
+        quot[shift] = c = rem[-1] / g[-1]
+        rem[shift:] = [r - c * gi for r, gi in zip(rem[shift:], g)]  # the top term cancels
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
 
 
 def _sturm(f: list[Fraction]) -> list[list[Fraction]]:

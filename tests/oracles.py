@@ -9,9 +9,9 @@ from prismstrat import closedform
 from prismstrat.closedform import HTable, g, row_series
 from prismstrat.cohomology import full_condition_rows
 from prismstrat.cosimplicial import eval_poly_at_series
-from prismstrat.errors import ShapeMismatch
+from prismstrat.errors import DivisionByZero, ShapeMismatch
 from prismstrat.field import INF, FieldDesc, KElem, PadicApprox, vp_rational
-from prismstrat.matrix import KMat, blocks, kernel_basis, rank, submatrix, sum_products
+from prismstrat.matrix import KMat, blocks, kernel_basis, poly_divmod, rank, submatrix, sum_products
 from prismstrat.series import SimplexRingElem as SRE
 from prismstrat.series import Trunc
 from prismstrat.stratification import StratTable, generate_Amn
@@ -43,6 +43,29 @@ def k_mul(field: FieldDesc, a, b) -> tuple[Fraction, ...]:
         for j, bj in enumerate(b):
             prod[i + j] += ai * bj
     return tuple(sum((ck * table[k][i] for k, ck in enumerate(prod)), Fraction(0)) for i in range(e))
+
+
+def euclid_inverse(a: KElem) -> KElem:
+    """Inverse mod E via extended Euclid over Q[u]: s_i a = r_i mod E.  The
+    reference for KElem.inverse, which eliminates on integers."""
+    if a.is_zero():
+        raise DivisionByZero("inverting 0 in K")
+    fld = a.field
+    r0, r1 = list(fld.E_coeffs), list(a.coords)
+    while r1[-1] == 0:
+        r1.pop()
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, rem = poly_divmod(r0, r1)
+        s_next = s0 + [Fraction(0)] * (len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                s_next[i + j] -= qi * sj
+        r0, r1, s0, s1 = r1, rem, s1, s_next
+    if not r1:
+        # the gcd r0 is not a unit, which E irreducible rules out for a != 0
+        raise DivisionByZero("element not invertible mod E")
+    return fld.from_coords([c / r1[0] for c in s1])
 
 
 def binary_power_loop(x, n: int, one):

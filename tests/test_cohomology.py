@@ -1,6 +1,7 @@
 """H^0 solver: identity crystal, forced-zero cases, dimension bounds, and
 the kernel of P against the full X^[k] system."""
 
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,12 +13,12 @@ from hypothesis import strategies as st
 from prismstrat import cli, series, stratification
 from prismstrat.cohomology import full_condition_rows, h0_dim_bound, h0_solve, stage1_rows
 from prismstrat.cosimplicial import CosimpCtx
-from prismstrat.field import field_init
-from prismstrat.matrix import KMat, mat_inverse
+from prismstrat.field import KElem, field_init
+from prismstrat.matrix import KMat, mat_inverse, rank
 from prismstrat.series import Trunc
 from prismstrat.stratification import Seeds, StratTable, first_order_grids, generate_Amn
 
-from oracles import condition_block, h0_dim_bound_all_m, h0_full_system
+from oracles import condition_block, euclid_inverse, h0_dim_bound_all_m, h0_full_system
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 F1 = field_init(3, [-3, 1])
@@ -338,3 +339,39 @@ def test_report_shape():
     assert rep["dim_per_order"] == [1, 1, 1]
     assert rep["stage1_dim"] == 1
     assert len(rep["basis"][0]) == 3
+
+
+def test_wide_corner_rank_h0_and_pivot_inverses(monkeypatch, tmp_path):
+    # rank 8, e = 8, T = D = 1: one seed whose 512 coordinates are independent
+    # rationals +-n/m, n, m <= 99 (a common denominator of 136 bits); each
+    # elimination pivot of rank(A_{0,1}) is inverted by integer elimination
+    # and checked against extended Euclid over Q[u]
+    rng = random.Random(0)
+
+    def rational():
+        return str(Fraction(rng.choice((1, -1)) * rng.randint(1, 99), rng.randint(1, 99)))
+
+    seed = [[[rational() for _ in range(8)] for _ in range(8)] for _ in range(8)]
+    spec = {"p": 3, "E_coeffs": ["-3"] + ["0"] * 7 + ["1"], "rank": 8, "seeds": [seed]}
+    spec.update(trunc={"t": 1, "x": 1}, padic_prec=8)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    a01 = cli.load_problem(spec).seeds.a01
+    assert a01.den.bit_length() == 136
+
+    pivots, inverse = [], KElem.inverse
+
+    def recording_inverse(a):
+        pivots.append((a, inverse(a)))
+        return pivots[-1][1]
+
+    monkeypatch.setattr(KElem, "inverse", recording_inverse)
+    assert rank(a01) == 8
+    monkeypatch.undo()
+    assert len(pivots) == 8
+    for a, inv in pivots:
+        ref = euclid_inverse(a)
+        assert (inv.den, inv.nums) == (ref.den, ref.nums)
+
+    assert cli.run("h0", str(path), str(tmp_path / "out.json")) == 0
+    assert json.loads((tmp_path / "out.json").read_text())["solution"]["dim"] == 0

@@ -1,5 +1,6 @@
 """scripts/compare_reports.py: same trees compare equal, a planted change is reported."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -43,3 +44,24 @@ def test_compare_reports_finds_only_the_planted_change(tmp_path):
     differ = sorted(line.split(":")[0] for line in planted.stdout.splitlines() if line.startswith("DIFFER"))
     assert differ == ["DIFFER tiny_e1.json closed-form", "DIFFER tiny_e2.json closed-form"]
     assert "2 of 4 runs differ" in planted.stdout
+
+
+def test_compare_warms_each_tree_once_before_timing(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("compare_reports", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+
+    def run_cli(tree, command, spec_path, pycache):
+        calls.append((tree, command, spec_path.name))
+        return 0, b"{}", 0.25
+
+    monkeypatch.setattr(script, "run_cli", run_cli)
+    parent, tree = Path("parent"), Path("tree")
+    runs = [(Path("a.json"), "gen"), (Path("a.json"), "h0"), (Path("b.json"), "gen")]
+    assert script.compare(parent, tree, runs, Path("pycache")) == 0
+    warm_up = [(parent, "gen", "a.json"), (tree, "gen", "a.json")]
+    timed = [(t, command, path.name) for path, command in runs for t in (parent, tree)]
+    assert calls == warm_up + timed
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("TIME ")]
+    assert lines == [f"TIME {p.name} {command} 0.2500 0.2500" for p, command in runs]

@@ -13,7 +13,7 @@ from prismstrat.errors import DivisionByZero, NotEisenstein, NumberTooLarge, Pri
 from prismstrat.field import INF, PadicApprox, field_init, is_prime, rat_str, vp_rational
 from prismstrat.matrix import KMat
 
-from oracles import agrees_mod, binary_power_loop, k_mul
+from oracles import agrees_mod, binary_power_loop, euclid_inverse, k_mul
 
 F_LIN = field_init(3, [-3, 1])  # E = u - 3
 F_QUAD = field_init(3, [-3, 0, 1])  # E = u^2 - 3
@@ -22,6 +22,7 @@ F_CUBIC = field_init(5, [-5, 0, 0, 1])  # E = u^3 - 5
 FIELDS = [F_LIN, F_QUAD, F_CUBIC]
 F_OCTIC = field_init(3, [-3] + [0] * 7 + [1])  # E = u^8 - 3
 F_HALF = field_init(3, [-3, Fraction(3, 2), 1])  # pi^2 = 3 - (3/2) pi, so _pow_den = 2
+F_QUARTIC = field_init(3, [Fraction(-3, 2), 0, Fraction(9, 7), 0, 1])  # _pow_den = 98
 
 
 def test_field_init_linear():
@@ -342,3 +343,46 @@ def test_powers_match_repeated_products_and_the_loop(field):
         assert a**n == repeated == binary_power_loop(base, abs(n), field.one)
 
     inner()
+
+
+def _elements_of_height(field):
+    """Elements whose nonzero coordinates have numerators and denominators
+    of height 9 .. 10^18."""
+
+    def coords(height):
+        rat = st.builds(Fraction, st.integers(-height, height), st.integers(1, height))
+        return st.lists(st.one_of(rat, rat, st.just(Fraction(0))), min_size=field.e, max_size=field.e)
+
+    return st.sampled_from([9, 10**3, 10**6, 10**18]).flatmap(coords).map(field.from_coords)
+
+
+@pytest.mark.parametrize(
+    "field", FIELDS + [F_OCTIC, F_QUARTIC], ids=["e1", "e2", "e3", "e8", "e4_pow_den_98"]
+)
+def test_inverse_matches_the_euclid_oracle(field):
+    # fraction-free elimination on the multiplication matrix M against
+    # extended Euclid over Q[u]: the same storage, and a * a^-1 == 1
+    def check(a):
+        inv, ref = a.inverse(), euclid_inverse(a)
+        assert (inv.den, inv.nums) == (ref.den, ref.nums)
+        assert a * inv == field.one and _is_canonical(inv)
+
+    # pi^k q: nums[0] == 0 is a zero first pivot, so the row swap runs, and a
+    # negative norm (det M < 0) exercises the sign normalisation; then one
+    # element of height 10^18 in every coordinate
+    cases = [field.pi**k * q for k in range(-2 * field.e, 2 * field.e + 1) for q in (1, -1, Fraction(-9, 7))]
+    assert any(_norm(a) < 0 for a in cases)
+    assert field.e == 1 or any(a.nums[0] == 0 for a in cases)
+    cases.append(field.from_coords([Fraction((-1) ** i * (10**18 - 7 * i), 10**18 - 3 - i) for i in range(field.e)]))
+    for a in cases:
+        check(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_elements_of_height(field).filter(lambda a: not a.is_zero()))
+    def inner(a):
+        check(a)
+
+    inner()
+    for zero in (field.zero, field.from_coords([0] * field.e)):
+        with pytest.raises(DivisionByZero):
+            zero.inverse()

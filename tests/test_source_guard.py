@@ -55,3 +55,24 @@ def test_only_field_reads_the_pi_power_table():
         if isinstance(node, ast.Attribute) and node.attr in ("_pow_columns", "_pow_den")
     ]
     assert not readers, readers
+
+
+
+def _names(node) -> set[str]:
+    """The names and attribute names that node reads or defines."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Attribute, ast.FunctionDef))
+    }
+
+
+def test_field_inverts_without_polynomial_division_or_fractions():
+    # KElem.inverse eliminates on integers; Fraction polynomial division
+    # serves only the root search of matrix.py
+    tree = ast.parse((SRC / "field.py").read_text())
+    assert "poly_divmod" not in _names(tree)
+    kelem = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "KElem")
+    inverse = next(n for n in kelem.body if isinstance(n, ast.FunctionDef) and n.name == "inverse")
+    # Fraction itself, or the parser, view and constructors that build Fractions
+    assert not _names(inverse) & {"Fraction", "_to_fraction", "coords", "from_coords", "from_rational"}
