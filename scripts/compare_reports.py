@@ -19,7 +19,8 @@ non-commuting where rank and T are at least 2 and 1 in 4 weight seeds (see `weig
 weight is below T and whose `closed-form` runs on a non-scalar A_{0,1};
 1 in 5 specs takes wide seeds instead (see `wide_seeds`): commuting seeds
 whose entries are coordinate lists of rationals of height up to 10^6.
-Every third spec has `options.m_max = T - 1`.  Each run is a fresh
+No seeded spec sets `options`: `closed-form` builds its h-table to T - 1
+and `gen` its table to D, the truncation alone.  Each run is a fresh
 interpreter, and both trees keep their bytecode in one cache under the
 temporary directory.  Before the timed runs, each tree runs the first job
 once untimed, so that neither side's first run is timed cold.  The script
@@ -125,18 +126,17 @@ def seeded_spec(index: int) -> dict:
         rank, t, x = rng.randint(1, 2), rng.randint(9, 16), rng.randint(0, 3)
     else:
         rank, t, x = rng.randint(1, 3), rng.randint(1, 8), rng.randint(0, 6)
-    options = {"m_max": t - 1} if index % 3 == 0 else None
     if is_wide(index):  # make_spec writes each entry as one rational, not a coordinate list
-        spec = specgen.make_spec(e_coeffs, [[[0] * rank] * rank], t, x, options=options)
+        spec = specgen.make_spec(e_coeffs, [[[0] * rank] * rank], t, x)
         return {**spec, "seeds": wide_seeds(rng, len(e_coeffs) - 1, rank, t)}
     if index % 4 == 1:  # make_spec writes each entry as one rational, not a coordinate list
-        spec = specgen.make_spec(e_coeffs, [[[0] * rank] * rank], t, x, options=options)
+        spec = specgen.make_spec(e_coeffs, [[[0] * rank] * rank], t, x)
         return {**spec, "seeds": weight_seeds(rng, e_coeffs, rank, t)}
     if index % 8 == 7 and rank >= 2 and t >= 2:  # general_seeds never returns for one seed
         seeds = specgen.general_seeds(rng, rank, t)
     else:
         seeds = specgen.commuting_seeds(rng, rank, t)
-    return specgen.make_spec(e_coeffs, seeds, t, x, options=options)
+    return specgen.make_spec(e_coeffs, seeds, t, x)
 
 
 def run_cli(pythonpath: Path, command: str, spec: Path, pycache: Path) -> tuple[int, bytes, float]:

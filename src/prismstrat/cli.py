@@ -51,12 +51,12 @@ COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep",
 # each input rational and each integer option, and the length plus decimal
 # exponent of each number string (they bound the digits Fraction builds).
 # Below the floor of an option, its command would check nothing or fail;
-# m_max and k_max are also refused at or above T.
+# k_max, a t-order, is also refused at or above T.  gen and closed-form take
+# their sizes from trunc alone, so T * D * l bounds every table they print.
 MAX_T, MAX_D, MAX_RANK, MAX_TDL, MAX_E, MAX_PREC, MAX_DIGITS = 16, 64, 8, 512, 8, 1024, 20
 MAX_TEXT = 4 * MAX_DIGITS
 INT_OPTIONS = {  # name: (floor, limit)
-    "n_max": (0, MAX_D), "m_max": (0, MAX_T), "k_max": (0, MAX_T),
-    "n_probe": (0, 256), "threshold": (0, 1024), "n_phi_max": (1, 1024),
+    "k_max": (0, MAX_T), "n_probe": (0, 256), "threshold": (0, 1024), "n_phi_max": (1, 1024),
 }
 SPEC_KEYS = {"p", "E_coeffs", "rank", "seeds", "trunc", "padic_prec", "options", "id"}  # id: a sweep instance
 
@@ -67,7 +67,6 @@ class ProblemSpec(NamedTuple):
     trunc: Trunc
     prec: int
     options: dict
-    raw: dict
 
 
 def _parse_matrix(field: FieldDesc, data, rank: int) -> KMat:
@@ -180,10 +179,10 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
                 value = _typed(options[name], int)
             if value < floor:
                 raise ValidationError(f"options.{name} = {value} is below the floor {floor}")
-            if name in ("m_max", "k_max"):  # t-orders: the series stop below t^T
+            if name == "k_max":  # a t-order: the series stop below t^T
                 limit = min(limit, t_order - 1)
             options[name] = _at_most(f"options.{name}", value, limit)
-    return ProblemSpec(field, seeds, trunc, prec, options, data)
+    return ProblemSpec(field, seeds, trunc, prec, options)
 
 
 def validate_spec(raw: dict, overrides: dict | None = None) -> dict:
@@ -211,10 +210,8 @@ def _set_options(spec: ProblemSpec, *names: str) -> dict:
 
 
 def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
-    opts = spec.options
     if command == "gen":
-        n_max = opts.get("n_max", spec.trunc.pd_degree)
-        table = generate_Amn(spec.seeds, ctx, n_max)
+        table = generate_Amn(spec.seeds, ctx, spec.trunc.pd_degree)
         return {
             "command": "gen",
             "table": table.to_json(),
@@ -228,8 +225,7 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
         return {"command": "cocycle", "report": residual_report(residual)}
     if command == "closed-form":
         from .closedform import h_table, verify_commutative
-        m_max = opts.get("m_max", spec.trunc.t_order - 1)
-        ht = h_table(spec.seeds, ctx, m_max)
+        ht = h_table(spec.seeds, ctx, spec.trunc.t_order - 1)
         report = verify_commutative(ht, ctx, spec.trunc.pd_degree)
         return {"command": "closed-form", "verify": report, "h_tilde": ht.to_json()}
     if command == "h0":
@@ -242,8 +238,7 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
         return {"command": "sen", "report": rep.to_json()}
     if command == "conjecture":
         from .closedform import conjecture_residual
-        k_max = opts.get("k_max", 2)
-        rep = conjecture_residual(spec.seeds, ctx, k_max)
+        rep = conjecture_residual(spec.seeds, ctx, spec.options.get("k_max", 2))
         flagged = [k for k, r in rep["residuals"].items() if not r["zero"]]
         return {
             "command": "conjecture",

@@ -27,9 +27,8 @@ from .series import Trunc, key_sums
 
 
 def eval_poly_at_series(field: FieldDesc, coeffs, s: SRE) -> SRE:
-    """Evaluate a non-empty rational/K-coefficient polynomial at a series."""
-    ks = [c if isinstance(c, KElem) else field.from_rational(c) for c in coeffs]
-    return horner([SRE.from_scalar(field, s.n_vars, s.trunc, k, s.size) for k in ks], s)
+    """Evaluate a non-empty rational-coefficient polynomial at a series."""
+    return horner([SRE.from_scalar(field, s.n_vars, s.trunc, field.from_rational(c), s.size) for c in coeffs], s)
 
 
 def hensel_u0(field: FieldDesc, t_order: int) -> SRE:

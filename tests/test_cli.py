@@ -131,6 +131,7 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("p", "3"),
         ("E_coeffs", ["-3", "x", "1"]),
         ("options", {"n_max": "z"}),
+        ("options", {"n_probe": "z"}),
         ("options", [1]),
         ("options", {"n_probe": cli.INT_OPTIONS["n_probe"][1] + 1}),
         ("trunc", {"t": cli.MAX_T + 1, "x": 4}),
@@ -152,6 +153,7 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("trunc", {"t": 3, "x": 4.0}),
         ("padic_prec", 8.0),
         ("options", {"n_max": 2.0}),
+        ("options", {"threshold": 2.0}),
         ("options", {"k_max": True}),
         ("E_coeffs", "301"),
         ("E_coeffs", ["-3", 0.0, "1"]),
@@ -162,19 +164,21 @@ def test_bad_seed_shape_exits_2(tmp_path):
     ],
     ids=[
         "rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff",
-        "options_n_max", "options_list", "n_probe_limit", "trunc_t_limit", "trunc_x_limit",
+        "options_n_max", "options_n_probe", "options_list", "n_probe_limit", "trunc_t_limit", "trunc_x_limit",
         "t_x_rank_limit", "rank_limit", "E_degree_limit", "padic_prec_limit",
         "E_coeff_digits_limit", "seed_digits_limit", "seed_exponent", "seed_coord_exponent",
         "E_coeff_exponent", "E_coeff_long_decimal",
         *(f"{name}_floor" for name in cli.INT_OPTIONS),
         "p_float", "rank_bool", "trunc_t_float", "trunc_x_float", "padic_prec_float",
-        "n_max_float", "k_max_bool", "E_coeffs_string", "E_coeff_float", "seeds_strings",
+        "n_max_float", "threshold_float", "k_max_bool", "E_coeffs_string", "E_coeff_float", "seeds_strings",
         "seed_row_string", "seed_entry_bool", "seed_coord_float",
     ],
 )
 def test_malformed_number_exits_2(tmp_path, field, value):
     # each run is bounded: "1e9000000" or a 3-million-digit decimal used to
-    # take seconds in Fraction before the digit limit could refuse it
+    # take seconds in Fraction before the digit limit could refuse it.
+    # n_max is no longer an option: options_n_max and n_max_float are
+    # refused as unknown keys, options_n_probe and threshold_float by type
     data = dict(BASE_SPEC)
     data[field] = value
     spec = write_spec(tmp_path, data)
@@ -744,7 +748,7 @@ def _mutated(spec: dict, path: tuple, value):
 _SCALAR = st.one_of(
     st.integers(-2, 8), st.sampled_from(["1/0", "x", "1/2", "-3", ""]), st.none(), st.booleans(), st.floats()
 )
-_KEY = st.sampled_from(["t", "x", "n_max"])
+_KEY = st.sampled_from(["t", "x", "k_max"])
 _VALUE = st.one_of(
     st.integers(-2, 8),
     st.lists(_SCALAR, max_size=3),
@@ -786,12 +790,12 @@ _BASES["commuting_e3_six_seeds"] = {**_BASES["commuting_e3"], "seeds": _SEEDS_E3
 @example(name="cocycle_e1", path=("trunc", "x"), value=0)
 @example(name="cocycle_e1", path=("p",), value=3.0)
 @example(name="cocycle_e1", path=("E_coeffs",), value="301")
-@example(name="commuting_e3_six_seeds", path=("options", "m_max"), value=4)
+@example(name="commuting_e3_six_seeds", path=("options", "k_max"), value=4)
 def test_mutated_spec_keeps_cli_contract(tmp_path_factory, name, path, value):
     # every single-spec command exits 0, 2 or 3 with a JSON report, and an
     # "error" object on failure; a value of the wrong JSON type exits 2
     # (validate: a failed parse check).  The explicit examples are ragged
-    # seed rows, pd degree 0, a float p, a string E_coeffs, and m_max = T
+    # seed rows, pd degree 0, a float p, a string E_coeffs, and k_max = T
     # with seeds beyond T
     tmp = tmp_path_factory.mktemp("contract")
     spec = write_spec(tmp, _mutated(_BASES[name], path, value))
@@ -814,8 +818,8 @@ def test_mutated_spec_keeps_cli_contract(tmp_path_factory, name, path, value):
 )
 @example(where=("base",), path=("options", "k_max"), value=-1)
 @example(where=("base",), path=("options", "n_probe"), value=-3)
-@example(where=("instances", 0), path=("options",), value={"n_max": -2})
-@example(where=("instances", 3), path=("options",), value={"m_max": -1, "n_phi_max": 0})
+@example(where=("instances", 0), path=("options",), value={"threshold": -2})
+@example(where=("instances", 3), path=("options",), value={"k_max": -1, "n_phi_max": 0})
 @example(where=("base",), path=("p",), value=3.0)
 @example(where=("instances", 0), path=("rank",), value=True)
 def test_mutated_sweep_keeps_cli_contract(tmp_path_factory, where, path, value):
@@ -864,16 +868,23 @@ def test_h0_checks_seeds_before_pd_degree(tmp_path):
 
 
 def test_closed_form_with_m_max_at_t_order_exits_2(tmp_path):
-    # theta_{1,s} is known for s < T only, so m_max >= T is refused even
-    # when the seeds reach A_(m_max,1)
-    spec = write_spec(tmp_path, {**_BASES["commuting_e3_six_seeds"], "options": {"m_max": 4}})
+    # theta_{1,s} is known for s < T only: closed-form builds its h-table to
+    # T - 1 from trunc alone, so seeds beyond A_(T-1,1) change nothing, and
+    # the retired m_max is refused as an unknown key
     out = str(tmp_path / "out.json")
+    reports = []
+    for name in ("commuting_e3", "commuting_e3_six_seeds"):
+        assert run("closed-form", write_spec(tmp_path, _BASES[name]), out) == 0
+        reports.append(open(out).read())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["verify"]["m_max"] == 3
+    spec = write_spec(tmp_path, {**_BASES["commuting_e3_six_seeds"], "options": {"m_max": 4}})
     assert run("closed-form", spec, out) == 2
     error = json.loads(open(out).read())["error"]
-    assert error == {"type": "ValidationError", "message": "options.m_max = 4 is above the limit 3"}
+    assert error == {"type": "ValidationError", "message": "unknown key 'm_max' in options"}
 
 
-@pytest.mark.parametrize("option", ["m_max", "k_max"])
+@pytest.mark.parametrize("option", ["k_max"])
 @pytest.mark.parametrize("value", [4, 5])
 def test_t_order_options_at_or_above_t_are_refused(tmp_path, option, value):
     # the series stop below t^T: validate reports the refusal as its failed
@@ -891,6 +902,34 @@ def test_t_order_options_at_or_above_t_are_refused(tmp_path, option, value):
     data = {**_BASES["commuting_e3_six_seeds"], "options": {option: 3}}
     assert run("validate", write_spec(tmp_path, data), out) == 0
     assert json.loads(open(out).read())["ok"] is True
+
+
+@pytest.mark.parametrize("option, value, command", [("n_max", 64, "gen"), ("m_max", 15, "closed-form")])
+def test_retired_size_options_are_refused(tmp_path, option, value, command):
+    # gen and closed-form take their sizes from trunc alone, which T * D * l
+    # bounds: n_max and m_max are unknown keys for both, for validate and for
+    # a sweep instance, refused before any engine work.  n_max = 64 on a
+    # rank-8, e = 8 spec at T = 16, D = 1 once ran 15 s and printed 163 MB
+    message = f"unknown key {option!r} in options"
+    zero = [["0"] * 8] * 8
+    data = {**BASE_SPEC, "E_coeffs": ["-3"] + ["0"] * 7 + ["1"], "rank": 8, "seeds": [zero] * 16}
+    spec = write_spec(tmp_path, {**data, "trunc": {"t": 16, "x": 1}, "options": {option: value}})
+    out = tmp_path / "out.json"
+    for name in ("gen", "closed-form"):
+        started = time.monotonic()
+        assert run(name, spec, str(out)) == 2
+        assert time.monotonic() - started < 1
+        assert json.loads(out.read_text())["error"] == {"type": "ValidationError", "message": message}
+    assert run("validate", spec, str(out)) == 0
+    parse = {"check": "parse", "ok": False, "error": "ValidationError", "message": message}
+    assert json.loads(out.read_text()) == {"ok": False, "diagnostics": [parse]}
+    sweep = json.loads((SPECS / "sweep_conjecture.json").read_text())
+    sweep["command"] = command
+    sweep["instances"][1]["options"] = {option: 2}
+    assert main(["sweep", "--spec", write_spec(tmp_path, sweep, "sweep.json"), "--out", str(out)]) == 0
+    results = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    assert results.pop("b")["error"] == {"type": "ValidationError", "message": message}
+    assert all(r["ok"] for r in results.values()) and len(results) == 3
 
 
 def test_pd_degree_zero(tmp_path):

@@ -450,6 +450,21 @@ def test_h_table_matches_per_target_reference(field, data):
     assert h_table(seeds, ctx, m_max).h == h_table_per_target(seeds, ctx, m_max).h
 
 
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_h_table_at_m_max_ignores_longer_t_order(field, data):
+    # closed-form sizes its h-table by T alone, to m_max = T - 1: a t-order
+    # T > M + 1 changes neither h_table nor verify_commutative at m_max = M
+    m_max = data.draw(st.integers(0, 4))
+    t_order, pd_degree = data.draw(st.integers(m_max + 2, 7)), data.draw(st.integers(0, 4))
+    seeds = _draw_commuting_seeds(data, field, t_order)
+    short, long = _ctx(field, m_max + 1, pd_degree), _ctx(field, t_order, pd_degree)
+    ht = h_table(seeds, short, m_max)
+    assert ht == h_table(seeds, long, m_max)
+    assert verify_commutative(ht, short, pd_degree) == verify_commutative(ht, long, pd_degree)
+
+
 def test_h_table_error_precedence():
     ctx = CosimpCtx(F1, Trunc(3, 4))
     a01 = KMat.from_rows(F1, [[F1.one, F1.one], [F1.zero, F1.one]])

@@ -246,6 +246,29 @@ def test_generate_Amn_matches_entrywise_induction(field, data):
 
 
 @pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generate_Amn_ignores_pd_degree(field, data):
+    # gen sizes its table by D alone: the table to n_max = N is the same for
+    # contexts that differ only in pd degree
+    t_order, rank, n_max = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
+    pd_degrees = data.draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True))
+
+    def entry():
+        n_coords = data.draw(st.integers(1, field.e))
+        return field.from_coords(
+            [Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 4))) for _ in range(n_coords)]
+        )
+
+    def mat():
+        return KMat.from_rows(field, [[entry() for _ in range(rank)] for _ in range(rank)])
+
+    seeds = Seeds.of([mat() for _ in range(t_order)])
+    tables = [generate_Amn(seeds, CosimpCtx(field, Trunc(t_order, d)), n_max) for d in pd_degrees]
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cocycle_residual_matches_face_maps(field, data):
