@@ -48,16 +48,17 @@ COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep",
 # Largest accepted sizes, to bound the work of a spec (README: limits): the
 # t-order T, the pd degree D, the rank l, T * D * l, the degree e of E, the
 # p-adic precision, the digits of the reduced numerator and denominator of
-# each input rational and each integer option, and the length plus decimal
-# exponent of each number string (they bound the digits Fraction builds).
-# Below the floor of an option, its command would check nothing or fail;
-# k_max, a t-order, is also refused at or above T.  gen and closed-form take
-# their sizes from trunc alone, so T * D * l bounds every table they print.
+# each input rational and of k_max, and the length plus decimal exponent of
+# each number string (they bound the digits Fraction builds).  The spec file
+# is the one source of settings: gen and closed-form take their sizes from
+# trunc alone, so T * D * l bounds every table they print, and k_max, the one
+# option, is read by conjecture alone and is a t-order below T.  sen also
+# refuses p above MAX_SEN_P: lambda1 builds u0^p exactly (1.4 s at p = 4999
+# and 5.9 s at p = 10007, T = 16, in a fresh process on a 2-core machine).
 MAX_T, MAX_D, MAX_RANK, MAX_TDL, MAX_E, MAX_PREC, MAX_DIGITS = 16, 64, 8, 512, 8, 1024, 20
 MAX_TEXT = 4 * MAX_DIGITS
-INT_OPTIONS = {  # name: (floor, limit)
-    "k_max": (0, MAX_T), "n_probe": (0, 256), "threshold": (0, 1024), "n_phi_max": (1, 1024),
-}
+MAX_SEN_P = 5000
+INT_OPTIONS = {"k_max": 0}  # name: floor; each is a t-order, limited to T - 1
 SPEC_KEYS = {"p", "E_coeffs", "rank", "seeds", "trunc", "padic_prec", "options", "id"}  # id: a sweep instance
 
 
@@ -127,15 +128,10 @@ def _digits(values) -> int:
     return max((len(str(n)) for q in values for n in (abs(q.numerator), q.denominator)), default=1)
 
 
-def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
-    """Validate a raw spec dict against the module preconditions."""
-    data, overrides = dict(raw), overrides or {}
-    for key, name in (("trunc_t", "t"), ("trunc_x", "x")):
-        if overrides.get(key) is not None:
-            with _parsing("trunc"):
-                data["trunc"] = {**data.get("trunc", {}), name: overrides[key]}
-    if overrides.get("prec") is not None:
-        data["padic_prec"] = overrides["prec"]
+def load_problem(data: dict, command: str | None = None) -> ProblemSpec:
+    """Validate a raw spec dict against the module preconditions, and against
+    those of command if given: k_max only on conjecture, p at most MAX_SEN_P
+    on sen."""
     for key in ("p", "E_coeffs", "rank", "seeds", "trunc"):
         if key not in data:
             raise ValidationError(f"spec is missing the {key!r} field")
@@ -173,22 +169,25 @@ def load_problem(raw: dict, overrides: dict | None = None) -> ProblemSpec:
         raise ValidationError("options must be a JSON object")
     _known_keys("options", options, INT_OPTIONS)
     options = dict(options)
-    for name, (floor, limit) in INT_OPTIONS.items():
+    for name, floor in INT_OPTIONS.items():
         if name in options:
             with _parsing(f"options.{name}"):
                 value = _typed(options[name], int)
             if value < floor:
                 raise ValidationError(f"options.{name} = {value} is below the floor {floor}")
-            if name == "k_max":  # a t-order: the series stop below t^T
-                limit = min(limit, t_order - 1)
-            options[name] = _at_most(f"options.{name}", value, limit)
+            # a t-order: the series stop below t^T
+            options[name] = _at_most(f"options.{name}", value, t_order - 1)
+    if command not in (None, "conjecture") and "k_max" in options:
+        raise ValidationError(f"options.k_max is read by conjecture only, not by {command}")
+    if command == "sen" and field.p > MAX_SEN_P:
+        raise ValidationError(f"p = {field.p} is above the limit {MAX_SEN_P} of sen")
     return ProblemSpec(field, seeds, trunc, prec, options)
 
 
-def validate_spec(raw: dict, overrides: dict | None = None) -> dict:
+def validate_spec(raw: dict) -> dict:
     """List all violated preconditions without computing anything."""
     try:
-        spec = load_problem(raw, overrides)
+        spec = load_problem(raw)
     except EngineError as exc:
         return {"ok": False, "diagnostics": [_diagnostic("parse", exc)]}
     t_order, n_seeds = spec.trunc.t_order, len(spec.seeds.A1)
@@ -204,11 +203,6 @@ def _diagnostic(check: str, exc: EngineError | None) -> dict:
     return {"check": check, "ok": False, "error": type(exc).__name__, "message": str(exc)}
 
 
-def _set_options(spec: ProblemSpec, *names: str) -> dict:
-    """The options among names that the spec sets: the callee holds the defaults."""
-    return {name: spec.options[name] for name in names if name in spec.options}
-
-
 def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
     if command == "gen":
         table = generate_Amn(spec.seeds, ctx, spec.trunc.pd_degree)
@@ -217,7 +211,7 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
             "table": table.to_json(),
             "theta": theta_report(ctx),
             "valuation_profile": valuation_profile(table),
-            "near_HT": check_near_HT(spec.seeds.a01, **_set_options(spec, "n_probe", "threshold")),
+            "near_HT": check_near_HT(spec.seeds.a01),
         }
     if command == "cocycle":
         table = generate_Amn(spec.seeds, ctx, spec.trunc.pd_degree)
@@ -233,8 +227,7 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
         return {"command": "h0", "solution": h0_solve(spec.seeds, ctx).to_json()}
     if command == "sen":
         from .sen import sen_operator_matrix
-        options = _set_options(spec, "n_phi_max", "n_probe", "threshold")
-        rep = sen_operator_matrix(spec.seeds, ctx, spec.prec, **options)
+        rep = sen_operator_matrix(spec.seeds, ctx, spec.prec)
         return {"command": "sen", "report": rep.to_json()}
     if command == "conjecture":
         from .closedform import conjecture_residual
@@ -259,7 +252,7 @@ def _run_worker(payload):
     idx, command, raw = payload
     instance_id = raw.get("id", idx)
     try:
-        spec = load_problem(raw)
+        spec = load_problem(raw, command)
         report = _dispatch(command, spec, _sweep_ctx(spec.field, spec.trunc))
         return {"id": instance_id, "ok": True, "report": report}
     except EngineError as exc:
@@ -348,9 +341,9 @@ def run_sweep(raw: dict, jobs: int) -> dict:
     }
 
 
-def run(command: str, spec_path: str, out_path: str | None = None, jobs: int = 1, **overrides) -> int:
-    """File-level entry point; returns the process exit code.  jobs is read
-    by sweep, the overrides trunc_t, trunc_x and prec by the other commands."""
+def run(command: str, spec_path: str, out_path: str | None = None, jobs: int = 1) -> int:
+    """File-level entry point; returns the process exit code.  Every setting
+    of a run is in the spec file; jobs, the worker count, is read by sweep."""
     try:
         with open(spec_path) as fh:
             raw = json.load(fh)
@@ -360,11 +353,11 @@ def run(command: str, spec_path: str, out_path: str | None = None, jobs: int = 1
         if not isinstance(raw, dict):
             raise ValidationError(f"spec must be a JSON object, got {type(raw).__name__}")
         if command == "validate":
-            report = validate_spec(raw, overrides)
+            report = validate_spec(raw)
         elif command == "sweep":
             report = run_sweep(raw, jobs)
         else:
-            spec = load_problem(raw, overrides)
+            spec = load_problem(raw, command)
             report = _dispatch(command, spec, CosimpCtx(spec.field, spec.trunc))
     except ValidationError as exc:
         return _fail(exc, out_path, 2)
@@ -408,10 +401,6 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=None, help="report path (default stdout)")
         if name == "sweep":
             sp.add_argument("--jobs", type=int, default=1, help="sweep parallelism")
-        else:
-            sp.add_argument("--trunc-t", type=int, default=None, help="override t-order")
-            sp.add_argument("--trunc-x", type=int, default=None, help="override pd degree")
-            sp.add_argument("--prec", type=int, default=None, help="override p-adic precision")
     for p in (parser, *sub.choices.values()):  # a bad command line raises, not prints usage
         p.error = _argument_error
     try:

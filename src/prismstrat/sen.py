@@ -138,10 +138,9 @@ class SenReport(NamedTuple):
         }
 
 
-def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int = 24, **probe) -> SenReport:
+def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int) -> SenReport:
     """N = -lambda1 u0 sum_m A_{m,1} t^m, with the consistency checks and
-    the near-HT probe of A_{0,1}, which takes the options `probe` (n_probe,
-    threshold) of check_near_HT.
+    the near-HT probe of A_{0,1} at its defaults, as gen prints it.
 
     Leibniz hook: E'(u0) lambda = E'(u0) lambda1 t as series (lambda
     assembled with its n = 0 factor E(u0)/E(0) evaluated honestly).
@@ -154,7 +153,7 @@ def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int 
     t_order = trunc.t_order
     if len(seeds.A1) < t_order:
         raise SeedShapeMismatch(f"need seeds A_(m,1) for all m < {t_order}")
-    lam1 = lambda1_series(ctx, prec, n_phi_max)
+    lam1 = lambda1_series(ctx, prec)
     lam = SRE(field, 0, trunc, 1, {(m, ()): KMat.scalar(field, 1, c) for m, c in enumerate(lam1.exact_values())})
 
     # exact t-series products (the only approximation is the lambda tail)
@@ -183,7 +182,7 @@ def sen_operator_matrix(seeds: Seeds, ctx: CosimpCtx, prec: int, n_phi_max: int 
     cp_fiber = charpoly(n_rows[0][0])
     fiber_ok = all(cp_fiber[k] == cp_weights[k] * scale ** (l - k) for k in range(l + 1))
     weights_rational = rational_roots(cp_weights)
-    probe = check_near_HT(seeds.a01, **probe)
+    probe = check_near_HT(seeds.a01)
 
     return SenReport(
         l=l,

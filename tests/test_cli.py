@@ -7,13 +7,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prismstrat import cli
+from prismstrat import cli, sen
 from prismstrat.cli import main, run
 from prismstrat.cosimplicial import CosimpCtx
 from prismstrat.field import KElem, PadicApprox, field_init
@@ -34,6 +35,11 @@ BASE_SPEC = {
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 SINGLE_SPEC_COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "validate")
 ENGINE_COMMANDS = SINGLE_SPEC_COMMANDS[:-1]  # all but validate
+
+
+# k_max, the one option, and the former floors of the retired options, which
+# are unknown keys whatever their value
+OPTION_FLOORS = {**cli.INT_OPTIONS, "n_probe": 0, "threshold": 0, "n_phi_max": 1}
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -133,20 +139,21 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("options", {"n_max": "z"}),
         ("options", {"n_probe": "z"}),
         ("options", [1]),
-        ("options", {"n_probe": cli.INT_OPTIONS["n_probe"][1] + 1}),
+        ("options", {"n_probe": 257}),
         ("trunc", {"t": cli.MAX_T + 1, "x": 4}),
         ("trunc", {"t": 3, "x": cli.MAX_D + 1}),
         ("trunc", {"t": cli.MAX_T, "x": cli.MAX_D}),
         ("rank", cli.MAX_RANK + 1),
         ("E_coeffs", ["-3"] + ["0"] * cli.MAX_E + ["1"]),
         ("padic_prec", cli.MAX_PREC + 1),
+        ("padic_prec", 0),
         ("E_coeffs", ["-3" + "0" * cli.MAX_DIGITS, "0", "1"]),
         ("seeds", [[["1/" + "7" * (cli.MAX_DIGITS + 1)]], [["0"]], [["0"]]]),
         ("seeds", [[["1e9000000"]], [["0"]], [["0"]]]),
         ("seeds", [[[["1", "-1e-9000000"]]], [["0"]], [["0"]]]),
         ("E_coeffs", ["-3", "1e9000000", "1"]),
         ("E_coeffs", ["-3", "0." + "1" * 3_000_000, "1"]),
-        *(("options", {name: floor - 1}) for name, (floor, _) in cli.INT_OPTIONS.items()),
+        *(("options", {name: floor - 1}) for name, floor in OPTION_FLOORS.items()),
         ("p", 3.0),
         ("rank", True),
         ("trunc", {"t": 3.9, "x": 4}),
@@ -161,24 +168,29 @@ def test_bad_seed_shape_exits_2(tmp_path):
         ("seeds", [["5"], [["0"]], [["0"]]]),
         ("seeds", [[[True]], [["0"]], [["0"]]]),
         ("seeds", [[[["1", 0.5]]], [["0"]], [["0"]]]),
+        ("options", {"k_max": "z"}),
+        ("options", {"k_max": BASE_SPEC["trunc"]["t"]}),
+        ("options", {"k_max": 2.0}),
     ],
     ids=[
         "rank", "trunc_t", "padic_prec", "seed_1_over_0", "p_string", "E_coeff",
         "options_n_max", "options_n_probe", "options_list", "n_probe_limit", "trunc_t_limit", "trunc_x_limit",
-        "t_x_rank_limit", "rank_limit", "E_degree_limit", "padic_prec_limit",
+        "t_x_rank_limit", "rank_limit", "E_degree_limit", "padic_prec_limit", "padic_prec_floor",
         "E_coeff_digits_limit", "seed_digits_limit", "seed_exponent", "seed_coord_exponent",
         "E_coeff_exponent", "E_coeff_long_decimal",
-        *(f"{name}_floor" for name in cli.INT_OPTIONS),
+        *(f"{name}_floor" for name in OPTION_FLOORS),
         "p_float", "rank_bool", "trunc_t_float", "trunc_x_float", "padic_prec_float",
         "n_max_float", "threshold_float", "k_max_bool", "E_coeffs_string", "E_coeff_float", "seeds_strings",
-        "seed_row_string", "seed_entry_bool", "seed_coord_float",
+        "seed_row_string", "seed_entry_bool", "seed_coord_float", "options_k_max", "k_max_limit", "k_max_float",
     ],
 )
 def test_malformed_number_exits_2(tmp_path, field, value):
     # each run is bounded: "1e9000000" or a 3-million-digit decimal used to
     # take seconds in Fraction before the digit limit could refuse it.
-    # n_max is no longer an option: options_n_max and n_max_float are
-    # refused as unknown keys, options_n_probe and threshold_float by type
+    # n_max, n_probe, threshold and n_phi_max are no longer options: their
+    # cases are refused as unknown keys, before any value is read.  The k_max
+    # cases are refused by their value before gen refuses k_max as an option
+    # it does not read, so validate, which runs no command, reports the same
     data = dict(BASE_SPEC)
     data[field] = value
     spec = write_spec(tmp_path, data)
@@ -199,17 +211,17 @@ def test_malformed_number_exits_2(tmp_path, field, value):
 @pytest.mark.parametrize(
     "command, field, value",
     [
-        ("gen", "options", {"n_probe": 100_000_000}),
+        ("conjecture", "options", {"k_max": 100_000_000}),
         ("gen", "trunc", {"t": 3, "x": 100_000}),
         ("gen", "E_coeffs", ["-3"] + ["0"] * 199 + ["1"]),
         ("sen", "padic_prec", 10**6),
     ],
-    ids=["n_probe", "trunc_x", "E_degree", "padic_prec"],
+    ids=["k_max", "trunc_x", "E_degree", "padic_prec"],
 )
 def test_huge_size_exits_2_quickly(tmp_path, command, field, value):
-    # all ran unbounded without the limits: a probe product of 10^8 factors,
-    # a table and alpha powers 10^5 pd degrees deep, field arithmetic with
-    # E = u^200 - 3, and a lambda1 product to precision p^(10^6)
+    # without the limits: residuals to t-order 10^8, a table and alpha powers
+    # 10^5 pd degrees deep, field arithmetic with E = u^200 - 3, and a
+    # lambda1 product to precision p^(10^6)
     data = {**BASE_SPEC, "seeds": [[["1/2"]], [["2/3"]], [["0"]]], field: value}
     spec = write_spec(tmp_path, data)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -222,18 +234,26 @@ def test_huge_size_exits_2_quickly(tmp_path, command, field, value):
 
 
 def test_prec_option_above_limit_exits_2(tmp_path):
+    data = {**json.loads((SPECS / "sen_ramified.json").read_text()), "padic_prec": 1_000_000}
     out = str(tmp_path / "out.json")
-    assert main(["sen", "--spec", str(SPECS / "sen_ramified.json"), "--out", out, "--prec", "1000000"]) == 2
-    assert "padic_prec" in json.loads(open(out).read())["error"]["message"]
+    assert main(["sen", "--spec", write_spec(tmp_path, data), "--out", out]) == 2
+    assert json.loads(open(out).read())["error"] == {
+        "type": "ValidationError", "message": "padic_prec = 1000000 is above the limit 1024"
+    }
 
 
 @pytest.mark.parametrize(
     "path, key",
-    [(("options", "kmax"), "kmax"), (("padic_precison",), "padic_precison"), (("trunc", "y"), "y")],
-    ids=["options_kmax", "padic_precison", "trunc_y"],
+    [
+        (("options", "kmax"), "kmax"), (("padic_precison",), "padic_precison"), (("trunc", "y"), "y"),
+        *((("options", name), name) for name in ("n_probe", "threshold", "n_phi_max")),
+    ],
+    ids=["options_kmax", "padic_precison", "trunc_y", "retired_n_probe", "retired_threshold", "retired_n_phi_max"],
 )
 def test_unknown_key_exits_2(tmp_path, path, key):
-    # a misspelled key was ignored: "kmax": 0 ran conjecture with k_max = 2
+    # a misspelled key was ignored: "kmax": 0 ran conjecture with k_max = 2.
+    # The retired probe options and lambda1 cap are unknown keys too: gen and
+    # sen run the probe at 64 and 40, and lambda1 stops at 24 factors
     spec = write_spec(tmp_path, _mutated(json.loads((SPECS / "cocycle_e1.json").read_text()), path, 0))
     out, where = tmp_path / "out.json", "the spec" if len(path) == 1 else path[0]
     for command in SINGLE_SPEC_COMMANDS:
@@ -323,10 +343,11 @@ def test_sweep_survives_bad_instance(tmp_path):
     assert good["ok"] and good["report"]["report"]["verdict"] == "ZERO_RESIDUAL"
 
 
-def test_product_not_settled_exits_3(tmp_path):
+def test_product_not_settled_exits_3(tmp_path, monkeypatch):
+    # the cap of 24 factors is no option any more, so it is lowered here
+    monkeypatch.setattr(sen, "lambda1_series", partial(sen.lambda1_series, n_phi_max=2))
     data = dict(BASE_SPEC)
     data["padic_prec"] = 500
-    data["options"] = {"n_phi_max": 2}
     spec = write_spec(tmp_path, data)
     out = str(tmp_path / "out.json")
     assert run("sen", spec, out) == 3
@@ -348,8 +369,7 @@ def _sen_diag_spec(e: int, t: int) -> dict:
         c, d = (0, 1) if m == 0 else (rational(), rational())
         seeds.append([[str(c + d * diag[i]) if i == j else "0" for j in range(2)] for i in range(2)])
     e_coeffs = ["-3"] + ["0"] * (e - 1) + ["1"]
-    return {"p": 3, "E_coeffs": e_coeffs, "rank": 2, "seeds": seeds, "trunc": {"t": t, "x": 4},
-            "padic_prec": 10, "options": {"n_phi_max": 24}}
+    return {"p": 3, "E_coeffs": e_coeffs, "rank": 2, "seeds": seeds, "trunc": {"t": t, "x": 4}, "padic_prec": 10}
 
 
 @pytest.mark.parametrize("e", [1, 3])
@@ -373,16 +393,16 @@ def test_sen_runs_past_t_order_9(tmp_path, e):
 
 
 def test_sen_reads_the_probe_options_like_gen(tmp_path):
-    data = json.loads((SPECS / "sen_ramified.json").read_text())
-    data["options"] = {**data["options"], "n_probe": 3, "threshold": 0}
-    spec = write_spec(tmp_path, data)
+    # both run the probe at its n_probe and threshold defaults, and print
+    # them; sen_ramified's A_{0,1} never reaches a zero product, so all 65
+    # valuations are printed
     reports = {}
     for command in ("gen", "sen"):
         out = str(tmp_path / f"{command}.json")
-        assert run(command, spec, out) == 0
+        assert run(command, str(SPECS / "sen_ramified.json"), out) == 0
         reports[command] = json.loads(open(out).read())
     probe = reports["sen"]["report"]["near_HT"]
-    assert (probe["n_probe"], probe["threshold"], len(probe["min_valuations"])) == (3, 0, 4)
+    assert (probe["n_probe"], probe["threshold"], len(probe["min_valuations"])) == (64, 40, 65)
     assert probe == reports["gen"]["near_HT"] == reports["sen"]["report"]["nearly_dR"]["probe"]
 
 
@@ -397,37 +417,36 @@ def test_reports_are_deterministic(tmp_path):
     assert open(out1).read() == open(out2).read()
 
 
-def test_cli_trunc_override(tmp_path):
-    spec = write_spec(tmp_path, BASE_SPEC)
-    out = str(tmp_path / "out.json")
-    assert main(["gen", "--spec", spec, "--out", out, "--trunc-t", "2"]) == 0
-    report = json.loads(open(out).read())
-    assert report["table"]["t_order"] == 2
+def test_truncation_scan_sweep_matches_single_runs(tmp_path):
+    # a sweep whose instances set trunc is the truncation scan: each instance
+    # reports what a single run on a spec file with that trunc reports
+    scan = json.loads((SPECS / "cocycle_scan.json").read_text())
+    for command in ("cocycle", "gen"):
+        out = tmp_path / "sweep.json"
+        sweep = write_spec(tmp_path, {**scan, "command": command}, "sweep.json")
+        assert main(["sweep", "--spec", sweep, "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert [r["id"] for r in results] == [inst["id"] for inst in scan["instances"]]
+        for res, inst in zip(results, scan["instances"]):
+            spec = write_spec(tmp_path, {**scan["base"], "trunc": inst["trunc"]}, f"{inst['id']}.json")
+            assert main([command, "--spec", spec, "--out", str(out)]) == 0
+            assert res["ok"] and res["report"] == json.loads(out.read_text()), (command, inst["id"])
+            if command == "gen":
+                assert res["report"]["table"]["t_order"] == inst["trunc"]["t"]
 
 
-@pytest.mark.parametrize(
-    "flag, value, field",
-    [("--trunc-t", "99", "trunc.t"), ("--trunc-x", "99", "trunc.x"), ("--prec", "0", "padic_prec")],
-)
-def test_validate_applies_overrides(tmp_path, flag, value, field):
-    # gen refuses the override; validate must report the same failure
-    spec = write_spec(tmp_path, BASE_SPEC)
-    out = str(tmp_path / "out.json")
-    assert main(["gen", "--spec", spec, "--out", out, flag, value]) == 2
-    error = json.loads(open(out).read())["error"]
-    assert field in error["message"]
-    assert main(["validate", "--spec", spec, "--out", out, flag, value]) == 0
-    report = json.loads(open(out).read())
-    assert not report["ok"]
-    assert report["diagnostics"][0] == {"check": "parse", "ok": False, "error": "ValidationError", "message": error["message"]}
+RETIRED_FLAGS = (["--trunc-t", "9"], ["--trunc-x", "9"], ["--prec", "0"])
 
 
 @pytest.mark.parametrize(
     "command, argv",
-    [("sweep", ["--trunc-t", "9"]), ("sweep", ["--trunc-x", "9"]), ("sweep", ["--prec", "0"])]
-    + [(command, ["--jobs", "2"]) for command in SINGLE_SPEC_COMMANDS],
+    [("sweep", argv) for argv in RETIRED_FLAGS]
+    + [(command, ["--jobs", "2"]) for command in SINGLE_SPEC_COMMANDS]
+    + [(command, argv) for command in SINGLE_SPEC_COMMANDS for argv in RETIRED_FLAGS],
 )
 def test_flags_exist_only_on_the_commands_that_read_them(tmp_path, capsys, command, argv):
+    # --jobs is read by sweep alone; the spec file holds every other setting,
+    # so the retired overrides --trunc-t, --trunc-x and --prec exist nowhere
     spec = write_spec(tmp_path, BASE_SPEC)
     assert main([command, "--spec", spec, *argv]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
@@ -513,7 +532,8 @@ SHARING_SWEEP_INSTANCES = [
 
 
 def _sharing_sweep(command):
-    base = {**BASE_SPEC, "rank": 2, "options": {"k_max": 2}}
+    # k_max is an option of conjecture alone
+    base = {**BASE_SPEC, "rank": 2, **({"options": {"k_max": 2}} if command == "conjecture" else {})}
     return {"command": command, "base": base, "instances": SHARING_SWEEP_INSTANCES}
 
 
@@ -817,9 +837,9 @@ def test_mutated_spec_keeps_cli_contract(tmp_path_factory, name, path, value):
     value=_VALUE,
 )
 @example(where=("base",), path=("options", "k_max"), value=-1)
-@example(where=("base",), path=("options", "n_probe"), value=-3)
-@example(where=("instances", 0), path=("options",), value={"threshold": -2})
-@example(where=("instances", 3), path=("options",), value={"k_max": -1, "n_phi_max": 0})
+@example(where=("base",), path=("options", "n_probe"), value=64)
+@example(where=("instances", 0), path=("options",), value={"k_max": cli.MAX_T})
+@example(where=("instances", 3), path=("options",), value={"k_max": -1, "n_phi_max": 24})
 @example(where=("base",), path=("p",), value=3.0)
 @example(where=("instances", 0), path=("rank",), value=True)
 def test_mutated_sweep_keeps_cli_contract(tmp_path_factory, where, path, value):
@@ -925,11 +945,70 @@ def test_retired_size_options_are_refused(tmp_path, option, value, command):
     assert json.loads(out.read_text()) == {"ok": False, "diagnostics": [parse]}
     sweep = json.loads((SPECS / "sweep_conjecture.json").read_text())
     sweep["command"] = command
+    del sweep["base"]["options"]  # k_max, read by conjecture alone
     sweep["instances"][1]["options"] = {option: 2}
     assert main(["sweep", "--spec", write_spec(tmp_path, sweep, "sweep.json"), "--out", str(out)]) == 0
     results = {r["id"]: r for r in json.loads(out.read_text())["results"]}
     assert results.pop("b")["error"] == {"type": "ValidationError", "message": message}
     assert all(r["ok"] for r in results.values()) and len(results) == 3
+
+
+def test_k_max_is_refused_by_the_commands_that_do_not_read_it(tmp_path):
+    # k_max used to be ignored by every command but conjecture; validate,
+    # which runs no command, still reports the spec ok
+    data = {**_BASES["commuting_e3"], "options": {"k_max": 2}}
+    spec, out = write_spec(tmp_path, data), tmp_path / "out.json"
+    for command in ENGINE_COMMANDS:
+        code = run(command, spec, str(out))
+        if command == "conjecture":
+            assert code == 0
+            continue
+        message = f"options.k_max is read by conjecture only, not by {command}"
+        assert code == 2 and json.loads(out.read_text())["error"] == {"type": "ValidationError", "message": message}
+    assert run("validate", spec, str(out)) == 0
+    assert json.loads(out.read_text())["ok"] is True
+    sweep = json.loads((SPECS / "sweep_conjecture.json").read_text())  # k_max = 4 in its base
+    for command in ("conjecture", "cocycle"):
+        assert run("sweep", write_spec(tmp_path, {**sweep, "command": command}, "sweep.json"), str(out)) == 0
+        errors = [r["error"]["message"] for r in json.loads(out.read_text())["results"] if not r["ok"]]
+        message = f"options.k_max is read by conjecture only, not by {command}"
+        assert errors == ([] if command == "conjecture" else [message] * 4)
+
+
+def _prime_spec(p: int, t: int) -> dict:
+    """Rank 1, E = x - p, seeds 1/2, 1, 0, ...: lambda1 builds u0^p exactly."""
+    seeds = [[["1/2"]], [["1"]]] + [[["0"]]] * (t - 2)
+    return {"p": p, "E_coeffs": [str(-p), "1"], "rank": 1, "seeds": seeds, "trunc": {"t": t, "x": 1}, "padic_prec": 10}
+
+
+def test_sen_refuses_a_large_prime_quickly(tmp_path):
+    # lambda1 builds u0^p exactly: sen took 5.9 s at p = 10007 and T = 16,
+    # and at p = 1000000007 it had not finished after 25 s; h0 runs there
+    spec = write_spec(tmp_path, _prime_spec(1000000007, 2))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "prismstrat.cli", "sen", "--spec", spec],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert time.monotonic() - started < 1
+    assert proc.returncode == 2, proc.stderr
+    message = f"p = 1000000007 is above the limit {cli.MAX_SEN_P} of sen"
+    assert json.loads(proc.stdout) == {"error": {"type": "ValidationError", "message": message}}
+    out = tmp_path / "out.json"
+    assert run("h0", spec, str(out)) == 0
+    big = {"id": "big", "p": 1000000007, "E_coeffs": ["-1000000007", "1"]}
+    sweep = {"command": "sen", "base": _prime_spec(3, 2), "instances": [big, {"id": "small"}]}
+    assert run("sweep", write_spec(tmp_path, sweep, "sweep.json"), str(out)) == 0
+    results = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    assert results["big"]["error"] == {"type": "ValidationError", "message": message} and results["small"]["ok"]
+
+
+def test_sen_runs_at_the_largest_admitted_prime(tmp_path):
+    largest = next(p for p in range(cli.MAX_SEN_P, 1, -1) if all(p % d for d in range(2, int(p**0.5) + 1)))
+    out = tmp_path / "out.json"
+    assert run("sen", write_spec(tmp_path, _prime_spec(largest, 2)), str(out)) == 0
+    assert json.loads(out.read_text())["report"]["leibniz_ok"]
 
 
 def test_pd_degree_zero(tmp_path):

@@ -12,7 +12,7 @@ from prismstrat.cosimplicial import CosimpCtx
 from prismstrat.errors import ProductNotSettled
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat
-from prismstrat.sen import lambda1_series, sen_operator_matrix
+from prismstrat.sen import lambda1_series, nearly_dR_report, sen_operator_matrix
 from prismstrat.series import Trunc
 from prismstrat.stratification import Seeds, check_near_HT
 
@@ -130,13 +130,16 @@ def test_nearly_dR_classification():
     ids=["decays", "flat", "grows"],
 )
 def test_nearly_dR_without_rational_weights_reads_the_probe(a01, probe, verdict):
-    # the charpoly of -A_{0,1}/beta = -A_{0,1} does not split over Q
+    # the charpoly of -A_{0,1}/beta = -A_{0,1} does not split over Q.  sen
+    # runs the probe at its defaults; the classification of other probes is
+    # nearly_dR_report's
     mat = KMat.from_rows(F1, [[F1.from_rational(a) for a in row] for row in a01])
     seeds = Seeds.of([mat, KMat.zero(F1, 2)])
-    rep = sen_operator_matrix(seeds, CosimpCtx(F1, Trunc(2, 1)), 8, **probe)
+    rep = sen_operator_matrix(seeds, CosimpCtx(F1, Trunc(2, 1)), 8)
     assert rep.weights_rational is None
-    assert rep.near_HT == check_near_HT(mat, **probe)
-    assert rep.nearly_dR["verdict"] == verdict
+    assert rep.near_HT == check_near_HT(mat)
+    assert rep.nearly_dR == nearly_dR_report(list(rep.weights_charpoly), None, rep.near_HT)
+    assert nearly_dR_report(list(rep.weights_charpoly), None, check_near_HT(mat, **probe))["verdict"] == verdict
 
 
 def test_sen_report_json_round():
