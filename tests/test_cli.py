@@ -435,6 +435,27 @@ def test_truncation_scan_sweep_matches_single_runs(tmp_path):
                 assert res["report"]["table"]["t_order"] == inst["trunc"]["t"]
 
 
+@pytest.mark.parametrize("flag, value, field", [("--trunc-t", "99", "trunc.t"), ("--trunc-x", "99", "trunc.x")])
+def test_validate_applies_overrides(tmp_path, capsys, flag, value, field):
+    # the truncation that --trunc-t and --trunc-x used to override is now set
+    # in the spec file alone: gen refuses it there, validate reports the same
+    # failure, and both refuse the retired flag
+    key = field.split(".")[1]
+    spec = write_spec(tmp_path, {**BASE_SPEC, "trunc": {**BASE_SPEC["trunc"], key: int(value)}})
+    out = str(tmp_path / "out.json")
+    assert run("gen", spec, out) == 2
+    error = json.loads(open(out).read())["error"]
+    assert field in error["message"]
+    assert run("validate", spec, out) == 0
+    report = json.loads(open(out).read())
+    assert not report["ok"]
+    assert report["diagnostics"][0] == {"check": "parse", "ok": False, "error": "ValidationError", "message": error["message"]}
+    spec = write_spec(tmp_path, BASE_SPEC)
+    for command in ("gen", "validate"):
+        assert main([command, "--spec", spec, "--out", out, flag, value]) == 2
+        assert "unrecognized arguments" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
 RETIRED_FLAGS = (["--trunc-t", "9"], ["--trunc-x", "9"], ["--prec", "0"])
 
 
