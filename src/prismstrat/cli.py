@@ -58,7 +58,6 @@ COMMANDS = ("gen", "cocycle", "closed-form", "h0", "sen", "conjecture", "sweep",
 MAX_T, MAX_D, MAX_RANK, MAX_TDL, MAX_E, MAX_PREC, MAX_DIGITS = 16, 64, 8, 512, 8, 1024, 20
 MAX_TEXT = 4 * MAX_DIGITS
 MAX_SEN_P = 5000
-INT_OPTIONS = {"k_max": 0}  # name: floor; each is a t-order, limited to T - 1
 SPEC_KEYS = {"p", "E_coeffs", "rank", "seeds", "trunc", "padic_prec", "options", "id"}  # id: a sweep instance
 
 
@@ -67,7 +66,7 @@ class ProblemSpec(NamedTuple):
     seeds: Seeds
     trunc: Trunc
     prec: int
-    options: dict
+    k_max: int  # options.k_max, read by conjecture alone
 
 
 def _parse_matrix(field: FieldDesc, data, rank: int) -> KMat:
@@ -131,7 +130,8 @@ def _digits(values) -> int:
 def load_problem(data: dict, command: str | None = None) -> ProblemSpec:
     """Validate a raw spec dict against the module preconditions, and against
     those of command if given: k_max only on conjecture, p at most MAX_SEN_P
-    on sen."""
+    on sen, and a seed A_(m,1) for every m < T, for every command.  The
+    engine functions assume the seeds cover T and do not check it again."""
     for key in ("p", "E_coeffs", "rank", "seeds", "trunc"):
         if key not in data:
             raise ValidationError(f"spec is missing the {key!r} field")
@@ -167,21 +167,27 @@ def load_problem(data: dict, command: str | None = None) -> ProblemSpec:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError("options must be a JSON object")
-    _known_keys("options", options, INT_OPTIONS)
-    options = dict(options)
-    for name, floor in INT_OPTIONS.items():
-        if name in options:
-            with _parsing(f"options.{name}"):
-                value = _typed(options[name], int)
-            if value < floor:
-                raise ValidationError(f"options.{name} = {value} is below the floor {floor}")
-            # a t-order: the series stop below t^T
-            options[name] = _at_most(f"options.{name}", value, t_order - 1)
-    if command not in (None, "conjecture") and "k_max" in options:
-        raise ValidationError(f"options.k_max is read by conjecture only, not by {command}")
+    _known_keys("options", options, {"k_max"})
+    with _parsing("options.k_max"):
+        k_max = _typed(options.get("k_max", 2), int)
+    if k_max < 0:
+        raise ValidationError(f"options.k_max = {k_max} is below the floor 0")
+    if "k_max" in options:  # a t-order: the series stop below t^T
+        _at_most("options.k_max", k_max, t_order - 1)
+        if command not in (None, "conjecture"):
+            raise ValidationError(f"options.k_max is read by conjecture only, not by {command}")
     if command == "sen" and field.p > MAX_SEN_P:
         raise ValidationError(f"p = {field.p} is above the limit {MAX_SEN_P} of sen")
-    return ProblemSpec(field, seeds, trunc, prec, options)
+    if command and (short := _short_seeds(seeds, t_order)):
+        raise short
+    return ProblemSpec(field, seeds, trunc, prec, k_max)
+
+
+def _short_seeds(seeds: Seeds, t_order: int) -> SeedShapeMismatch | None:
+    """The one error of seeds that miss an A_(m,1) with m < T, which every
+    engine command reads; None when they cover T."""
+    n = len(seeds.A1)
+    return SeedShapeMismatch(f"need seeds A_(m,1) for all m < {t_order}, got {n}") if n < t_order else None
 
 
 def validate_spec(raw: dict) -> dict:
@@ -190,8 +196,7 @@ def validate_spec(raw: dict) -> dict:
         spec = load_problem(raw)
     except EngineError as exc:
         return {"ok": False, "diagnostics": [_diagnostic("parse", exc)]}
-    t_order, n_seeds = spec.trunc.t_order, len(spec.seeds.A1)
-    cover = None if n_seeds >= t_order else SeedShapeMismatch(f"need {t_order} seed matrices, got {n_seeds}")
+    cover = _short_seeds(spec.seeds, spec.trunc.t_order)
     commuting = None if spec.seeds.commutative() else NonCommutingSeeds("A_{0,1} does not commute with all seeds")
     checks = {"parse": None, "seeds_cover_t_order": cover, "commuting_seeds": commuting}
     return {"ok": cover is None, "diagnostics": [_diagnostic(name, exc) for name, exc in checks.items()]}
@@ -219,8 +224,8 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
         return {"command": "cocycle", "report": residual_report(residual)}
     if command == "closed-form":
         from .closedform import h_table, verify_commutative
-        ht = h_table(spec.seeds, ctx, spec.trunc.t_order - 1)
-        report = verify_commutative(ht, ctx, spec.trunc.pd_degree)
+        ht = h_table(spec.seeds, ctx)
+        report = verify_commutative(ht, ctx)
         return {"command": "closed-form", "verify": report, "h_tilde": ht.to_json()}
     if command == "h0":
         from .cohomology import h0_solve
@@ -231,7 +236,7 @@ def _dispatch(command: str, spec: ProblemSpec, ctx: CosimpCtx) -> dict:
         return {"command": "sen", "report": rep.to_json()}
     if command == "conjecture":
         from .closedform import conjecture_residual
-        rep = conjecture_residual(spec.seeds, ctx, spec.options.get("k_max", 2))
+        rep = conjecture_residual(spec.seeds, ctx, spec.k_max)
         flagged = [k for k, r in rep["residuals"].items() if not r["zero"]]
         return {
             "command": "conjecture",

@@ -76,19 +76,16 @@ class HTable(NamedTuple):
         return out
 
 
-def h_table(seeds: Seeds, ctx: CosimpCtx, m_max: int) -> HTable:
-    """Fill h[m][j] for m <= m_max by the summation-reordering induction.
-    The terms of row m that share (f, i', max(f-i, 0)) are summed into one
-    kappa; every target j takes kappa times a prefix of one running product
-    of linear factors (see the module docstring for its range).
-    theta_{1,s} is known for s < t_order only, hence t_order > m_max."""
-    if len(seeds.A1) <= m_max:
-        raise ShapeMismatch(f"need seeds up to A_({m_max},1)")
-    if ctx.trunc.t_order <= m_max:
-        raise ShapeMismatch("need t_order > m_max")
+def h_table(seeds: Seeds, ctx: CosimpCtx) -> HTable:
+    """Fill h[m][j] for m <= m_max = T - 1 by the summation-reordering
+    induction: theta_{1,s} is known for s < T only, and row m reads the
+    seeds A_{s,1} for s <= m, which cover T.  The terms of row m that share
+    (f, i', max(f-i, 0)) are summed into one kappa; every target j takes
+    kappa times a prefix of one running product of linear factors (see the
+    module docstring for its range)."""
     if not seeds.commutative():
         raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
-    field, l, a01 = ctx.field, seeds.l, seeds.a01
+    field, l, a01, m_max = ctx.field, seeds.l, seeds.a01, ctx.trunc.t_order - 1
     linear = {t: KMat.scalar(field, l, field.beta * -t) + a01 for t in range(-m_max, m_max + 1)}
     beta_pows = [field.one]
     for _ in range(1, m_max):
@@ -176,23 +173,19 @@ def row_series(table: StratTable, m: int, field: FieldDesc, pd_degree: int) -> S
     return SRE(field, 1, tr, table.l, out)
 
 
-def verify_commutative(ht: HTable, ctx: CosimpCtx, pd_degree: int) -> dict:
+def verify_commutative(ht: HTable, ctx: CosimpCtx) -> dict:
     """Coefficient-wise residual between the recursion rows and the closed
-    form of every row of the h table `ht`."""
-    field = ctx.field
-    m_max = max(ht.h)
+    form of the rows m <= m_max = T - 1 of the h table `ht` (h_table of the
+    same context), to the pd degree D of the context."""
+    field, m_max, pd_degree = ctx.field, ctx.trunc.t_order - 1, ctx.trunc.pd_degree
     table = generate_Amn(ht.seeds, ctx, pd_degree)
     growth = exponential_sum_series(field, ht.seeds.a01, Trunc(1, pd_degree))
     rows = {}
-    ok = True
     for m in range(m_max + 1):
-        closed = closedform_series(ht, m, growth)
-        direct = row_series(table, m, field, pd_degree)
-        diff = closed - direct
+        diff = closedform_series(ht, m, growth) - row_series(table, m, field, pd_degree)
         nonzero = sorted(idx[0] for (_, idx) in diff.coeffs)
-        if nonzero:
-            ok = False
         rows[str(m)] = {"residual_degrees": nonzero, "zero": not nonzero}
+    ok = all(row["zero"] for row in rows.values())
     return {"ok": ok, "m_max": m_max, "pd_degree": pd_degree, "rows": rows}
 
 
@@ -211,8 +204,6 @@ def ak_series(seeds: Seeds, ctx: CosimpCtx, k_max: int) -> list[KMat]:
     """
     if ctx.trunc.t_order <= k_max:
         raise ShapeMismatch("need t_order > k_max")
-    if len(seeds.A1) <= k_max:
-        raise ShapeMismatch(f"need seeds up to A_({k_max},1)")
     if not seeds.commutative():
         raise NonCommutingSeeds("A_{0,1} must commute with every A_{j,1}")
     field, l, theta = ctx.field, seeds.l, [ctx.theta_at(1, s) for s in range(k_max + 1)]

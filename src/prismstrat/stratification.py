@@ -76,10 +76,8 @@ class StratTable(NamedTuple):
 def first_order_grids(seeds: Seeds, ctx: CosimpCtx) -> tuple[list, list]:
     """The T x T block grids of the first-order matrices P and Q: block
     (m, i) of P is A_{m-i,1} - i theta_{1,m-i}, of Q theta_{1,m-i} I, both 0
-    for i > m (theta_{1,0} = beta).  Needs a seed A_{m,1} for every m < T."""
+    for i > m (theta_{1,0} = beta).  Reads a seed A_{m,1} for every m < T."""
     field, t_order = ctx.field, ctx.trunc.t_order
-    if len(seeds.A1) < t_order:
-        raise SeedShapeMismatch(f"need seeds A_(m,1) for all m < {t_order}, got {len(seeds.A1)}")
     l, zero, span = seeds.l, KMat.zero(field, seeds.l), range(t_order)
     theta = [KMat.scalar(field, l, ctx.theta_at(1, j)) for j in span]
     P = [[seeds.A1[m - i] - theta[m - i] * i if i <= m else zero for i in span] for m in span]

@@ -399,14 +399,14 @@ def _linear_product(field: FieldDesc, a01: KMat, ts) -> KMat:
     return acc
 
 
-def h_table_per_target(seeds, ctx, m_max: int) -> HTable:
-    """The h table with every (term, target j) pair built on its own: each
-    term kappa of row m goes to target j as kappa g^j_{m,f,i'} times its own
-    product of linear factors prod_{t=f-i'+1}^{u}, u = max(f-i, 0) for
-    j <= m and u = m-j for j > m."""
+def h_table_per_target(seeds, ctx) -> HTable:
+    """The h table to m_max = T - 1 with every (term, target j) pair built
+    on its own: each term kappa of row m goes to target j as kappa
+    g^j_{m,f,i'} times its own product of linear factors prod_{t=f-i'+1}^{u},
+    u = max(f-i, 0) for j <= m and u = m-j for j > m."""
     field, l, a01 = ctx.field, seeds.l, seeds.a01
     h = {0: {0: KMat.identity(field, l)}}
-    for m in range(1, m_max + 1):
+    for m in range(1, ctx.trunc.t_order):
         # terms (f, kernel index i', kappa, max(f - i, 0))
         terms = []
         for f in range(m):

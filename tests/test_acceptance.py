@@ -119,8 +119,8 @@ def test_criterion_1_worked_example_rows():
                 Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)
             ]
             seeds = scalar_seeds(field, vals)
-            ctx = CosimpCtx(field, Trunc(4, deg))
-            ht = h_table(seeds, ctx, 2)
+            ctx = CosimpCtx(field, Trunc(3, deg))
+            ht = h_table(seeds, ctx)
             for m in (1, 2):
                 got = closedform_series(ht, m, exponential_sum_series(field, seeds.a01, Trunc(1, deg)))
                 expect = _display_row_series(ctx, seeds, m, deg)
@@ -150,7 +150,7 @@ def test_criterion_3_commutative_closed_form():
             vals = [
                 Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(5)
             ]
-            report = verify_commutative(h_table(scalar_seeds(field, vals), ctx, 4), ctx, 12)
+            report = verify_commutative(h_table(scalar_seeds(field, vals), ctx), ctx)
             assert report["ok"], (field.e, vals, report)
             checked += 1
         for _ in range(2):  # 2x2 diagonal sets
@@ -161,7 +161,7 @@ def test_criterion_3_commutative_closed_form():
                 )
                 for _ in range(5)
             ]
-            report = verify_commutative(h_table(diag_seeds(field, pairs), ctx, 4), ctx, 12)
+            report = verify_commutative(h_table(diag_seeds(field, pairs), ctx), ctx)
             assert report["ok"], (field.e, pairs, report)
             checked += 1
     assert checked >= 10

@@ -7,14 +7,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prismstrat import cli, sen
+from prismstrat import cli
 from prismstrat.cli import main, run
 from prismstrat.cosimplicial import CosimpCtx
 from prismstrat.field import KElem, PadicApprox, field_init
@@ -39,7 +38,7 @@ ENGINE_COMMANDS = SINGLE_SPEC_COMMANDS[:-1]  # all but validate
 
 # k_max, the one option, and the former floors of the retired options, which
 # are unknown keys whatever their value
-OPTION_FLOORS = {**cli.INT_OPTIONS, "n_probe": 0, "threshold": 0, "n_phi_max": 1}
+OPTION_FLOORS = {"k_max": 0, "n_probe": 0, "threshold": 0, "n_phi_max": 1}
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -253,7 +252,7 @@ def test_prec_option_above_limit_exits_2(tmp_path):
 def test_unknown_key_exits_2(tmp_path, path, key):
     # a misspelled key was ignored: "kmax": 0 ran conjecture with k_max = 2.
     # The retired probe options and lambda1 cap are unknown keys too: gen and
-    # sen run the probe at 64 and 40, and lambda1 stops at 24 factors
+    # sen run the probe at 64 and 40, and lambda1 stops on a bound on its work
     spec = write_spec(tmp_path, _mutated(json.loads((SPECS / "cocycle_e1.json").read_text()), path, 0))
     out, where = tmp_path / "out.json", "the spec" if len(path) == 1 else path[0]
     for command in SINGLE_SPEC_COMMANDS:
@@ -343,11 +342,9 @@ def test_sweep_survives_bad_instance(tmp_path):
     assert good["ok"] and good["report"]["report"]["verdict"] == "ZERO_RESIDUAL"
 
 
-def test_product_not_settled_exits_3(tmp_path, monkeypatch):
-    # the cap of 24 factors is no option any more, so it is lowered here
-    monkeypatch.setattr(sen, "lambda1_series", partial(sen.lambda1_series, n_phi_max=2))
-    data = dict(BASE_SPEC)
-    data["padic_prec"] = 500
+def test_product_not_settled_exits_3(tmp_path):
+    # p = 1009 just below padic_prec 1024: factor 2 would build u0^(1009^2)
+    data = {**BASE_SPEC, "p": 1009, "E_coeffs": ["-1009", "1"], "padic_prec": 1024}
     spec = write_spec(tmp_path, data)
     out = str(tmp_path / "out.json")
     assert run("sen", spec, out) == 3
@@ -802,10 +799,9 @@ _VALUE = st.one_of(
 _PATHS = [
     ("p",), ("E_coeffs",), ("rank",), ("seeds",), ("trunc",), ("trunc", "t"), ("trunc", "x"),
     ("padic_prec",), ("options",), ("seeds", 0, 0), ("seeds", 0, -1), ("seeds", 2, 0),
-    *(("options", name) for name in cli.INT_OPTIONS),
+    ("options", "k_max"),
 ]
-_INT_PATHS = {("p",), ("rank",), ("trunc", "t"), ("trunc", "x"), ("padic_prec",)}
-_INT_PATHS |= {("options", name) for name in cli.INT_OPTIONS}
+_INT_PATHS = {("p",), ("rank",), ("trunc", "t"), ("trunc", "x"), ("padic_prec",), ("options", "k_max")}
 _LIST_PATHS = {("E_coeffs",), ("seeds",), ("seeds", 0, 0), ("seeds", 0, -1), ("seeds", 2, 0)}
 
 
@@ -906,6 +902,29 @@ def test_h0_checks_seeds_before_pd_degree(tmp_path):
     assert run("h0", write_spec(tmp_path, data), out) == 2
     error = json.loads(open(out).read())["error"]
     assert error == {"type": "SeedShapeMismatch", "message": "need seeds A_(m,1) for all m < 3, got 2"}
+
+
+def test_short_seeds_give_one_error_for_every_command(tmp_path):
+    # T - 1 seeds: the loader's one SeedShapeMismatch for every engine
+    # command (conjecture at the default k_max and at k_max = T - 1), alone
+    # and as a sweep instance, and validate's seeds_cover_t_order reports it
+    base = json.loads((SPECS / "cocycle_e1.json").read_text())
+    t_order = len(base["seeds"]) + 1
+    short = {"trunc": {**base["trunc"], "t": t_order}}
+    message = f"need seeds A_(m,1) for all m < {t_order}, got {t_order - 1}"
+    expected = {"type": "SeedShapeMismatch", "message": message}
+    out = tmp_path / "out.json"
+    runs = [(command, short) for command in ENGINE_COMMANDS]
+    runs.append(("conjecture", {**short, "options": {"k_max": t_order - 1}}))
+    for command, changes in runs:
+        assert main([command, "--spec", write_spec(tmp_path, {**base, **changes}), "--out", str(out)]) == 2
+        assert json.loads(out.read_text()) == {"error": expected}, command
+        sweep = {"command": command, "base": base, "instances": [{"id": "short", **changes}]}
+        assert main(["sweep", "--spec", write_spec(tmp_path, sweep), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"] == [{"id": "short", "ok": False, "error": expected}], command
+    assert main(["validate", "--spec", write_spec(tmp_path, {**base, **short}), "--out", str(out)]) == 0
+    cover = json.loads(out.read_text())["diagnostics"][1]
+    assert cover == {"check": "seeds_cover_t_order", "ok": False, "error": "SeedShapeMismatch", "message": message}
 
 
 def test_closed_form_with_m_max_at_t_order_exits_2(tmp_path):
@@ -1030,6 +1049,31 @@ def test_sen_runs_at_the_largest_admitted_prime(tmp_path):
     out = tmp_path / "out.json"
     assert run("sen", write_spec(tmp_path, _prime_spec(largest, 2)), str(out)) == 0
     assert json.loads(out.read_text())["report"]["leibniz_ok"]
+
+
+@pytest.mark.parametrize(
+    "p, e_coeffs, t, error, seconds",
+    [
+        (1009, ["-1009", "1"], 2, "ProductNotSettled", 2),
+        (1009, ["-1009", "1"], 16, "ProductNotSettled", 2),
+        (1009, ["-1009"] + ["0"] * 7 + ["1"], 16, "ProductNotSettled", 2),
+        (3, ["3"] * 8 + ["1"], 8, "NumberTooLarge", 10),
+    ],
+    ids=["x-1009_T2", "x-1009_T16", "x^8-1009_T16", "3+3x+...+x^8_T8"],
+)
+def test_lambda1_runaways_exit_3_quickly(tmp_path, p, e_coeffs, t, error, seconds):
+    # at padic_prec 1024 lambda1 would build u0^(1009^2) (killed after 90 s)
+    # or print a 78,000-bit rational (31 s): it now stops before the factor
+    spec = write_spec(tmp_path, {**_prime_spec(p, t), "E_coeffs": e_coeffs, "padic_prec": 1024})
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "prismstrat.cli", "sen", "--spec", spec],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert time.monotonic() - started < seconds
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == error
 
 
 def test_pd_degree_zero(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prismstrat import closedform
+from prismstrat import cli, closedform
 from prismstrat.closedform import (
     ak_series,
     closedform_series,
@@ -21,7 +21,7 @@ from prismstrat.closedform import (
     verify_commutative,
 )
 from prismstrat.cosimplicial import CosimpCtx
-from prismstrat.errors import NonCommutingSeeds, ShapeMismatch
+from prismstrat.errors import NonCommutingSeeds, SeedShapeMismatch, ShapeMismatch
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat
 from prismstrat.series import SimplexRingElem as SRE
@@ -70,18 +70,18 @@ def test_fg_dual_paths_agree(field):
 
 
 def test_h_m1_base_values():
-    ctx = CosimpCtx(F2, Trunc(4, 6))
+    ctx = CosimpCtx(F2, Trunc(2, 6))
     seeds = scalar_seeds(F2, [Fraction(1, 2), Fraction(2, 3), 5, 7])
-    ht = h_table(seeds, ctx, 1)
+    ht = h_table(seeds, ctx)
     assert ht.at(1, 1) == seeds.A1[1]
     assert ht.at(1, 2) == KMat.scalar(F2, 1, ctx.theta_at(1, 1) * Fraction(1, 2))
 
 
 def test_h_m2_matches_worked_example():
-    ctx = CosimpCtx(F2, Trunc(4, 8))
+    ctx = CosimpCtx(F2, Trunc(3, 8))
     a01, a11, a21 = Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4)
     seeds = scalar_seeds(F2, [a01, a11, a21, 0])
-    ht = h_table(seeds, ctx, 2)
+    ht = h_table(seeds, ctx)
     th11 = ctx.theta_at(1, 1)
     th12 = ctx.theta_at(1, 2)
     beta = F2.beta
@@ -111,7 +111,7 @@ def test_h_m2_matches_worked_example():
 def test_h_vanishes_for_e1_zero_seeds():
     ctx = CosimpCtx(F1, Trunc(5, 6))
     seeds = scalar_seeds(F1, [0, 0, 0, 0, 0])
-    ht = h_table(seeds, ctx, 4)
+    ht = h_table(seeds, ctx)
     for m in range(1, 5):
         for j in range(0, 2 * m + 1):
             assert ht.at(m, j).is_zero()
@@ -122,7 +122,7 @@ def test_h_rejects_noncommuting():
     a11 = KMat.from_rows(F1, [[F1.zero, F1.one], [F1.one, F1.zero]])
     ctx = CosimpCtx(F1, Trunc(2, 4))
     with pytest.raises(NonCommutingSeeds):
-        h_table(Seeds.of([a01, a11]), ctx, 1)
+        h_table(Seeds.of([a01, a11]), ctx)
 
 
 # -- generating functions vs the hand-expanded worked rows ------------------
@@ -174,18 +174,18 @@ def _fact(n):
 @pytest.mark.parametrize("field", [F1, F2], ids=["e1", "e2"])
 @pytest.mark.parametrize("m", [1, 2])
 def test_closedform_matches_expanded_rows(field, m):
-    ctx = CosimpCtx(field, Trunc(4, 8))
+    ctx = CosimpCtx(field, Trunc(m + 1, 8))
     seeds = scalar_seeds(field, [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4), 0])
-    ht = h_table(seeds, ctx, m)
+    ht = h_table(seeds, ctx)
     got = closedform_series(ht, m, exponential_sum_series(field, seeds.a01, Trunc(1, 8)))
     expect = _display_series(ctx, seeds, m, 8)
     assert got == expect
 
 
 def test_closedform_m0_is_growth_series():
-    ctx = CosimpCtx(F2, Trunc(2, 6))
+    ctx = CosimpCtx(F2, Trunc(1, 6))
     seeds = scalar_seeds(F2, [Fraction(1, 2), 0])
-    ht = h_table(seeds, ctx, 0)
+    ht = h_table(seeds, ctx)
     growth = exponential_sum_series(F2, seeds.a01, Trunc(1, 6))
     assert closedform_series(ht, 0, growth) == exponential_sum_series(
         F2, seeds.a01, Trunc(1, 6)
@@ -194,10 +194,10 @@ def test_closedform_m0_is_growth_series():
 
 def test_closedform_e1_hand_case():
     # A_{0,1} = -1, A_{1,1} = a: row 1 is a X (1 - X) = a X^[1] - 2a X^[2]
-    ctx = CosimpCtx(F1, Trunc(3, 6))
+    ctx = CosimpCtx(F1, Trunc(2, 6))
     a = Fraction(5, 7)
     seeds = scalar_seeds(F1, [-1, a, 0])
-    ht = h_table(seeds, ctx, 1)
+    ht = h_table(seeds, ctx)
     got = closedform_series(ht, 1, exponential_sum_series(F1, seeds.a01, Trunc(1, 6)))
     ka = kconst(F1, a)
     assert got.coeff(0, (1,)).rows[0][0] == ka
@@ -213,7 +213,7 @@ def test_verify_commutative_small(field):
         vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
         seeds = scalar_seeds(field, vals)
         ctx = CosimpCtx(field, Trunc(4, 8))
-        report = verify_commutative(h_table(seeds, ctx, 3), ctx, 8)
+        report = verify_commutative(h_table(seeds, ctx), ctx)
         assert report["ok"], report
 
 
@@ -235,7 +235,7 @@ def test_verify_commutative_diagonal_matrices():
     )
     for seeds in (diagonal, commuting_seeds(F3)):
         ctx = CosimpCtx(seeds.a01.field, Trunc(4, 8))
-        report = verify_commutative(h_table(seeds, ctx, 3), ctx, 8)
+        report = verify_commutative(h_table(seeds, ctx), ctx)
         assert report["ok"], report
 
 
@@ -427,8 +427,15 @@ def test_conjecture_residual_error_precedence():
         conjecture_residual(Seeds.of([a01, a11, a11]), ctx, 5)
     with pytest.raises(ShapeMismatch, match="need t_order > k_max"):
         conjecture_residual(scalar_seeds(F1, [1, 2]), ctx, 5)
-    with pytest.raises(ShapeMismatch, match=r"need seeds up to A_\(2,1\)"):
-        conjecture_residual(scalar_seeds(F1, [1, 2]), ctx, 2)
+    # seeds short of T are refused by the loader, before any engine function
+    with pytest.raises(SeedShapeMismatch, match=r"need seeds A_\(m,1\) for all m < 3, got 2"):
+        cli.load_problem({**_f1_spec([[["1"]], [["2"]]], 3), "options": {"k_max": 2}}, "conjecture")
+
+
+def _f1_spec(seeds, t_order):
+    """A spec over F1 (E = x - 3) with the given seed rows and T."""
+    rank = len(seeds[0])
+    return {"p": 3, "E_coeffs": ["-3", "1"], "rank": rank, "seeds": seeds, "trunc": {"t": t_order, "x": 4}}
 
 
 @pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
@@ -446,23 +453,25 @@ def test_h_table_matches_per_target_reference(field, data):
     scalar = data.draw(st.booleans())
     m = KMat.zero(field, rank) if scalar else KMat.from_rows(field, [[q() for _ in range(rank)] for _ in range(rank)])
     seeds = Seeds.of([KMat.scalar(field, rank, q()) + m * q() for _ in range(t_order)])
-    ctx = _ctx(field, t_order, 1)
-    assert h_table(seeds, ctx, m_max).h == h_table_per_target(seeds, ctx, m_max).h
+    ctx = _ctx(field, m_max + 1, 1)
+    assert h_table(seeds, ctx).h == h_table_per_target(seeds, ctx).h
 
 
 @pytest.mark.parametrize("field", [F1, F2, F3], ids=["e1", "e2", "e3"])
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_h_table_at_m_max_ignores_longer_t_order(field, data):
-    # closed-form sizes its h-table by T alone, to m_max = T - 1: a t-order
-    # T > M + 1 changes neither h_table nor verify_commutative at m_max = M
+    # closed-form sizes its h-table by T alone, to m_max = T - 1, and a row
+    # is a prefix property: the rows m <= M of the h-table and of the
+    # verify_commutative report at T > M + 1 are those at T = M + 1
     m_max = data.draw(st.integers(0, 4))
     t_order, pd_degree = data.draw(st.integers(m_max + 2, 7)), data.draw(st.integers(0, 4))
     seeds = _draw_commuting_seeds(data, field, t_order)
     short, long = _ctx(field, m_max + 1, pd_degree), _ctx(field, t_order, pd_degree)
-    ht = h_table(seeds, short, m_max)
-    assert ht == h_table(seeds, long, m_max)
-    assert verify_commutative(ht, short, pd_degree) == verify_commutative(ht, long, pd_degree)
+    ht, longer = h_table(seeds, short), h_table(seeds, long)
+    assert ht.h == {m: row for m, row in longer.h.items() if m <= m_max}
+    report, longer_report = verify_commutative(ht, short), verify_commutative(longer, long)
+    assert report["rows"] == {m: row for m, row in longer_report["rows"].items() if int(m) <= m_max}
 
 
 def test_h_table_error_precedence():
@@ -470,15 +479,14 @@ def test_h_table_error_precedence():
     a01 = KMat.from_rows(F1, [[F1.one, F1.one], [F1.zero, F1.one]])
     a11 = KMat.from_rows(F1, [[F1.zero, F1.one], [F1.one, F1.zero]])
     with pytest.raises(NonCommutingSeeds, match="must commute"):
-        h_table(Seeds.of([a01, a11, a11]), ctx, 2)
-    # the shape checks run before the commutator products
-    with pytest.raises(ShapeMismatch, match=r"need seeds up to A_\(5,1\)"):
-        h_table(Seeds.of([a01, a11, a11]), ctx, 5)
-    with pytest.raises(ShapeMismatch, match=r"need seeds up to A_\(5,1\)"):
-        h_table(scalar_seeds(F1, [1, 2, 3]), ctx, 5)
-    # theta_{1,s} is known for s < T only
-    with pytest.raises(ShapeMismatch, match="need t_order > m_max"):
-        h_table(scalar_seeds(F1, [1, 2, 3, 4, 5]), ctx, 3)
+        h_table(Seeds.of([a01, a11, a11]), ctx)
+    # the seed count is checked by the loader, before the commutator products;
+    # h_table reads m_max = T - 1 from the context, as theta_{1,s} is known
+    # for s < T only
+    noncommuting = [[["1", "1"], ["0", "1"]], [["0", "1"], ["1", "0"]], [["0", "1"], ["1", "0"]]]
+    for seeds in (noncommuting, [[["1"]], [["2"]], [["3"]]]):
+        with pytest.raises(SeedShapeMismatch, match=r"need seeds A_\(m,1\) for all m < 6, got 3"):
+            cli.load_problem(_f1_spec(seeds, 6), "closed-form")
 
 
 def test_row_series_matches_table():

@@ -50,9 +50,9 @@ def test_recursion_violation_shows_in_residual():
     assert not R.coeff(1, (1, 1)).is_zero() or not R.coeff(1, (0, 2)).is_zero()
 
 
-def _h_scaled(field, ctx, vals, lam, m_max):
+def _h_scaled(field, ctx, vals, lam):
     scaled = [v * lam**i for i, v in enumerate(vals)]
-    return h_table(scalar_seeds(field, scaled), ctx, m_max)
+    return h_table(scalar_seeds(field, scaled), ctx)
 
 
 def test_h_weighted_degree_bound():
@@ -64,7 +64,7 @@ def test_h_weighted_degree_bound():
     vals = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4), Fraction(7, 3), 1]
     m_max = 4
     lams = list(range(m_max + 2))
-    tables = [_h_scaled(field, ctx, vals, Fraction(l), m_max) for l in lams]
+    tables = [_h_scaled(field, ctx, vals, Fraction(l)) for l in lams]
     for m in range(1, m_max + 1):
         for j in range(1, 2 * m + 1):
             samples = [t.at(m, j).rows[0][0] for t in tables]
@@ -81,9 +81,9 @@ def test_h_homogeneous_for_e1():
     ctx = CosimpCtx(field, Trunc(5, 4))
     vals = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4), Fraction(7, 3), 1]
     m_max = 4
-    base = h_table(scalar_seeds(field, vals), ctx, m_max)
+    base = h_table(scalar_seeds(field, vals), ctx)
     lam = Fraction(3, 2)
-    scaled = _h_scaled(field, ctx, vals, lam, m_max)
+    scaled = _h_scaled(field, ctx, vals, lam)
     for m in range(1, m_max + 1):
         for j in range(1, 2 * m + 1):
             assert scaled.at(m, j) == base.at(m, j) * lam**m, (m, j)

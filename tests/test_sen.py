@@ -9,7 +9,7 @@ import pytest
 
 from prismstrat import cli, sen
 from prismstrat.cosimplicial import CosimpCtx
-from prismstrat.errors import ProductNotSettled
+from prismstrat.errors import NumberTooLarge, ProductNotSettled
 from prismstrat.field import field_init
 from prismstrat.matrix import KMat
 from prismstrat.sen import lambda1_series, nearly_dR_report, sen_operator_matrix
@@ -46,9 +46,26 @@ def test_lambda1_precision_doubling(field):
 
 
 def test_lambda1_not_settled():
-    ctx = CosimpCtx(F2, Trunc(3, 2))
-    with pytest.raises(ProductNotSettled):
-        lambda1_series(ctx, 200, n_phi_max=2)
+    # p = 1009 just below padic_prec 1024: factor 1 leaves a gap of p - 1,
+    # short of the target, and factor 2 would build u0^(1009^2)
+    ctx = CosimpCtx(field_init(1009, [-1009, 1]), Trunc(2, 1))
+    with pytest.raises(ProductNotSettled, match=r"factor 2 would build u0\^1018081"):
+        lambda1_series(ctx, 1024)
+
+
+def test_lambda1_stops_on_a_number_a_report_cannot_print():
+    # E = 3 + 3x + ... + 3x^7 + x^8: the partial product outgrows the digit
+    # limit of a report long before its factors settle to p^-1024
+    ctx = CosimpCtx(field_init(3, [3] * 8 + [1]), Trunc(2, 1))
+    with pytest.raises(NumberTooLarge, match="limit of a report"):
+        lambda1_series(ctx, 1024)
+
+
+def test_lambda1_builds_powers_up_to_its_limit():
+    # p = 101 at padic_prec 1024 settles with its second factor, u0^10201
+    ctx = CosimpCtx(field_init(101, [-101, 1]), Trunc(2, 1))
+    assert 101**2 <= sen.MAX_PHI_POWER < 1009**2
+    assert lambda1_series(ctx, 1024).n_factors == 2
 
 
 def test_sen_matrix_single_term():

@@ -76,3 +76,20 @@ def test_field_inverts_without_polynomial_division_or_fractions():
     inverse = next(n for n in kelem.body if isinstance(n, ast.FunctionDef) and n.name == "inverse")
     # Fraction itself, or the parser, view and constructors that build Fractions
     assert not _names(inverse) & {"Fraction", "_to_fraction", "coords", "from_coords", "from_rational"}
+
+
+def test_only_the_loader_and_seeds_of_build_a_seed_shape_error():
+    # the seed count is a property of the spec: cli.load_problem checks it
+    # once for every command, and Seeds.of checks the seeds' own shape, so
+    # no engine function checks the seed count again
+    builders = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SeedShapeMismatch":
+                scope = parent[node]
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parent[scope]
+                builders.add((path.name, getattr(scope, "name", None)))
+    assert {b for b in builders if b[0] != "cli.py"} == {("stratification.py", "of")}

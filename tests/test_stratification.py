@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prismstrat import series
+from prismstrat import cli, series
 from prismstrat.closedform import exponential_sum_series
 from prismstrat.cosimplicial import CosimpCtx, face_map
 from prismstrat.errors import SeedShapeMismatch
@@ -82,9 +82,11 @@ def test_hand_checked_row_one():
 
 
 def test_seeds_must_cover_t_order():
-    ctx = CosimpCtx(F1, Trunc(3, 3))
-    with pytest.raises(SeedShapeMismatch):
-        generate_Amn(scalar_seeds(F1, [0, 0]), ctx, 3)
+    # the loader refuses seeds short of T for every engine command, gen too
+    spec = {"p": 3, "E_coeffs": ["-3", "1"], "rank": 1, "seeds": [[["0"]], [["0"]]], "trunc": {"t": 3, "x": 3}}
+    for command in cli.COMMANDS[:-2]:
+        with pytest.raises(SeedShapeMismatch):
+            cli.load_problem(spec, command)
 
 
 def test_epsilon_unit_constant_term():
